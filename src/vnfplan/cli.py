@@ -95,6 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_invalid(inst: Instance) -> bool:
+    """Print each structural problem of inst to stderr; True if there is any."""
+    problems = validate_instance(inst)
+    for p in problems:
+        print(f"error: {p}", file=sys.stderr)
+    return bool(problems)
+
+
 def _cmd_gen(args) -> int:
     cfg = ScenarioConfig(rings=args.rings, isd=args.isd,
                          central_dist=(args.central_dist,),
@@ -108,10 +116,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = validate_instance(inst)
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
+    if _report_invalid(inst):
         return 2
     save_instance(args.out, inst, model=default_model(),
                   services=default_services())
@@ -137,6 +142,8 @@ def _cmd_solve(args) -> int:
         inst = load_instance(args.instance)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if _report_invalid(inst):
         return 2
     method = _canon_method(args.method)
     if method not in _SOLVE_METHODS:

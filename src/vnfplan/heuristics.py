@@ -121,10 +121,8 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
             events.append(PlacementEvent(cid, False, "rejected"))
 
     accepted_ids = [c.id for c in inst.chains if c.id in vectors]
-    sub = inst.subset(accepted_ids)
-    solution = evaluate(sub, Assignment.from_vectors(vectors),
-                        RateTable(sub) if accepted_ids != [c.id for c in inst.chains]
-                        else table)
+    solution = evaluate(inst.subset(accepted_ids), Assignment.from_vectors(vectors),
+                        table)
     return HeuristicResult(solution=solution, events=events,
                            evaluations=evaluations, accepted_ids=accepted_ids)
 

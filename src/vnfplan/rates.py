@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import ChainRequest, Instance
+from .model import ChainRequest, Infrastructure, Instance
 
 INFEASIBLE = math.inf
 
@@ -100,72 +100,143 @@ class Solution:
     violations: tuple[str, ...]
 
 
+def _per_length(links: Mapping[float, list[tuple[int, int]]], gflops: float,
+                bound_ms: float, fiber_speed: float, base_rate: float) -> list[float]:
+    """split_penalty for every link in links order, computed once per length."""
+    pens: list[float] = []
+    for d, pairs in links.items():
+        pens += [split_penalty(gflops, bound_ms, d, fiber_speed, base_rate)] * len(pairs)
+    return pens
+
+
+class _OnFirstRead:
+    """Stands in a row's slot for a penalty list until the list is read.
+
+    The first subscript computes the list, puts it in the slot in place of
+    this placeholder, and answers from it; later reads go straight to the
+    list.  Readers must go through the row's attribute each time.
+    """
+
+    __slots__ = ("_row", "_name", "_compute")
+
+    def __init__(self, row: "_ChainRow", name: str, compute):
+        self._row = row
+        self._name = name
+        self._compute = compute
+
+    def __getitem__(self, n: int) -> dict[tuple[int, int], float]:
+        value = self._compute()
+        setattr(self._row, self._name, value)
+        return value[n]
+
+
+class _ChainRow:
+    """Rate data of one distinct (RRH, VNF list) chain signature.
+
+    The co-located and head rates are computed at once.  The split
+    penalties are computed the first time they are read, because
+    placements that keep every chain on one cloud never read them.
+    fwd[n] (bwd[n]) maps a cloud pair (k, j) to the penalty on VNF n at
+    cloud k when VNF n+1 (n-1) sits at cloud j; the lists are indexed by
+    position, so their slots below the first valid n are empty.
+    """
+
+    __slots__ = ("colo", "first", "demand", "fwd", "bwd",
+                 "_fiber_speed", "_links", "_pairs", "_vnfs")
+
+    def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
+                 links: Mapping[float, list[tuple[int, int]]],
+                 pairs: list[tuple[int, int]], chain: ChainRequest):
+        self._fiber_speed = infra.fiber_speed
+        self._links = links
+        self._pairs = pairs
+        self._vnfs = chain.vnfs
+        self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
+        self.first = {}
+        for k in cloud_ids:
+            head = chain.vnfs[0]
+            self.first[k] = first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
+                                           infra.rrh_dist(chain.rrh, k), self._fiber_speed)
+        self.demand = sum(self.colo)
+        self.fwd = _OnFirstRead(self, "fwd", self._penalties_fwd)
+        self.bwd = _OnFirstRead(self, "bwd", self._penalties_bwd)
+
+    # Past the head, a penalty depends on its link only through the length.
+
+    def _penalties_fwd(self) -> list[dict[tuple[int, int], float]]:
+        v, links = self._fiber_speed, self._links
+        fwd: list[dict[tuple[int, int], float]] = [{}]
+        for n in range(1, len(self._vnfs)):
+            vnf = self._vnfs[n - 1]
+            if n == 1:
+                pens = [split_penalty(vnf.gflops, vnf.fwd_ms, d, v, self.first[k])
+                        for d, group in links.items() for k, _ in group]
+            else:
+                pens = _per_length(links, vnf.gflops, vnf.fwd_ms, v, self.colo[n - 1])
+            fwd.append(dict(zip(self._pairs, pens)))
+        return fwd
+
+    def _penalties_bwd(self) -> list[dict[tuple[int, int], float]]:
+        bwd: list[dict[tuple[int, int], float]] = [{}, {}]
+        for n in range(2, len(self._vnfs) + 1):
+            vnf = self._vnfs[n - 1]
+            pens = _per_length(self._links, vnf.gflops, vnf.bwd_ms, self._fiber_speed,
+                               self.colo[n - 1])
+            bwd.append(dict(zip(self._pairs, pens)))
+        return bwd
+
+
 class RateTable:
     """Precomputed per-instance rate data, shared read-only by all solvers.
 
-    Holds, for every chain: the co-located rate of each VNF, the base rate
-    of VNF 1 at each cloud, and the forward/backward split penalties for
-    every ordered cloud pair.
+    Holds one row per distinct chain signature (RRH, VNF list): the
+    co-located rate of each VNF, the base rate of VNF 1 at each cloud, and
+    the forward/backward split penalties for every ordered cloud pair (a
+    row computes its penalties on their first read).  Chains with equal
+    signatures share a row; chain ids map to rows.
     """
 
     def __init__(self, inst: Instance):
-        self.instance = inst
         infra = inst.infra
         self.cloud_ids = infra.cloud_ids()
-        self._colo: dict[str, list[float]] = {}
-        self._first: dict[str, dict[int, float]] = {}
-        self._fwd: dict[str, dict[tuple[int, int, int], float]] = {}
-        self._bwd: dict[str, dict[tuple[int, int, int], float]] = {}
-        v = infra.fiber_speed
+        # Ordered pairs of distinct clouds, grouped by link length.
+        links: dict[float, list[tuple[int, int]]] = {}
+        for k in self.cloud_ids:
+            for j in self.cloud_ids:
+                if k != j:
+                    links.setdefault(infra.dist(k, j), []).append((k, j))
+        pairs = [pair for group in links.values() for pair in group]
+        rows: dict[tuple, _ChainRow] = {}
+        self._rows: dict[str, _ChainRow] = {}
         for chain in inst.chains:
-            n_vnfs = len(chain.vnfs)
-            colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
-            self._colo[chain.id] = colo
-            first = {}
-            for k in self.cloud_ids:
-                head = chain.vnfs[0]
-                first[k] = first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
-                                          infra.rrh_dist(chain.rrh, k), v)
-            self._first[chain.id] = first
-            fwd: dict[tuple[int, int, int], float] = {}
-            bwd: dict[tuple[int, int, int], float] = {}
-            for k in self.cloud_ids:
-                for j in self.cloud_ids:
-                    if k == j:
-                        continue
-                    d = infra.dist(k, j)
-                    for n in range(1, n_vnfs):
-                        vnf = chain.vnfs[n - 1]
-                        base = first[k] if n == 1 else colo[n - 1]
-                        fwd[(n, k, j)] = split_penalty(vnf.gflops, vnf.fwd_ms, d, v, base)
-                    for n in range(2, n_vnfs + 1):
-                        vnf = chain.vnfs[n - 1]
-                        bwd[(n, k, j)] = split_penalty(vnf.gflops, vnf.bwd_ms, d, v,
-                                                       colo[n - 1])
-            self._fwd[chain.id] = fwd
-            self._bwd[chain.id] = bwd
+            signature = (chain.rrh, chain.vnfs)
+            row = rows.get(signature)
+            if row is None:
+                row = _ChainRow(infra, self.cloud_ids, links, pairs, chain)
+                rows[signature] = row
+            self._rows[chain.id] = row
 
     def colocated(self, chain_id: str, n: int) -> float:
-        return self._colo[chain_id][n - 1]
+        return self._rows[chain_id].colo[n - 1]
 
     def first_rate(self, chain_id: str, k: int) -> float:
-        return self._first[chain_id][k]
+        return self._rows[chain_id].first[k]
 
     def placement_feasible(self, chain_id: str, k: int) -> bool:
         """Whether the chain head may sit at cloud k at all."""
-        return self._first[chain_id][k] != INFEASIBLE
+        return self._rows[chain_id].first[k] != INFEASIBLE
 
     def split_penalty_fwd(self, chain_id: str, n: int, k: int, j: int) -> float:
         """Penalty on VNF n at cloud k when VNF n+1 sits at cloud j."""
         if k == j:
             return 0.0
-        return self._fwd[chain_id][(n, k, j)]
+        return self._rows[chain_id].fwd[n][(k, j)]
 
     def split_penalty_bwd(self, chain_id: str, n: int, k: int, j: int) -> float:
         """Penalty on VNF n at cloud k when VNF n-1 sits at cloud j."""
         if k == j:
             return 0.0
-        return self._bwd[chain_id][(n, k, j)]
+        return self._rows[chain_id].bwd[n][(k, j)]
 
     def split_feasible_fwd(self, chain_id: str, n: int, k: int, j: int) -> bool:
         return self.split_penalty_fwd(chain_id, n, k, j) != INFEASIBLE
@@ -175,32 +246,44 @@ class RateTable:
 
     def chain_demand(self, chain_id: str) -> float:
         """Sum of co-located rates; the packing order key for heuristics."""
-        return sum(self._colo[chain_id])
+        return self._rows[chain_id].demand
+
+    def chain_rates(self, chain_id: str, clouds: Sequence[int]) -> list[float]:
+        """Rate of every VNF of a chain placed on clouds[0], clouds[1], ...
+
+        Each VNF needs its co-located rate (or the RRH-aware rate for the
+        chain head) plus the worst split penalty among the neighbors
+        placed on other clouds.  INFEASIBLE where any implied link cannot
+        meet its bound.
+        """
+        row = self._rows[chain_id]
+        colo = row.colo
+        n_vnfs = len(colo)
+        k = clouds[0]
+        base = row.first[k]
+        if base == INFEASIBLE or n_vnfs == 1:
+            rates = [base]
+        else:
+            j = clouds[1]
+            rates = [base + (0.0 if k == j else row.fwd[1][(k, j)])]
+        for n in range(2, n_vnfs + 1):
+            prev, k = k, clouds[n - 1]
+            base = colo[n - 1]
+            pen_bwd = 0.0 if k == prev else row.bwd[n][(k, prev)]
+            if n < n_vnfs:
+                j = clouds[n]
+                pen_fwd = 0.0 if k == j else row.fwd[n][(k, j)]
+                rates.append(base + max(pen_fwd, pen_bwd))
+            else:
+                rates.append(base + pen_bwd)
+        return rates
 
     def required_rate(self, a: Assignment, chain_id: str, n: int) -> float:
-        """Rate VNF n needs at its assigned cloud under assignment a.
-
-        The base requirement is the co-located rate (or the RRH-aware rate
-        for the chain head) plus the worst split penalty among the
-        neighbors placed on other clouds.  INFEASIBLE when any implied
-        link cannot meet its bound.
-        """
-        chain = self.instance.chain(chain_id)
-        n_vnfs = len(chain.vnfs)
-        k = a.cloud_of(chain_id, n)
-        if n == 1:
-            base = self._first[chain_id][k]
-            if base == INFEASIBLE:
-                return INFEASIBLE
-            if n_vnfs == 1:
-                return base
-            return base + self.split_penalty_fwd(chain_id, 1, k, a.cloud_of(chain_id, 2))
-        base = self._colo[chain_id][n - 1]
-        pen_bwd = self.split_penalty_bwd(chain_id, n, k, a.cloud_of(chain_id, n - 1))
-        if n == n_vnfs:
-            return base + pen_bwd
-        pen_fwd = self.split_penalty_fwd(chain_id, n, k, a.cloud_of(chain_id, n + 1))
-        return base + max(pen_fwd, pen_bwd)
+        """Rate VNF n needs at its assigned cloud under assignment a
+        (the n-th entry of chain_rates for the chain's cloud vector)."""
+        n_vnfs = len(self._rows[chain_id].colo)
+        clouds = [a.cloud_of(chain_id, m) for m in range(1, n_vnfs + 1)]
+        return self.chain_rates(chain_id, clouds)[n - 1]
 
 
 def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> Solution:
@@ -215,30 +298,32 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
     rates: dict[tuple[str, int], tuple[int, float]] = {}
     loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
     objective = 0.0
+    x = a.x
     for chain in inst.chains:
+        cid = chain.id
         n_vnfs = len(chain.vnfs)
-        for n in range(1, n_vnfs + 1):
-            k = a.cloud_of(chain.id, n)
-            rate = table.required_rate(a, chain.id, n)
-            rates[(chain.id, n)] = (k, rate)
+        clouds = [x[(cid, n)] for n in range(1, n_vnfs + 1)]
+        per_vnf = table.chain_rates(cid, clouds)
+        for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
+            rates[(cid, n)] = (k, rate)
             objective += rate
             loads[k] += rate
             if rate != INFEASIBLE:
                 continue
-            if n == 1 and not table.placement_feasible(chain.id, k):
+            if n == 1 and not table.placement_feasible(cid, k):
                 violations.append(
-                    f"chain {chain.id} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
+                    f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
             if n < n_vnfs:
-                j = a.cloud_of(chain.id, n + 1)
-                if j != k and not table.split_feasible_fwd(chain.id, n, k, j):
+                j = clouds[n]
+                if j != k and not table.split_feasible_fwd(cid, n, k, j):
                     violations.append(
-                        f"chain {chain.id} split ({n},{n + 1}) across clouds ({k},{j}) "
+                        f"chain {cid} split ({n},{n + 1}) across clouds ({k},{j}) "
                         f"exceeds the forward bound")
             if n > 1:
-                j = a.cloud_of(chain.id, n - 1)
-                if j != k and not table.split_feasible_bwd(chain.id, n, k, j):
+                j = clouds[n - 2]
+                if j != k and not table.split_feasible_bwd(cid, n, k, j):
                     violations.append(
-                        f"chain {chain.id} split ({n - 1},{n}) across clouds ({j},{k}) "
+                        f"chain {cid} split ({n - 1},{n}) across clouds ({j},{k}) "
                         f"exceeds the backward bound")
     for k in sorted(loads):
         cap = inst.infra.capacity(k)

@@ -199,9 +199,7 @@ def brute_force(inst: Instance, cap: int = 10_000_000,
         options = []
         n_vnfs = len(chain.vnfs)
         for combo in itertools.product(clouds, repeat=n_vnfs):
-            a = Assignment.from_vectors({chain.id: combo})
-            rates = [table.required_rate(a, chain.id, n)
-                     for n in range(1, n_vnfs + 1)]
+            rates = table.chain_rates(chain.id, combo)
             if INFEASIBLE in rates:
                 continue
             loads = [0.0] * len(clouds)
@@ -258,22 +256,20 @@ def lower_bound(inst: Instance, partial: Mapping[tuple[str, int], int],
     if table is None:
         table = RateTable(inst)
     clouds = inst.infra.cloud_ids()
-    order: list[tuple[str, int]] = []
-    for chain in inst.chains:
-        for n in range(1, len(chain.vnfs) + 1):
-            order.append((chain.id, n))
+    order = [(chain, n) for chain in inst.chains
+             for n in range(1, len(chain.vnfs) + 1)]
     boundary = len(order)
-    for t, key in enumerate(order):
-        if key not in partial:
+    for t, (chain, n) in enumerate(order):
+        if (chain.id, n) not in partial:
             boundary = t
             break
-    for key in order[boundary:]:
-        if key in partial:
+    for chain, n in order[boundary:]:
+        if (chain.id, n) in partial:
             raise ValueError("partial assignment is not a prefix of the variable order")
 
     total = 0.0
-    for t, (cid, n) in enumerate(order):
-        chain = inst.chain(cid)
+    for t, (chain, n) in enumerate(order):
+        cid = chain.id
         if t < boundary:
             k = partial[(cid, n)]
             base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)

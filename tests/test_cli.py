@@ -103,6 +103,42 @@ def _far_urllc_file(tmp_path):
     return path
 
 
+def _write_instance(tmp_path, name, infra, chains):
+    path = tmp_path / name
+    save_instance(path, Instance(infra=infra, chains=chains))
+    return path
+
+
+def test_solve_rejects_unknown_rrh(tmp_path, capsys):
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 10000.0), CloudNode(1, 10000.0)),
+        rrh_distances={"r0": {0: 30000.0, 1: 1000.0}},
+        cloud_distances={0: {0: 0.0, 1: 8000.0}, 1: {0: 8000.0, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="nowhere",
+                         vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    path = _write_instance(tmp_path, "rrh.yaml", infra, (chain,))
+    rc = main(["solve", str(path), "--method", "b-first"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: chain c0 references unknown RRH nowhere" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_solve_rejects_instance_without_clouds(tmp_path, capsys):
+    infra = Infrastructure(clouds=(), rrh_distances={"r0": {}}, cloud_distances={})
+    chain = ChainRequest(id="c0", service=None, rrh="r0",
+                         vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    path = _write_instance(tmp_path, "empty.yaml", infra, (chain,))
+    rc = main(["solve", str(path), "--method", "optimal"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: infrastructure has no clouds" in captured.err
+    assert "Traceback" not in captured.err
+    assert "status:" not in captured.out
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     path = _far_urllc_file(tmp_path)
     rc = main(["solve", str(path), "--method", "optimal"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from util import rand_instance
 from vnfplan.heuristics import PlacementEvent, b_first, fixed_service, fixed_split
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
-from vnfplan.rates import CAP_TOL, INFEASIBLE, RateTable
+from vnfplan.rates import CAP_TOL, INFEASIBLE, RateTable, evaluate
 from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import solve_optimal
 
@@ -133,6 +134,23 @@ def test_rejection_leaves_rest_untouched():
     assert len(rejected) == 1 and rejected[0].chain_id == "big"
     assert rejected[0].mode == "rejected"
     assert res.solution.feasible
+
+
+def test_accepted_subset_evaluates_as_with_its_own_table():
+    # Tight capacities: some chains are rejected, the rest land whole or
+    # split.  The solution, costed with the full instance's table, must
+    # equal a fresh evaluation of the accepted chains on their own table.
+    cfg = ScenarioConfig(edge_sites="center", edge_capacity=2240.0,
+                         central_capacity=4480.0)
+    inst = build_instance(cfg, size=12)
+    res = b_first(inst)
+    assert 0 < len(res.accepted_ids) < len(inst.chains)
+    assert {e.mode for e in res.events} == {"whole", "split", "rejected"}
+    sub = inst.subset(res.accepted_ids)
+    expected = evaluate(sub, res.solution.assignment, RateTable(sub))
+    for field in dataclasses.fields(expected):
+        name = field.name
+        assert getattr(res.solution, name) == getattr(expected, name), name
 
 
 def test_never_beats_optimal_on_accepted_set():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import rand_instance, two_cloud_oracle
+from vnfplan import rates
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import (
     EPS_MS,
@@ -21,6 +23,7 @@ from vnfplan.rates import (
     split_feasible,
     split_penalty,
 )
+from vnfplan.scenario import ScenarioConfig, build_instance
 
 
 def test_comm_delay_values():
@@ -230,3 +233,150 @@ def test_required_rate_never_below_base(seed):
 
 def test_eps_band_is_one_nanosecond():
     assert EPS_MS == 1e-6
+
+
+def _shared_signature_instance():
+    """Three clouds; chains repeating one (RRH, VNF list) signature, the
+    same VNFs at another RRH, and other VNFs at the same RRH."""
+    clouds = tuple(CloudNode(k, 1e6) for k in range(3))
+    rrh = {"r0": {0: 30000.0, 1: 1000.0, 2: 5000.0},
+           "r1": {0: 20000.0, 1: 9000.0, 2: 0.0}}
+    dist = {0: {0: 0.0, 1: 30000.0, 2: 30000.0},
+            1: {0: 30000.0, 1: 0.0, 2: 8000.0},
+            2: {0: 30000.0, 1: 8000.0, 2: 0.0}}
+    vnfs = (VnfSpec(4.0, 1.0, 0.5), VnfSpec(2.0, 0.3, 1.0), VnfSpec(1.0, 0.3, 0.3))
+    other = (VnfSpec(3.0, 2.0, 2.0), VnfSpec(2.0, 0.4, 2.0))
+    chains = (
+        ChainRequest(id="a", service=None, rrh="r0", vnfs=vnfs),
+        ChainRequest(id="b", service=None, rrh="r1", vnfs=vnfs),
+        ChainRequest(id="c", service=None, rrh="r0",
+                     vnfs=tuple(VnfSpec(x.gflops, x.fwd_ms, x.bwd_ms) for x in vnfs)),
+        ChainRequest(id="d", service=None, rrh="r0", vnfs=other),
+        ChainRequest(id="e", service=None, rrh="r0", vnfs=vnfs),
+    )
+    infra = Infrastructure(clouds=clouds, rrh_distances=rrh, cloud_distances=dist)
+    return Instance(infra=infra, chains=chains)
+
+
+def _accessor_values(table, chain):
+    cid = chain.id
+    n_vnfs = len(chain.vnfs)
+    clouds = table.cloud_ids
+    pairs = [(k, j) for k in clouds for j in clouds]
+    return {
+        "colocated": [table.colocated(cid, n) for n in range(1, n_vnfs + 1)],
+        "first_rate": [table.first_rate(cid, k) for k in clouds],
+        "placement_feasible": [table.placement_feasible(cid, k) for k in clouds],
+        "split_fwd": [(table.split_penalty_fwd(cid, n, k, j),
+                       table.split_feasible_fwd(cid, n, k, j))
+                      for n in range(1, n_vnfs) for k, j in pairs],
+        "split_bwd": [(table.split_penalty_bwd(cid, n, k, j),
+                       table.split_feasible_bwd(cid, n, k, j))
+                      for n in range(2, n_vnfs + 1) for k, j in pairs],
+        "chain_demand": table.chain_demand(cid),
+        "chain_rates": [table.chain_rates(cid, combo)
+                        for combo in itertools.product(clouds, repeat=n_vnfs)],
+    }
+
+
+def test_shared_rows_match_single_chain_tables():
+    inst = _shared_signature_instance()
+    table = RateTable(inst)
+    for chain in inst.chains:
+        alone = RateTable(Instance(inst.infra, (chain,)))
+        assert _accessor_values(table, chain) == _accessor_values(alone, chain), chain.id
+    # Ids of one signature answer alike; another RRH or VNF list does not.
+    a, e = inst.chains[0], inst.chains[4]
+    assert _accessor_values(table, a) == _accessor_values(table, e)
+    assert table.first_rate("a", 0) != table.first_rate("b", 0)
+    assert table.chain_demand("a") != table.chain_demand("d")
+
+
+def test_rate_table_penalties_match_direct_formula():
+    # Three or four clouds with repeated link lengths, so penalties that
+    # a row computes once per length land on every pair of that length.
+    rng = random.Random(7)
+    insts = [_shared_signature_instance()]
+    insts += [rand_instance(rng, num_edges=rng.choice([2, 3])) for _ in range(20)]
+    for inst in insts:
+        table = RateTable(inst)
+        v = inst.infra.fiber_speed
+        clouds = inst.infra.cloud_ids()
+        for chain in inst.chains:
+            cid = chain.id
+            for k in clouds:
+                for j in clouds:
+                    if k == j:
+                        continue
+                    d = inst.infra.dist(k, j)
+                    for n, vnf in enumerate(chain.vnfs, start=1):
+                        base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
+                        if n < len(chain.vnfs):
+                            assert table.split_penalty_fwd(cid, n, k, j) == \
+                                split_penalty(vnf.gflops, vnf.fwd_ms, d, v, base)
+                        if n > 1:
+                            assert table.split_penalty_bwd(cid, n, k, j) == \
+                                split_penalty(vnf.gflops, vnf.bwd_ms, d, v, base)
+
+
+def test_evaluate_with_shared_rows_sums_per_chain_objectives():
+    inst = _shared_signature_instance()
+    vectors = {"a": [1, 1, 2], "b": [2, 0, 0], "c": [1, 2, 2], "d": [0, 1], "e": [1, 1, 2]}
+    a = Assignment.from_vectors(vectors)
+    sol = evaluate(inst, a, RateTable(inst))
+    per_chain = [evaluate(Instance(inst.infra, (chain,)),
+                          Assignment.from_vectors({chain.id: vectors[chain.id]}))
+                 for chain in inst.chains]
+    # Same additions in the same order: exact.  Per-chain subtotals: rounding.
+    assert sol.objective == sum(rate for s in per_chain for _, rate in s.rates.values())
+    assert sol.objective == pytest.approx(sum(s.objective for s in per_chain), rel=1e-12)
+    for s in per_chain:
+        for key, value in s.rates.items():
+            assert sol.rates[key] == value
+    assert sol.rates[("a", 3)] == sol.rates[("e", 3)]
+
+
+def _count_split_penalty_calls(monkeypatch):
+    counter = {"calls": 0}
+    real = rates.split_penalty
+
+    def counting(*args):
+        counter["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rates, "split_penalty", counting)
+    return counter
+
+
+def test_rate_table_builds_one_row_per_signature(monkeypatch):
+    counter = _count_split_penalty_calls(monkeypatch)
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=1e12,
+                         edge_capacity=1e12)
+    inst = build_instance(cfg, d0_m=45000.0, size=800)
+    distinct = {}
+    for chain in inst.chains:
+        distinct.setdefault((chain.rrh, chain.vnfs), chain)
+    assert len(distinct) < len(inst.chains)
+
+    def build_and_read(chains):
+        counter["calls"] = 0
+        table = RateTable(Instance(inst.infra, tuple(chains)))
+        k, j = table.cloud_ids[:2]
+        for chain in chains:
+            table.split_penalty_fwd(chain.id, 1, k, j)
+            table.split_penalty_bwd(chain.id, 2, k, j)
+        return counter["calls"]
+
+    assert 0 < build_and_read(inst.chains) <= build_and_read(distinct.values())
+
+
+def test_whole_chain_placements_read_no_penalties(monkeypatch):
+    counter = _count_split_penalty_calls(monkeypatch)
+    inst = _shared_signature_instance()
+    table = RateTable(inst)
+    whole = {c.id: [1] * len(c.vnfs) for c in inst.chains}
+    evaluate(inst, Assignment.from_vectors(whole), table)
+    assert counter["calls"] == 0
+    whole["a"] = [1, 1, 2]
+    evaluate(inst, Assignment.from_vectors(whole), table)
+    assert counter["calls"] > 0
