@@ -10,19 +10,11 @@ import sys
 from typing import Optional, Sequence
 
 from .config import ConfigError, default_model, default_services, load_instance, save_instance
-from .heuristics import b_first, fixed_service, fixed_split
 from .ilp import build_ilp, emit_lp_text
 from .model import Instance, validate_instance
 from .rates import RateTable, Solution
 from .scenario import ScenarioConfig, build_instance, run_sweep, export_csv
-from .solver import BruteForceCapError, SearchBudget, brute_force, solve_optimal
-
-_SOLVE_METHODS = ("optimal", "brute", "b_first", "fixed_split", "fixed_service")
-
-
-def _canon_method(token: str) -> str:
-    name = token.strip().lower().replace("-", "_")
-    return "b_first" if name == "bfirst" else name
+from .solver import BruteForceCapError, SearchBudget, method_name, run_method
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="record wall-clock runtimes instead of 0.0 "
                             "(makes the CSV non-reproducible)")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+                       help="parallel worker processes, at most one per "
+                            "point and per CPU (default 1)")
     return parser
 
 
@@ -145,62 +138,35 @@ def _cmd_solve(args) -> int:
         return 2
     if _report_invalid(inst):
         return 2
-    method = _canon_method(args.method)
-    if method not in _SOLVE_METHODS:
-        print(f"error: unknown method {args.method!r}", file=sys.stderr)
+    try:
+        method = method_name(args.method)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     table = RateTable(inst)
     if args.emit_lp:
         with open(args.emit_lp, "w", encoding="utf-8") as fh:
             fh.write(emit_lp_text(build_ilp(inst, table)))
         print(f"wrote LP model to {args.emit_lp}")
-
-    if method == "optimal":
-        budget = SearchBudget(max_nodes=args.max_nodes,
-                              time_limit=args.time_limit)
-        res = solve_optimal(inst, budget=budget, table=table)
-        print(f"status: {res.status}")
-        if res.solution is not None:
-            print(f"accepted: {len(inst.chains)}/{len(inst.chains)}")
-            _print_solution(inst, res.solution)
-        if res.status in ("optimal", "feasible-incumbent"):
-            return 0
-        if res.status == "infeasible":
-            print(f"infeasible: {res.infeasible_reason}")
-            return 3
-        return 4
-    if method == "brute":
-        try:
-            res = brute_force(inst, table=table)
-        except BruteForceCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"status: {res.status}")
-        if res.solution is not None:
-            print(f"accepted: {len(inst.chains)}/{len(inst.chains)}")
-            _print_solution(inst, res.solution)
-            return 0
-        print(f"infeasible: {res.infeasible_reason}")
-        return 3
-    if method == "b_first":
-        hres = b_first(inst, table=table)
-        for event in hres.events:
-            print(event.as_line())
-        accepted = len(hres.accepted_ids)
-        print(f"status: {'feasible' if accepted == len(inst.chains) else 'partial'}")
-        print(f"accepted: {accepted}/{len(inst.chains)}")
-        print(f"evaluations: {hres.evaluations}")
-        _print_solution(inst, hres.solution)
-        return 0 if accepted == len(inst.chains) else 3
-    sol = fixed_split(inst) if method == "fixed_split" else fixed_service(inst)
-    print(f"status: {'feasible' if sol.feasible else 'infeasible'}")
-    print(f"accepted: {len(inst.chains) if sol.feasible else 0}/{len(inst.chains)}")
-    _print_solution(inst, sol)
-    if not sol.feasible:
-        for v in sol.violations:
-            print(f"violation: {v}")
-        return 3
-    return 0
+    budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
+    try:
+        out = run_method(method, inst, table, budget)
+    except BruteForceCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for line in out.events:
+        print(line)
+    print(f"status: {out.status}")
+    if out.solution is not None:
+        print(f"accepted: {out.accepted}/{len(inst.chains)}")
+        for line in out.stats:
+            print(line)
+        _print_solution(inst, out.solution)
+    for line in out.reasons:
+        print(line)
+    if out.accepted == len(inst.chains):
+        return 0
+    return 4 if out.status == "budget-exhausted" else 3
 
 
 def _parse_axis(text: Optional[str], cast) -> Optional[list]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .config import default_model, default_services
-from .heuristics import b_first, fixed_service, fixed_split
 from .model import (
     ChainRequest,
     CloudNode,
@@ -20,11 +20,12 @@ from .model import (
     Instance,
     ServiceClass,
     build_chain,
+    validate_instance,
 )
-from .solver import SearchBudget, brute_force, max_accepted_chains, solve_optimal
+from .rates import RateTable
+from .solver import METHODS, SearchBudget, max_accepted_chains, method_name, run_method
 
-METHOD_ORDER = ("optimal", "brute", "b_first", "fixed_split",
-                "fixed_service", "cran_only")
+METHOD_ORDER = (*METHODS, "cran_only")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,15 @@ def hex_sites(rings: int, isd: float) -> list[tuple[float, float]]:
     return sites
 
 
+def _edge_positions(sites: list[tuple[float, float]],
+                    edge_sites: str) -> list[tuple[float, float]]:
+    if edge_sites == "center":
+        return sites[:1]
+    if edge_sites == "all":
+        return sites
+    raise ValueError(f"edge_sites must be 'all' or 'center', got {edge_sites!r}")
+
+
 def gen_hex_layout(rings: int, isd: float, d0_m: float,
                    central_capacity: float, edge_capacity: float,
                    edge_sites: str = "all",
@@ -93,12 +103,7 @@ def gen_hex_layout(rings: int, isd: float, d0_m: float,
     """
     sites = hex_sites(rings, isd)
     rrhs = [f"r{i:02d}" for i in range(len(sites))]
-    if edge_sites == "center":
-        edge_positions = sites[:1]
-    elif edge_sites == "all":
-        edge_positions = sites
-    else:
-        raise ValueError(f"edge_sites must be 'all' or 'center', got {edge_sites!r}")
+    edge_positions = _edge_positions(sites, edge_sites)
     positions: dict[int, tuple[float, float]] = {0: (d0_m, 0.0)}
     if cran:
         clouds = [CloudNode(0, central_capacity + len(edge_positions) * edge_capacity)]
@@ -189,15 +194,6 @@ def efficiency_improvement(baseline: float, variant: float) -> float:
     return 100.0 * (baseline - variant) / baseline
 
 
-def _normalize_method(name: str) -> str:
-    token = name.strip().lower().replace("-", "_")
-    if token == "bfirst":
-        token = "b_first"
-    if token not in METHOD_ORDER:
-        raise ValueError(f"unknown method {name!r}")
-    return token
-
-
 def _solve_point(cfg: ScenarioConfig, method: str, size: int, d0: float,
                  ce: float, rep: int, budget: SearchBudget,
                  measure_runtime: bool) -> SweepRecord:
@@ -205,70 +201,32 @@ def _solve_point(cfg: ScenarioConfig, method: str, size: int, d0: float,
     cran = method == "cran_only"
     inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce,
                           seed=seed_eff, cran=cran)
-    # Pad loads with the hybrid cloud ids so every record of a sweep has
-    # the same columns, whichever variant produced it.
-    hybrid_ids = inst.infra.cloud_ids() if not cran else \
-        build_instance(cfg, d0_m=d0, size=0, edge_capacity=ce,
-                       seed=seed_eff).infra.cloud_ids()
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("; ".join(problems))
+    # Pad loads with the hybrid cloud ids (0 central, 1..K edge) so every
+    # record of a sweep has the same columns, whichever variant produced it.
+    edges = _edge_positions(hex_sites(cfg.rings, cfg.isd), cfg.edge_sites)
     solver_kind = "optimal" if cran else method
 
     started = time.perf_counter()
-    heur = None
-    sol = None
-    res = None
-    if solver_kind == "optimal":
-        res = solve_optimal(inst, budget=budget)
-    elif solver_kind == "brute":
-        res = brute_force(inst)
-    elif solver_kind == "b_first":
-        heur = b_first(inst)
-    elif solver_kind == "fixed_split":
-        sol = fixed_split(inst)
-    elif solver_kind == "fixed_service":
-        sol = fixed_service(inst)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    table = RateTable(inst)
+    out = run_method(solver_kind, inst, table, budget)
     runtime = time.perf_counter() - started if measure_runtime else 0.0
 
-    if heur is not None:
-        accepted = len(heur.accepted_ids)
-        objective = heur.solution.objective
-        loads = dict(heur.solution.loads)
-    elif sol is not None:
-        if sol.feasible:
-            accepted = len(inst.chains)
-            objective = sol.objective
-            loads = dict(sol.loads)
-        else:
-            accepted = max_accepted_chains(inst, method=solver_kind, budget=budget)
-            prefix = inst.subset([c.id for c in inst.chains[:accepted]])
-            redo = fixed_split(prefix) if solver_kind == "fixed_split" \
-                else fixed_service(prefix)
-            objective = redo.objective
-            loads = dict(redo.loads)
-    else:
-        assert res is not None
-        if res.solution is not None and res.solution.feasible:
-            accepted = len(inst.chains)
-            objective = res.solution.objective
-            loads = dict(res.solution.loads)
-        else:
-            accepted = max_accepted_chains(inst, method=solver_kind, budget=budget)
-            prefix = inst.subset([c.id for c in inst.chains[:accepted]])
-            redo = solve_optimal(prefix, budget=budget) if solver_kind == "optimal" \
-                else brute_force(prefix)
-            if redo.solution is not None:
-                objective = redo.solution.objective
-                loads = dict(redo.solution.loads)
-            else:
-                objective = 0.0
-                loads = {}
-    full_loads = {k: loads.get(k, 0.0) for k in hybrid_ids}
+    accepted = out.accepted
+    if accepted < len(inst.chains) and METHODS[solver_kind].all_or_nothing:
+        accepted = max_accepted_chains(inst, method=solver_kind, budget=budget)
+        prefix = inst.subset([c.id for c in inst.chains[:accepted]])
+        out = run_method(solver_kind, prefix, table, budget)
+    sol = out.solution
+    loads = sol.loads if sol is not None else {}
+    full_loads = {k: loads.get(k, 0.0) for k in range(1 + len(edges))}
     scenario = (f"hex{cfg.rings}-S{size}-d0{d0:g}-ce{ce:g}"
                 f"-seed{cfg.seed}-rep{rep}")
     return SweepRecord(scenario=scenario, method=method, size=size, d0_m=d0,
-                       objective_gflops_s=objective, accepted=accepted,
-                       loads=full_loads, runtime_s=runtime)
+                       objective_gflops_s=sol.objective if sol is not None else 0.0,
+                       accepted=accepted, loads=full_loads, runtime_s=runtime)
 
 
 def _run_task(task) -> SweepRecord:
@@ -289,8 +247,12 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     """
     if not methods:
         raise ValueError("no methods given")
-    normalized = [_normalize_method(m) for m in methods]
+    normalized = [method_name(m, METHOD_ORDER) for m in methods]
     ordered = [m for m in METHOD_ORDER if m in normalized]
+    if reps < 0:
+        raise ValueError(f"reps must be non-negative, got {reps}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget is None:
         budget = SearchBudget()
     axes = dict(axes or {})
@@ -298,8 +260,13 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     if unknown:
         raise ValueError(f"unknown sweep axes {sorted(unknown)}")
     sizes = [int(v) for v in axes.get("S", [cfg.mix_size])]
+    if any(size < 0 for size in sizes):
+        raise ValueError(f"chain counts must be non-negative, got {sizes}")
     dists = [float(v) for v in axes.get("d0", [cfg.central_dist[0]])]
     edge_caps = [float(v) for v in axes.get("Ce", [cfg.edge_capacity])]
+    # cran_only folds Ce into the central cloud, where no check sees it.
+    if any(ce <= 0 for ce in edge_caps):
+        raise ValueError(f"edge capacities must be positive, got {edge_caps}")
     tasks = []
     for method in ordered:
         for size in sizes:
@@ -308,8 +275,10 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
                     for rep in range(reps):
                         tasks.append((cfg, method, size, d0, ce, rep,
                                       budget, measure_runtime))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Workers start on the first submit, so never ask for more than can work.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_task, tasks))
     return [_run_task(task) for task in tasks]
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Collection, Mapping, NamedTuple, Optional
 
+from . import heuristics
 from .model import Instance
 from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate
 
@@ -288,24 +289,84 @@ def lower_bound(inst: Instance, partial: Mapping[tuple[str, int], int],
     return total
 
 
-def _accepts_all(inst: Instance, method: str, budget: SearchBudget | None) -> bool:
-    from . import heuristics
+@dataclass(frozen=True)
+class Outcome:
+    """What one registry method made of an instance.
 
-    if not inst.chains:
-        return True
-    if method == "optimal":
-        res = solve_optimal(inst, budget=budget)
-        return res.status in ("optimal", "feasible-incumbent")
-    if method == "brute":
-        return brute_force(inst).status == "optimal"
-    if method == "b_first":
-        result = heuristics.b_first(inst)
-        return len(result.accepted_ids) == len(inst.chains)
-    if method == "fixed_split":
-        return heuristics.fixed_split(inst).feasible
-    if method == "fixed_service":
-        return heuristics.fixed_service(inst).feasible
-    raise ValueError(f"unknown method {method!r}")
+    solution covers the accepted chains; a fixed baseline that overloads a
+    cloud keeps the deployment it tried, with accepted 0.  events, stats
+    and reasons are the method's report lines, printed before the status,
+    after the accepted count and after the solution.
+    """
+
+    status: str
+    solution: Optional[Solution]
+    accepted: int
+    events: tuple[str, ...] = ()
+    stats: tuple[str, ...] = ()
+    reasons: tuple[str, ...] = ()
+
+
+def _searched(res: SolveResult, inst: Instance) -> Outcome:
+    reasons = (f"infeasible: {res.infeasible_reason}",) if res.status == "infeasible" else ()
+    accepted = len(inst.chains) if res.solution is not None else 0
+    return Outcome(res.status, res.solution, accepted, reasons=reasons)
+
+
+def _packed(res: heuristics.HeuristicResult, inst: Instance) -> Outcome:
+    accepted = len(res.accepted_ids)
+    return Outcome("feasible" if accepted == len(inst.chains) else "partial",
+                   res.solution, accepted,
+                   events=tuple(event.as_line() for event in res.events),
+                   stats=(f"evaluations: {res.evaluations}",))
+
+
+def _fixed(sol: Solution, inst: Instance) -> Outcome:
+    if sol.feasible:
+        return Outcome("feasible", sol, len(inst.chains))
+    return Outcome("infeasible", sol, 0,
+                   reasons=tuple(f"violation: {v}" for v in sol.violations))
+
+
+class Method(NamedTuple):
+    run: Callable[[Instance, RateTable, Optional[SearchBudget]], Outcome]
+    all_or_nothing: bool = True     # places every chain or reports failure
+
+
+# Entries look the solvers up when they run, so wrappers installed on the
+# module attributes (tracing, test doubles) see every call.  The key order
+# is the order of sweep records.
+METHODS: dict[str, Method] = {
+    "optimal": Method(lambda inst, table, budget: _searched(
+        solve_optimal(inst, budget=budget, table=table), inst)),
+    "brute": Method(lambda inst, table, budget: _searched(
+        brute_force(inst, table=table), inst)),
+    "b_first": Method(lambda inst, table, budget: _packed(
+        heuristics.b_first(inst, table=table), inst), all_or_nothing=False),
+    "fixed_split": Method(lambda inst, table, budget: _fixed(
+        heuristics.fixed_split(inst, table=table), inst)),
+    "fixed_service": Method(lambda inst, table, budget: _fixed(
+        heuristics.fixed_service(inst, table=table), inst)),
+}
+
+
+def method_name(token: str, names: Collection[str] = METHODS) -> str:
+    """The canonical spelling of a method name: case-insensitive, '-' or
+    '_' between words, 'bfirst' for 'b_first'.  Raises ValueError when
+    the result is not among names."""
+    name = token.strip().lower().replace("-", "_")
+    if name == "bfirst":
+        name = "b_first"
+    if name not in names:
+        raise ValueError(f"unknown method {token!r}")
+    return name
+
+
+def run_method(method: str, inst: Instance, table: RateTable | None = None,
+               budget: SearchBudget | None = None) -> Outcome:
+    """Run one METHODS entry (any spelling method_name accepts) on inst."""
+    entry = METHODS[method_name(method)]
+    return entry.run(inst, RateTable(inst) if table is None else table, budget)
 
 
 def max_accepted_chains(inst: Instance, method: str = "optimal",
@@ -318,25 +379,28 @@ def max_accepted_chains(inst: Instance, method: str = "optimal",
     by one and each is kept only if the kept set stays feasible (the
     deployment may be rearranged at every arrival).
     """
+    entry = METHODS[method_name(method)]
+    if protocol not in ("prefix", "incremental"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    table = RateTable(inst)
+
+    def accepts_all(ids: list[str]) -> bool:
+        return entry.run(inst.subset(ids), table, budget).accepted == len(ids)
+
     ids = [c.id for c in inst.chains]
-    if protocol == "prefix":
-        if method in ("b_first",):
-            # Heuristic acceptance is not monotone in the prefix length.
-            best = 0
-            for m in range(1, len(ids) + 1):
-                if _accepts_all(inst.subset(ids[:m]), method, budget):
-                    best = m
-            return best
-        best = 0
-        for m in range(1, len(ids) + 1):
-            if not _accepts_all(inst.subset(ids[:m]), method, budget):
-                break
-            best = m
-        return best
     if protocol == "incremental":
         kept: list[str] = []
         for cid in ids:
-            if _accepts_all(inst.subset(kept + [cid]), method, budget):
+            if accepts_all(kept + [cid]):
                 kept.append(cid)
         return len(kept)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    best = 0
+    for m in range(1, len(ids) + 1):
+        if accepts_all(ids[:m]):
+            best = m
+        elif entry.all_or_nothing:
+            # Dropping chains keeps a deployment feasible, so no longer
+            # prefix succeeds.  The greedy's acceptance is not monotone in
+            # the prefix length, so it tries every prefix.
+            break
+    return best

@@ -85,9 +85,14 @@ def test_solve_missing_file(tmp_path, capsys):
 
 def test_solve_unknown_method(tmp_path, capsys):
     inst = _gen(tmp_path)
-    rc = main(["solve", str(inst), "--method", "annealing"])
-    assert rc == 2
-    assert "unknown method" in capsys.readouterr().err
+    for alias in ("b-first", "bfirst", "B_FIRST"):
+        assert main(["solve", str(inst), "--method", alias]) == 0
+    capsys.readouterr()
+    # cran-only is a sweep variant, not a solve method.
+    for name in ("annealing", "cran-only"):
+        rc = main(["solve", str(inst), "--method", name])
+        assert rc == 2
+        assert f"error: unknown method {name!r}" in capsys.readouterr().err
 
 
 def _far_urllc_file(tmp_path):
@@ -196,9 +201,19 @@ def test_sweep_requires_methods(tmp_path):
 
 
 def test_sweep_unknown_method(tmp_path, capsys):
-    rc = main(["sweep", "--methods", "magic", "--out", str(tmp_path / "x.csv")])
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--methods", "magic", "--out", str(out)])
     assert rc == 2
     assert "unknown method" in capsys.readouterr().err
+    for bad, message in ((["--axis-ce", "-5"], "edge capacities must be positive"),
+                         (["--central-capacity", "-5"], "cloud 0 capacity must be positive"),
+                         (["--axis-s", "-2"], "chain counts must be non-negative"),
+                         (["--jobs", "0"], "jobs must be at least 1")):
+        rc = main(["sweep", "--methods", "b-first", "--out", str(out),
+                   "--reps", "1", "--edge-sites", "center", *bad])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_help_and_console_script():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vnfplan import scenario
 from vnfplan.model import validate_instance
 from vnfplan.scenario import (
     METHOD_ORDER,
@@ -143,10 +144,25 @@ def test_run_sweep_rejects_bad_input():
     cfg = _small_cfg()
     with pytest.raises(ValueError):
         run_sweep(cfg, [])
-    with pytest.raises(ValueError):
-        run_sweep(cfg, ["nosuch"])
+    for name in ("nosuch", "annealing"):
+        with pytest.raises(ValueError, match="unknown method"):
+            run_sweep(cfg, [name])
+    # The same names as `vnfplan solve`, plus the sweep-only cran-only.
+    for alias in ("b-first", "bfirst", "B_FIRST"):
+        records = run_sweep(cfg, [alias, "cran-only"], axes={"S": [1]}, reps=1)
+        assert [r.method for r in records] == ["b_first", "cran_only"]
     with pytest.raises(ValueError):
         run_sweep(cfg, ["b_first"], axes={"temperature": [1]})
+    for bad in ({"axes": {"S": [2, -2]}}, {"reps": -1}, {"jobs": 0},
+                {"jobs": -3}):
+        with pytest.raises(ValueError):
+            run_sweep(cfg, ["b_first"], **bad)
+    for method in ("b_first", "cran_only"):
+        with pytest.raises(ValueError, match="edge capacities must be positive"):
+            run_sweep(cfg, [method], axes={"Ce": [4480.0, -5.0]}, reps=1)
+    with pytest.raises(ValueError, match="cloud 0 capacity must be positive"):
+        run_sweep(ScenarioConfig(edge_sites="center", central_capacity=-1.0),
+                  ["b_first"], reps=1)
     assert set(METHOD_ORDER) == {"optimal", "brute", "b_first", "fixed_split",
                                  "fixed_service", "cran_only"}
 
@@ -159,6 +175,42 @@ def test_run_sweep_deterministic_and_parallel():
     assert once == twice
     parallel = run_sweep(cfg, ["b_first"], axes=axes, reps=2, jobs=2)
     assert parallel == once
+
+
+def test_run_sweep_caps_worker_processes(monkeypatch):
+    """The pool never gets more workers than tasks or CPUs; no real
+    worker process is started."""
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 3)
+    cfg = _small_cfg()
+    serial = run_sweep(cfg, ["b_first"], axes={"S": [1, 2]}, reps=2)
+    assert run_sweep(cfg, ["b_first"], axes={"S": [1]}, reps=1,
+                     jobs=5000) == serial[:1]
+    assert made == []
+    assert run_sweep(cfg, ["b_first"], axes={"S": [1, 2]}, reps=2,
+                     jobs=2) == serial
+    assert run_sweep(cfg, ["b_first"], axes={"S": [1, 2]}, reps=2,
+                     jobs=5000) == serial
+    assert made == [2, 3]
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: None)
+    assert run_sweep(cfg, ["b_first"], axes={"S": [1, 2]}, reps=2,
+                     jobs=5000) == serial
+    assert made == [2, 3]
 
 
 def test_run_sweep_cran_only_single_load_column():

@@ -4,15 +4,18 @@ import random
 import pytest
 
 from util import rand_instance
+from vnfplan import heuristics, solver
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, RateTable
 from vnfplan.solver import (
+    METHODS,
     BruteForceCapError,
     BudgetExceededError,
     SearchBudget,
     brute_force,
     lower_bound,
     max_accepted_chains,
+    run_method,
     solve_optimal,
 )
 
@@ -180,8 +183,34 @@ def test_max_accepted_prefix_vs_incremental():
                                protocol="incremental") == 2
     with pytest.raises(ValueError):
         max_accepted_chains(inst, method="optimal", protocol="nope")
-    with pytest.raises(ValueError):
-        max_accepted_chains(inst, method="mystery")
+    # The same names as `vnfplan solve`: aliases in, cran-only out.
+    for protocol in ("prefix", "incremental"):
+        expected = max_accepted_chains(inst, method="b_first", protocol=protocol)
+        for alias in ("b-first", "bfirst", "B_FIRST"):
+            assert max_accepted_chains(inst, method=alias, protocol=protocol) == expected
+    for name in ("mystery", "cran-only", "cran_only"):
+        with pytest.raises(ValueError, match="unknown method"):
+            max_accepted_chains(inst, method=name)
+
+
+def test_methods_call_solvers_through_module_attributes(monkeypatch):
+    """Registry entries look solvers up at call time, so a wrapper put on
+    the module attribute (as a tracer does) sees every call."""
+    calls = []
+    for mod, name in ((solver, "solve_optimal"), (solver, "brute_force"),
+                      (heuristics, "b_first"), (heuristics, "fixed_split"),
+                      (heuristics, "fixed_service")):
+        def wrapped(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapped)
+    inst = _three_chain_capacity_instance()
+    assert list(METHODS) == ["optimal", "brute", "b_first", "fixed_split",
+                             "fixed_service"]
+    for method in METHODS:
+        run_method(method, inst)
+    assert calls == ["solve_optimal", "brute_force", "b_first", "fixed_split",
+                     "fixed_service"]
 
 
 def test_max_accepted_all_methods_on_feasible_instance():
