@@ -139,14 +139,17 @@ class _ChainRow:
     fwd[n] (bwd[n]) maps a cloud pair (k, j) to the penalty on VNF n at
     cloud k when VNF n+1 (n-1) sits at cloud j; the lists are indexed by
     position, so their slots below the first valid n are empty.
+    children[n] is the branch and bound's view of VNF n, also built on
+    first read; see RateTable.children.
     """
 
-    __slots__ = ("colo", "first", "demand", "fwd", "bwd",
-                 "_fiber_speed", "_links", "_pairs", "_vnfs")
+    __slots__ = ("colo", "first", "demand", "fwd", "bwd", "children",
+                 "_cloud_ids", "_fiber_speed", "_links", "_pairs", "_vnfs")
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
                  links: Mapping[float, list[tuple[int, int]]],
                  pairs: list[tuple[int, int]], chain: ChainRequest):
+        self._cloud_ids = cloud_ids
         self._fiber_speed = infra.fiber_speed
         self._links = links
         self._pairs = pairs
@@ -160,6 +163,7 @@ class _ChainRow:
         self.demand = sum(self.colo)
         self.fwd = _OnFirstRead(self, "fwd", self._penalties_fwd)
         self.bwd = _OnFirstRead(self, "bwd", self._penalties_bwd)
+        self.children = _OnFirstRead(self, "children", self._children)
 
     # Past the head, a penalty depends on its link only through the length.
 
@@ -184,6 +188,28 @@ class _ChainRow:
                                self.colo[n - 1])
             bwd.append(dict(zip(self._pairs, pens)))
         return bwd
+
+    def _children(self) -> list[list[list[tuple[int, float, float, float]]]]:
+        ids = self._cloud_ids
+        head = [(i, self.first[k], 0.0, 0.0) for i, k in enumerate(ids)]
+        children = [[], [head] * len(ids)]
+        for n in range(2, len(self._vnfs) + 1):
+            colo, fwd, bwd = self.colo[n - 1], self.fwd[n - 1], self.bwd[n]
+            by_prev = []
+            for j in ids:
+                options = []
+                for i, k in enumerate(ids):
+                    if k == j:
+                        options.append((i, colo, 0.0, 0.0))
+                        continue
+                    pen_bwd, pen_fwd_prev = bwd[(k, j)], fwd[(j, k)]
+                    if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
+                        options.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
+                    else:
+                        options.append((i, colo + pen_bwd, pen_bwd, pen_fwd_prev))
+                by_prev.append(options)
+            children.append(by_prev)
+        return children
 
 
 class RateTable:
@@ -243,6 +269,19 @@ class RateTable:
 
     def split_feasible_bwd(self, chain_id: str, n: int, k: int, j: int) -> bool:
         return self.split_penalty_bwd(chain_id, n, k, j) != INFEASIBLE
+
+    def children(self, chain_id: str, n: int) -> list[list[tuple[int, float, float, float]]]:
+        """The branch and bound's choices for VNF n, by cloud index.
+
+        Entry [p] lists, for VNF n-1 at the p-th cloud of cloud_ids, one
+        (cloud index, self rate, backward penalty, forward penalty on VNF
+        n-1) tuple per cloud in ascending id order; the self rate is the
+        co-located rate plus the backward penalty.  Splits that break a
+        latency bound have an INFEASIBLE self rate.  The chain head does
+        not depend on p: its entries are (cloud index, head rate, 0, 0),
+        with INFEASIBLE where the RRH link breaks the backward bound.
+        """
+        return self._rows[chain_id].children[n]
 
     def chain_demand(self, chain_id: str) -> float:
         """Sum of co-located rates; the packing order key for heuristics."""

@@ -49,7 +49,9 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     lexicographically smallest one; results are deterministic whenever the
     budget is not the binding factor.  Pruning uses committed cost plus an
     admissible completion estimate (each unassigned VNF at its cheapest
-    feasible cloud, ignoring future split penalties).
+    feasible cloud, ignoring future split penalties).  nodes counts every
+    child tried, rejected ones included; the search keeps its own stack,
+    so instance size is not bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -57,7 +59,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         table = RateTable(inst)
     start = time.perf_counter()
     clouds = list(inst.infra.cloud_ids())
-    caps = {k: inst.infra.capacity(k) for k in clouds}
     variables: list[tuple[int, int]] = []
     for si, chain in enumerate(inst.chains):
         for n in range(1, len(chain.vnfs) + 1):
@@ -83,76 +84,96 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             best_base = table.colocated(cid, n)
         suffix_min[t] = suffix_min[t + 1] + best_base
 
-    vec = [0] * num_vars          # cloud chosen per variable
-    bwd_committed = [0.0] * num_vars
-    loads = {k: 0.0 for k in clouds}
+    chain_ids = [c.id for c in inst.chains]
+    # children[t][p]: the choices of variable t when variable t-1 sits at
+    # cloud index p (see RateTable.children).  From here on a cloud is
+    # named by its index in clouds.
+    children = [table.children(chain_ids[si], n) for si, n in variables]
+    latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
+                     for _, n in variables]
+    caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
+    loads = [0.0] * len(clouds)
+    vec = [0] * num_vars          # cloud index chosen per variable
     nodes = 0
-    deadline = time.monotonic() + budget.time_limit
+    max_nodes = budget.max_nodes
+    monotonic = time.monotonic
+    deadline = monotonic() + budget.time_limit
     best_obj = INFEASIBLE
     best_vec: Optional[list[int]] = None
     causes = {"first-vnf-placement": 0, "split-latency": 0, "capacity": 0}
-    chain_ids = [c.id for c in inst.chains]
 
-    def dfs(t: int, g: float) -> None:
-        nonlocal nodes, best_obj, best_vec
-        if t == num_vars:
-            if g < best_obj:
-                best_obj = g
-                best_vec = vec.copy()
-            return
-        si, n = variables[t]
-        cid = chain_ids[si]
-        for k in clouds:
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise _BudgetHit
-            if nodes % 512 == 0 and time.monotonic() > deadline:
-                raise _BudgetHit
-            if n == 1:
-                base = table.first_rate(cid, k)
-                if base == INFEASIBLE:
-                    causes["first-vnf-placement"] += 1
-                    continue
-                self_rate, pen_bwd, inc_prev, j_prev = base, 0.0, 0.0, None
-            else:
-                j_prev = vec[t - 1]
-                if k == j_prev:
-                    pen_bwd, pen_fwd_prev = 0.0, 0.0
-                else:
-                    pen_bwd = table.split_penalty_bwd(cid, n, k, j_prev)
-                    pen_fwd_prev = table.split_penalty_fwd(cid, n - 1, j_prev, k)
-                    if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
-                        causes["split-latency"] += 1
-                        continue
-                self_rate = table.colocated(cid, n) + pen_bwd
-                inc_prev = max(0.0, pen_fwd_prev - bwd_committed[t - 1])
-            if loads[k] + self_rate > caps[k] + CAP_TOL:
-                causes["capacity"] += 1
-                continue
-            if j_prev is not None and inc_prev > 0.0 \
-                    and loads[j_prev] + inc_prev + (self_rate if j_prev == k else 0.0) \
-                    > caps[j_prev] + CAP_TOL:
-                causes["capacity"] += 1
-                continue
-            g2 = g + self_rate + inc_prev
-            if use_lower_bound and g2 + suffix_min[t + 1] >= best_obj:
-                continue
-            vec[t] = k
-            bwd_committed[t] = pen_bwd
-            loads[k] += self_rate
-            if j_prev is not None and inc_prev > 0.0:
-                loads[j_prev] += inc_prev
-            dfs(t + 1, g2)
-            loads[k] -= self_rate
-            if j_prev is not None and inc_prev > 0.0:
-                loads[j_prev] -= inc_prev
-        vec[t] = 0
-
+    # Iterative depth-first search.  At depth t the loop state is the
+    # iterator over t's choices, the committed cost g, and the backward
+    # penalty and cloud index j of variable t-1; the stack keeps that
+    # state for every open ancestor together with the ancestor's choice,
+    # whose loads are taken back when its subtree is done.
     completed = True
-    try:
-        dfs(0, 0.0)
-    except _BudgetHit:
-        completed = False
+    if num_vars == 0:
+        best_obj, best_vec = 0.0, []
+    else:
+        last = num_vars - 1
+        stack: list[tuple] = []
+        t, g, prev_bwd, j = 0, 0.0, 0.0, 0
+        choices = iter(children[0][0])
+        # The next node that passes max_nodes or is due a clock read (each
+        # 512th node); the nodes in between skip both checks.
+        next_check = min(512, max_nodes + 1)
+        try:
+            while True:
+                for k, self_rate, pen_bwd, pen_fwd_prev in choices:
+                    nodes += 1
+                    if nodes >= next_check:
+                        if nodes > max_nodes or monotonic() > deadline:
+                            raise _BudgetHit
+                        next_check = min(nodes + 512, max_nodes + 1)
+                    if self_rate == INFEASIBLE:
+                        causes[latency_cause[t]] += 1
+                        continue
+                    load_k = loads[k] + self_rate
+                    if load_k > caps[k]:
+                        causes["capacity"] += 1
+                        continue
+                    # Variable t-1 pays only what its forward penalty adds
+                    # to the backward one it carries; a chain head's
+                    # entries have no forward penalty, so it adds nothing.
+                    inc_prev = pen_fwd_prev - prev_bwd
+                    if inc_prev > 0.0:
+                        load_j = loads[j] + inc_prev
+                        if load_j > caps[j]:
+                            causes["capacity"] += 1
+                            continue
+                    else:
+                        inc_prev = 0.0
+                    g2 = g + self_rate + inc_prev
+                    if use_lower_bound and g2 + suffix_min[t + 1] >= best_obj:
+                        continue
+                    vec[t] = k
+                    loads[k] = load_k
+                    if inc_prev > 0.0:
+                        loads[j] = load_j
+                    if t == last:
+                        if g2 < best_obj:
+                            best_obj = g2
+                            best_vec = vec.copy()
+                        loads[k] -= self_rate
+                        if inc_prev > 0.0:
+                            loads[j] -= inc_prev
+                        continue
+                    stack.append((choices, g, prev_bwd, j, k, self_rate, inc_prev))
+                    t += 1
+                    choices = iter(children[t][k])
+                    g, prev_bwd, j = g2, pen_bwd, k
+                    break
+                else:
+                    if not stack:
+                        break
+                    choices, g, prev_bwd, j, k, self_rate, inc_prev = stack.pop()
+                    t -= 1
+                    loads[k] -= self_rate
+                    if inc_prev > 0.0:
+                        loads[j] -= inc_prev
+        except _BudgetHit:
+            completed = False
     runtime = time.perf_counter() - start
 
     if not completed and budget.optimality_required:
@@ -162,7 +183,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     if best_vec is not None:
         vectors: dict[str, list[int]] = {cid: [] for cid in chain_ids}
         for t, (si, n) in enumerate(variables):
-            vectors[chain_ids[si]].append(best_vec[t])
+            vectors[chain_ids[si]].append(clouds[best_vec[t]])
         solution = evaluate(inst, Assignment.from_vectors(vectors), table)
         status = "optimal" if completed else "feasible-incumbent"
         return SolveResult(solution, status, nodes, runtime)

@@ -319,6 +319,33 @@ def test_rate_table_penalties_match_direct_formula():
                                 split_penalty(vnf.gflops, vnf.bwd_ms, d, v, base)
 
 
+def test_children_match_accessors():
+    rng = random.Random(11)
+    insts = [_shared_signature_instance()]
+    insts += [rand_instance(rng, num_edges=rng.choice([1, 2, 3])) for _ in range(20)]
+    for inst in insts:
+        table = RateTable(inst)
+        clouds = inst.infra.cloud_ids()
+        for chain in inst.chains:
+            cid = chain.id
+            head = [(i, table.first_rate(cid, k), 0.0, 0.0) for i, k in enumerate(clouds)]
+            assert table.children(cid, 1) == [head] * len(clouds)
+            for n in range(2, len(chain.vnfs) + 1):
+                by_prev = table.children(cid, n)
+                assert len(by_prev) == len(clouds)
+                for j, options in zip(clouds, by_prev):
+                    expected = []
+                    for i, k in enumerate(clouds):
+                        pen_bwd = table.split_penalty_bwd(cid, n, k, j)
+                        pen_fwd_prev = table.split_penalty_fwd(cid, n - 1, j, k)
+                        if INFEASIBLE in (pen_bwd, pen_fwd_prev):
+                            expected.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
+                        else:
+                            expected.append((i, table.colocated(cid, n) + pen_bwd,
+                                             pen_bwd, pen_fwd_prev))
+                    assert options == expected, (cid, n, j)
+
+
 def test_evaluate_with_shared_rows_sums_per_chain_objectives():
     inst = _shared_signature_instance()
     vectors = {"a": [1, 1, 2], "b": [2, 0, 0], "c": [1, 2, 2], "d": [0, 1], "e": [1, 1, 2]}

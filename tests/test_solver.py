@@ -1,5 +1,9 @@
+import dataclasses
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from util import rand_instance
 from vnfplan import heuristics, solver
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, RateTable
+from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import (
     METHODS,
     BruteForceCapError,
@@ -18,6 +23,8 @@ from vnfplan.solver import (
     run_method,
     solve_optimal,
 )
+
+UNCAPPED = 1e12  # GFLOPS/s: no capacity ever binds
 
 
 def test_agrees_with_brute_force_sample():
@@ -252,6 +259,10 @@ def test_incumbent_loads_respect_capacity():
             assert res.solution.loads[k] <= inst.infra.capacity(k) + 1e-6
 
 
+def _without_runtime(res):
+    return dataclasses.replace(res, runtime=0.0)
+
+
 def test_table_reuse_gives_same_answer():
     rng = random.Random(66)
     inst = rand_instance(rng)
@@ -261,3 +272,112 @@ def test_table_reuse_gives_same_answer():
     assert a.status == b.status
     if a.solution is not None:
         assert a.solution.objective == b.solution.objective
+    # max_accepted_chains and the sweep solve every prefix with the full
+    # instance's table, whose rows cache their search data on first use.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=900.0,
+                         edge_capacity=700.0)
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    for inst in (inst, build_instance(cfg, size=7)):
+        table = RateTable(inst)
+        ids = [c.id for c in inst.chains]
+        for m in range(len(ids) + 1):
+            prefix = inst.subset(ids[:m])
+            shared = solve_optimal(prefix, budget=budget, table=table)
+            own = solve_optimal(prefix, budget=budget)
+            assert _without_runtime(shared) == _without_runtime(own), m
+
+
+def test_deep_instance_does_not_recurse():
+    # 200 chains are 1600 search variables, one per VNF.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=UNCAPPED,
+                         edge_capacity=UNCAPPED)
+    inst = build_instance(cfg, size=200)
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert res.status == "feasible-incumbent"
+    assert res.nodes == 20_001
+    assert res.solution.feasible
+
+
+def test_time_limit_is_read_every_512_nodes():
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=0), size=7)
+    res = solve_optimal(inst, budget=SearchBudget(time_limit=0.0))
+    assert res.status == "feasible-incumbent"
+    assert res.nodes == 512
+
+
+# The golden search corpus pins what the branch and bound visits, not only
+# what it returns: status, node count, infeasible reason, objective and the
+# full placement of every case.  Cases are seeded scenario instances (both
+# edge layouts, uncapacitated and capacity-bound) plus random instances,
+# each at several node budgets with and without the bound.
+GOLDEN_SEARCH = Path(__file__).resolve().parent / "data" / "golden_search.json"
+SEARCH_BUDGETS = (1, 513, 20_000)
+
+
+def golden_search_instances() -> dict:
+    instances = {}
+    for sites in ("center", "all"):
+        for size in (0, 1, 3, 5, 7):
+            for label, central, edge in (("uncapped", UNCAPPED, UNCAPPED),
+                                         ("cap", 900.0, 700.0)):
+                cfg = ScenarioConfig(edge_sites=sites, seed=0,
+                                     central_capacity=central, edge_capacity=edge)
+                instances[f"{sites}-S{size}-{label}"] = build_instance(
+                    cfg, d0_m=45_000.0, size=size)
+    rng = random.Random(2718)
+    for i in range(60):
+        instances[f"rand{i:02d}"] = rand_instance(
+            rng, max_chains=4, max_vnfs=5, num_edges=1 + i % 3)
+    # The head fits only at cloud 1, which is too small for VNF 2, and the
+    # link to cloud 0 breaks VNF 2's backward bound: one rejection of each
+    # cause, so the (count, name) tie-break names split-latency.
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 1.0)),
+        rrh_distances={"r0": {0: 50000.0, 1: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: 9000.0}, 1: {0: 9000.0, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0",
+                         vnfs=(VnfSpec(0.0001, 1.0, 0.2), VnfSpec(1.0, 1.0, 0.01),
+                               VnfSpec(1.0, 1.0, 0.01)))
+    instances["split-latency"] = Instance(infra=infra, chains=(chain,))
+    return instances
+
+
+def _search_record(res) -> dict:
+    sol = res.solution
+    placement = None
+    if sol is not None:
+        placement = {}
+        for (cid, n), k in sorted(sol.assignment.x.items()):
+            placement.setdefault(cid, []).append(k)
+    return {"status": res.status, "nodes": res.nodes,
+            "infeasible_reason": res.infeasible_reason,
+            "objective": sol.objective if sol is not None else None,
+            "placement": placement}
+
+
+def golden_search_results() -> dict:
+    results = {}
+    for name, inst in golden_search_instances().items():
+        for max_nodes in SEARCH_BUDGETS:
+            budget = SearchBudget(max_nodes=max_nodes, time_limit=math.inf)
+            for bound in (True, False):
+                res = solve_optimal(inst, budget=budget, use_lower_bound=bound)
+                results[f"{name}/n{max_nodes}/{'lb' if bound else 'nolb'}"] = \
+                    _search_record(res)
+    return results
+
+
+def test_search_matches_golden_corpus():
+    golden = json.loads(GOLDEN_SEARCH.read_text(encoding="utf-8"))
+    results = golden_search_results()
+    assert sorted(results) == sorted(golden)
+    for case, expected in golden.items():
+        assert results[case] == expected, case
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record-golden-search"]:
+    # Rewrites the corpus; run as
+    #   PYTHONPATH=src:tests python tests/test_solver.py --record-golden-search
+    GOLDEN_SEARCH.write_text(json.dumps(golden_search_results(), indent=0, sort_keys=True)
+                             + "\n", encoding="utf-8")
