@@ -1,73 +1,23 @@
 """Placement planning for processing chains over a central cloud plus
-edge clouds: exact search, heuristics, scenario sweeps and a CLI."""
+edge clouds: exact search, heuristics, scenario sweeps and a CLI.
 
-from .config import (
-    default_model,
-    default_services,
-    instance_to_dict,
-    load_instance,
-    save_instance,
-)
-from .heuristics import HeuristicResult, PlacementEvent, b_first, fixed_service, fixed_split
-from .ilp import (
-    CompletionResult,
-    IlpModel,
-    LinearConstraint,
-    assignment_to_binaries,
-    build_ilp,
-    emit_lp_text,
-    min_completion,
-    parse_lp_text,
-)
-from .model import (
-    ChainRequest,
-    CloudNode,
-    ComputeModel,
-    ConfigError,
-    Infrastructure,
-    Instance,
-    ServiceClass,
-    VnfSpec,
-    build_chain,
-    validate_instance,
-    vnf_demand,
-)
-from .rates import (
-    CAP_TOL,
-    EPS_MS,
-    INFEASIBLE,
-    Assignment,
-    RateTable,
-    Solution,
-    chain_hop_distances,
-    colocated_rate,
-    comm_delay_ms,
-    evaluate,
-    first_vnf_rate,
-    rate_for_bound,
-    split_feasible,
-    split_penalty,
-)
-from .scenario import (
-    ScenarioConfig,
-    SweepRecord,
-    build_instance,
-    efficiency_improvement,
-    export_csv,
-    gen_hex_layout,
-    gen_mix,
-    hex_sites,
-    read_csv,
-    run_sweep,
-)
+The package exports what the README and the CLI commands use, with the
+types and exceptions those functions take, return or raise.  Everything
+else (RateTable, the rate formulas, the method registry, ...) stays in
+its submodule."""
+
+from .config import load_instance, save_instance
+from .heuristics import HeuristicResult, b_first, fixed_service, fixed_split
+from .ilp import IlpModel, build_ilp, emit_lp_text, parse_lp_text
+from .model import ConfigError, Instance, validate_instance
+from .rates import Assignment, Solution, evaluate
+from .scenario import ScenarioConfig, SweepRecord, build_instance, export_csv, run_sweep
 from .solver import (
     BruteForceCapError,
     BudgetExceededError,
     SearchBudget,
     SolveResult,
     brute_force,
-    lower_bound,
-    max_accepted_chains,
     solve_optimal,
 )
 
@@ -77,62 +27,28 @@ __all__ = [
     "Assignment",
     "BruteForceCapError",
     "BudgetExceededError",
-    "CAP_TOL",
-    "ChainRequest",
-    "CloudNode",
-    "CompletionResult",
-    "ComputeModel",
     "ConfigError",
-    "EPS_MS",
     "HeuristicResult",
-    "INFEASIBLE",
     "IlpModel",
-    "Infrastructure",
     "Instance",
-    "LinearConstraint",
-    "PlacementEvent",
-    "RateTable",
     "ScenarioConfig",
     "SearchBudget",
-    "ServiceClass",
     "SolveResult",
     "Solution",
     "SweepRecord",
-    "VnfSpec",
-    "assignment_to_binaries",
     "b_first",
-    "build_chain",
+    "brute_force",
     "build_ilp",
     "build_instance",
-    "brute_force",
-    "chain_hop_distances",
-    "colocated_rate",
-    "comm_delay_ms",
-    "default_model",
-    "default_services",
-    "efficiency_improvement",
     "emit_lp_text",
     "evaluate",
     "export_csv",
-    "first_vnf_rate",
     "fixed_service",
     "fixed_split",
-    "gen_hex_layout",
-    "gen_mix",
-    "hex_sites",
-    "instance_to_dict",
     "load_instance",
-    "lower_bound",
-    "max_accepted_chains",
-    "min_completion",
     "parse_lp_text",
-    "rate_for_bound",
-    "read_csv",
     "run_sweep",
     "save_instance",
     "solve_optimal",
-    "split_feasible",
-    "split_penalty",
     "validate_instance",
-    "vnf_demand",
 ]

@@ -139,13 +139,16 @@ def _require_central(inst: Instance) -> None:
         raise ValueError("fixed baselines need a central cloud with id 0")
 
 
-def fixed_split(inst: Instance, split_after: int = 4,
-                table: RateTable | None = None) -> Solution:
-    """Static baseline: lower VNFs at the nearest edge, the rest central.
+# fixed_split's split point: after the lower-MAC position.
+FIXED_SPLIT_AFTER = 4
 
-    The split point sits after the lower-MAC position by default.  Chains
-    shorter than the split point stay whole at the edge; with no edge
-    clouds everything lands on the central cloud.
+
+def fixed_split(inst: Instance, table: RateTable | None = None) -> Solution:
+    """Static baseline: the first FIXED_SPLIT_AFTER VNFs at the nearest
+    edge, the rest central.
+
+    Chains shorter than the split point stay whole at the edge; with no
+    edge clouds everything lands on the central cloud.
     """
     _require_central(inst)
     vectors = {}
@@ -155,7 +158,7 @@ def fixed_split(inst: Instance, split_after: int = 4,
         if edge is None:
             vectors[chain.id] = [0] * n_vnfs
             continue
-        p = min(split_after, n_vnfs)
+        p = min(FIXED_SPLIT_AFTER, n_vnfs)
         vectors[chain.id] = [edge] * p + [0] * (n_vnfs - p)
     return evaluate(inst, Assignment.from_vectors(vectors), table)
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
-
 from .model import Instance
-from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable
+from .rates import INFEASIBLE, RateTable
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,6 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     )
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _format_terms(terms) -> str:
     if not terms:
         return "0"
@@ -186,8 +180,8 @@ def _format_terms(terms) -> str:
             sign = "-"
         else:
             sign = "+" if i > 0 else ""
-        mag = abs(coef)
-        body = var if mag == 1.0 else f"{_fmt(mag)} {var}"
+        mag = float(abs(coef))
+        body = var if mag == 1.0 else f"{mag!r} {var}"
         parts.append(f"{sign} {body}".strip() if sign else body)
     return " ".join(parts)
 
@@ -198,7 +192,7 @@ def emit_lp_text(mdl: IlpModel) -> str:
     lines.append(f" obj: {_format_terms(mdl.objective)}")
     lines.append("Subject To")
     for con in mdl.constraints:
-        lines.append(f" {con.name}: {_format_terms(con.terms)} {con.sense} {_fmt(con.rhs)}")
+        lines.append(f" {con.name}: {_format_terms(con.terms)} {con.sense} {float(con.rhs)!r}")
     if mdl.fixed_zero:
         lines.append("Bounds")
         for var in mdl.fixed_zero:
@@ -321,62 +315,3 @@ def parse_lp_text(text: str) -> IlpModel:
         continuous=continuous,
         fixed_zero=tuple(fixed_zero),
     )
-
-
-def assignment_to_binaries(inst: Instance, a: Assignment) -> dict[str, int]:
-    """The 0/1 values an assignment induces on the model's x variables."""
-    values: dict[str, int] = {}
-    for si, chain in enumerate(inst.chains):
-        for n in range(1, len(chain.vnfs) + 1):
-            chosen = a.cloud_of(chain.id, n)
-            for k in inst.infra.cloud_ids():
-                values[x_name(si, n, k)] = 1 if k == chosen else 0
-    return values
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    binary_ok: bool       # one-hot rows, cuts and fixings all hold
-    capacity_ok: bool
-    objective: float      # sum of minimal rates; inf when binary_ok is False
-    rates: Mapping[str, float]
-
-
-def min_completion(mdl: IlpModel, x_values: Mapping[str, int]) -> CompletionResult:
-    """Minimal feasible rate completion of a fixed binary vector.
-
-    For fixed binaries every rate variable's minimum is the largest lower
-    bound among its rows, so no LP solve is needed to evaluate a leaf.
-    """
-    binset = set(mdl.binaries)
-    binary_ok = all(x_values.get(var, 0) == 0 for var in mdl.fixed_zero)
-    rmin = {var: 0.0 for var in mdl.continuous}
-    cap_rows = []
-    for con in mdl.constraints:
-        rate_vars = [(var, coef) for var, coef in con.terms if var not in binset]
-        if not rate_vars:
-            value = sum(coef * x_values[var] for var, coef in con.terms)
-            if con.sense == "=" and value != con.rhs:
-                binary_ok = False
-            elif con.sense == "<=" and value > con.rhs:
-                binary_ok = False
-            elif con.sense == ">=" and value < con.rhs:
-                binary_ok = False
-            continue
-        if con.sense == "<=":
-            cap_rows.append(con)
-            continue
-        # Rate lower bound row: single rate variable with coefficient 1.
-        (rvar, rcoef), = rate_vars
-        bound = con.rhs - sum(coef * x_values[var] for var, coef in con.terms
-                              if var in binset)
-        rmin[rvar] = max(rmin[rvar], bound / rcoef)
-    if not binary_ok:
-        return CompletionResult(False, False, INFEASIBLE, {})
-    capacity_ok = True
-    for con in cap_rows:
-        load = sum(coef * rmin[var] for var, coef in con.terms if var not in binset)
-        if load > con.rhs + CAP_TOL:
-            capacity_ok = False
-    objective = sum(coef * rmin[var] for var, coef in mdl.objective)
-    return CompletionResult(binary_ok, capacity_ok, objective, rmin)

@@ -108,12 +108,6 @@ class Instance:
     infra: Infrastructure
     chains: tuple[ChainRequest, ...]
 
-    def chain(self, chain_id: str) -> ChainRequest:
-        for c in self.chains:
-            if c.id == chain_id:
-                return c
-        raise KeyError(f"unknown chain id {chain_id}")
-
     def subset(self, chain_ids) -> "Instance":
         """A copy keeping only the named chains, in the original order."""
         wanted = set(chain_ids)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .model import ChainRequest, Infrastructure, Instance
@@ -38,11 +39,6 @@ def rate_for_bound(gflops: float, bound_ms: float) -> float:
 def colocated_rate(gflops: float, fwd_ms: float, bwd_ms: float) -> float:
     """Rate needed when both neighbors share the VNF's cloud."""
     return rate_for_bound(gflops, min(fwd_ms, bwd_ms))
-
-
-def split_feasible(dist_m: float, fiber_speed: float, bound_ms: float) -> bool:
-    """Whether a bound survives the propagation delay of a link at all."""
-    return bound_ms - comm_delay_ms(dist_m, fiber_speed) > EPS_MS
 
 
 def split_penalty(gflops: float, bound_ms: float, dist_m: float,
@@ -109,27 +105,6 @@ def _per_length(links: Mapping[float, list[tuple[int, int]]], gflops: float,
     return pens
 
 
-class _OnFirstRead:
-    """Stands in a row's slot for a penalty list until the list is read.
-
-    The first subscript computes the list, puts it in the slot in place of
-    this placeholder, and answers from it; later reads go straight to the
-    list.  Readers must go through the row's attribute each time.
-    """
-
-    __slots__ = ("_row", "_name", "_compute")
-
-    def __init__(self, row: "_ChainRow", name: str, compute):
-        self._row = row
-        self._name = name
-        self._compute = compute
-
-    def __getitem__(self, n: int) -> dict[tuple[int, int], float]:
-        value = self._compute()
-        setattr(self._row, self._name, value)
-        return value[n]
-
-
 class _ChainRow:
     """Rate data of one distinct (RRH, VNF list) chain signature.
 
@@ -142,9 +117,6 @@ class _ChainRow:
     children[n] is the branch and bound's view of VNF n, also built on
     first read; see RateTable.children.
     """
-
-    __slots__ = ("colo", "first", "demand", "fwd", "bwd", "children",
-                 "_cloud_ids", "_fiber_speed", "_links", "_pairs", "_vnfs")
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
                  links: Mapping[float, list[tuple[int, int]]],
@@ -161,13 +133,11 @@ class _ChainRow:
             self.first[k] = first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
                                            infra.rrh_dist(chain.rrh, k), self._fiber_speed)
         self.demand = sum(self.colo)
-        self.fwd = _OnFirstRead(self, "fwd", self._penalties_fwd)
-        self.bwd = _OnFirstRead(self, "bwd", self._penalties_bwd)
-        self.children = _OnFirstRead(self, "children", self._children)
 
     # Past the head, a penalty depends on its link only through the length.
 
-    def _penalties_fwd(self) -> list[dict[tuple[int, int], float]]:
+    @cached_property
+    def fwd(self) -> list[dict[tuple[int, int], float]]:
         v, links = self._fiber_speed, self._links
         fwd: list[dict[tuple[int, int], float]] = [{}]
         for n in range(1, len(self._vnfs)):
@@ -180,7 +150,8 @@ class _ChainRow:
             fwd.append(dict(zip(self._pairs, pens)))
         return fwd
 
-    def _penalties_bwd(self) -> list[dict[tuple[int, int], float]]:
+    @cached_property
+    def bwd(self) -> list[dict[tuple[int, int], float]]:
         bwd: list[dict[tuple[int, int], float]] = [{}, {}]
         for n in range(2, len(self._vnfs) + 1):
             vnf = self._vnfs[n - 1]
@@ -189,7 +160,8 @@ class _ChainRow:
             bwd.append(dict(zip(self._pairs, pens)))
         return bwd
 
-    def _children(self) -> list[list[list[tuple[int, float, float, float]]]]:
+    @cached_property
+    def children(self) -> list[list[list[tuple[int, float, float, float]]]]:
         ids = self._cloud_ids
         head = [(i, self.first[k], 0.0, 0.0) for i, k in enumerate(ids)]
         children = [[], [head] * len(ids)]
@@ -264,12 +236,6 @@ class RateTable:
             return 0.0
         return self._rows[chain_id].bwd[n][(k, j)]
 
-    def split_feasible_fwd(self, chain_id: str, n: int, k: int, j: int) -> bool:
-        return self.split_penalty_fwd(chain_id, n, k, j) != INFEASIBLE
-
-    def split_feasible_bwd(self, chain_id: str, n: int, k: int, j: int) -> bool:
-        return self.split_penalty_bwd(chain_id, n, k, j) != INFEASIBLE
-
     def children(self, chain_id: str, n: int) -> list[list[tuple[int, float, float, float]]]:
         """The branch and bound's choices for VNF n, by cloud index.
 
@@ -317,13 +283,6 @@ class RateTable:
                 rates.append(base + pen_bwd)
         return rates
 
-    def required_rate(self, a: Assignment, chain_id: str, n: int) -> float:
-        """Rate VNF n needs at its assigned cloud under assignment a
-        (the n-th entry of chain_rates for the chain's cloud vector)."""
-        n_vnfs = len(self._rows[chain_id].colo)
-        clouds = [a.cloud_of(chain_id, m) for m in range(1, n_vnfs + 1)]
-        return self.chain_rates(chain_id, clouds)[n - 1]
-
 
 def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> Solution:
     """Evaluate a total assignment into rates, loads and a feasibility verdict.
@@ -354,13 +313,13 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
                     f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
             if n < n_vnfs:
                 j = clouds[n]
-                if j != k and not table.split_feasible_fwd(cid, n, k, j):
+                if table.split_penalty_fwd(cid, n, k, j) == INFEASIBLE:
                     violations.append(
                         f"chain {cid} split ({n},{n + 1}) across clouds ({k},{j}) "
                         f"exceeds the forward bound")
             if n > 1:
                 j = clouds[n - 2]
-                if j != k and not table.split_feasible_bwd(cid, n, k, j):
+                if table.split_penalty_bwd(cid, n, k, j) == INFEASIBLE:
                     violations.append(
                         f"chain {cid} split ({n - 1},{n}) across clouds ({j},{k}) "
                         f"exceeds the backward bound")
@@ -377,15 +336,3 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
         feasible=not violations,
         violations=tuple(violations),
     )
-
-
-def chain_hop_distances(inst: Instance, a: Assignment,
-                        chain: ChainRequest) -> list[float]:
-    """Fiber lengths of the links an assignment makes the chain traverse."""
-    hops = []
-    for n in range(1, len(chain.vnfs)):
-        k = a.cloud_of(chain.id, n)
-        j = a.cloud_of(chain.id, n + 1)
-        if k != j:
-            hops.append(inst.infra.dist(k, j))
-    return hops

@@ -187,13 +187,6 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     return Instance(infra=infra, chains=tuple(chains))
 
 
-def efficiency_improvement(baseline: float, variant: float) -> float:
-    """Percent rate saved by the variant relative to the baseline."""
-    if baseline <= 0:
-        raise ValueError(f"baseline must be positive, got {baseline}")
-    return 100.0 * (baseline - variant) / baseline
-
-
 def _solve_point(cfg: ScenarioConfig, method: str, size: int, d0: float,
                  ce: float, rep: int, budget: SearchBudget,
                  measure_runtime: bool) -> SweepRecord:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
 from . import heuristics
 from .model import Instance
@@ -264,50 +264,6 @@ def brute_force(inst: Instance, cap: int = 10_000_000,
                for i, chain in enumerate(inst.chains)}
     solution = evaluate(inst, Assignment.from_vectors(vectors), table)
     return SolveResult(solution, "optimal", examined, runtime)
-
-
-def lower_bound(inst: Instance, partial: Mapping[tuple[str, int], int],
-                table: RateTable | None = None) -> float:
-    """Admissible cost bound for a prefix partial assignment.
-
-    Assigned VNFs contribute their base rate plus penalties towards
-    already-assigned neighbors; unassigned VNFs contribute the cheapest
-    feasible co-located rate.  Future split penalties are ignored, so the
-    value never exceeds the best completion.
-    """
-    if table is None:
-        table = RateTable(inst)
-    clouds = inst.infra.cloud_ids()
-    order = [(chain, n) for chain in inst.chains
-             for n in range(1, len(chain.vnfs) + 1)]
-    boundary = len(order)
-    for t, (chain, n) in enumerate(order):
-        if (chain.id, n) not in partial:
-            boundary = t
-            break
-    for chain, n in order[boundary:]:
-        if (chain.id, n) in partial:
-            raise ValueError("partial assignment is not a prefix of the variable order")
-
-    total = 0.0
-    for t, (chain, n) in enumerate(order):
-        cid = chain.id
-        if t < boundary:
-            k = partial[(cid, n)]
-            base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
-            pen = 0.0
-            if n > 1:
-                pen = table.split_penalty_bwd(cid, n, k, partial[(cid, n - 1)])
-            if n < len(chain.vnfs) and (cid, n + 1) in partial:
-                pen = max(pen, table.split_penalty_fwd(cid, n, k, partial[(cid, n + 1)]))
-            total += base + pen
-        elif n == 1:
-            feasible = [table.first_rate(cid, k) for k in clouds
-                        if table.placement_feasible(cid, k)]
-            total += min(feasible) if feasible else INFEASIBLE
-        else:
-            total += table.colocated(cid, n)
-    return total
 
 
 @dataclass(frozen=True)

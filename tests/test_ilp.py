@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
 
-from util import rand_instance
+from util import assignment_to_binaries, min_completion, rand_instance
 from vnfplan.ilp import (
     IlpModel,
-    assignment_to_binaries,
     build_ilp,
     emit_lp_text,
-    min_completion,
     parse_lp_text,
     r_name,
     x_name,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -6,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import rand_instance, two_cloud_oracle
+from util import chain_hop_distances, rand_instance, split_feasible, two_cloud_oracle
 from vnfplan import rates
+from vnfplan.heuristics import b_first
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import (
     EPS_MS,
     INFEASIBLE,
     Assignment,
     RateTable,
-    chain_hop_distances,
     colocated_rate,
     comm_delay_ms,
     evaluate,
     first_vnf_rate,
     rate_for_bound,
-    split_feasible,
     split_penalty,
 )
 from vnfplan.scenario import ScenarioConfig, build_instance
@@ -126,10 +126,9 @@ def test_required_rate_takes_worst_neighbor_penalty():
                                          cloud_distances=dist),
                     chains=(chain,))
     table = RateTable(inst)
-    a = Assignment.from_vectors({"c0": [2, 1, 0]})
     # bwd: 1 - 0.3 = 0.7 ms -> 2857.14; fwd: 1 - 0.15 = 0.85 -> 2352.94.
-    assert table.required_rate(a, "c0", 2) == pytest.approx(2000.0 / 0.7)
-    assert table.required_rate(a, "c0", 2) == pytest.approx(2857.142857142857)
+    assert table.chain_rates("c0", [2, 1, 0])[1] == pytest.approx(2000.0 / 0.7)
+    assert table.chain_rates("c0", [2, 1, 0])[1] == pytest.approx(2857.142857142857)
 
 
 def test_evaluate_collects_capacity_violation():
@@ -187,9 +186,8 @@ def test_two_cloud_oracle_agreement_sample():
             for mask in range(2 ** n):
                 xs = [(mask >> i) & 1 for i in range(n)]
                 vec = [0 if x == 1 else 1 for x in xs]
-                a = Assignment.from_vectors({chain.id: vec})
                 expected = two_cloud_oracle(inst, chain, xs)
-                got = [table.required_rate(a, chain.id, i + 1) for i in range(n)]
+                got = table.chain_rates(chain.id, vec)
                 if expected is None:
                     assert INFEASIBLE in got
                 else:
@@ -223,9 +221,9 @@ def test_required_rate_never_below_base(seed):
     for chain in inst.chains:
         n = len(chain.vnfs)
         vec = [rng.choice(clouds) for _ in range(n)]
-        a = Assignment.from_vectors({chain.id: vec})
+        per_vnf = table.chain_rates(chain.id, vec)
         for pos in range(1, n + 1):
-            rate = table.required_rate(a, chain.id, pos)
+            rate = per_vnf[pos - 1]
             base = table.first_rate(chain.id, vec[0]) if pos == 1 \
                 else table.colocated(chain.id, pos)
             assert rate >= base or rate == INFEASIBLE
@@ -267,11 +265,9 @@ def _accessor_values(table, chain):
         "colocated": [table.colocated(cid, n) for n in range(1, n_vnfs + 1)],
         "first_rate": [table.first_rate(cid, k) for k in clouds],
         "placement_feasible": [table.placement_feasible(cid, k) for k in clouds],
-        "split_fwd": [(table.split_penalty_fwd(cid, n, k, j),
-                       table.split_feasible_fwd(cid, n, k, j))
+        "split_fwd": [table.split_penalty_fwd(cid, n, k, j)
                       for n in range(1, n_vnfs) for k, j in pairs],
-        "split_bwd": [(table.split_penalty_bwd(cid, n, k, j),
-                       table.split_feasible_bwd(cid, n, k, j))
+        "split_bwd": [table.split_penalty_bwd(cid, n, k, j)
                       for n in range(2, n_vnfs + 1) for k, j in pairs],
         "chain_demand": table.chain_demand(cid),
         "chain_rates": [table.chain_rates(cid, combo)
@@ -407,3 +403,23 @@ def test_whole_chain_placements_read_no_penalties(monkeypatch):
     whole["a"] = [1, 1, 2]
     evaluate(inst, Assignment.from_vectors(whole), table)
     assert counter["calls"] > 0
+
+
+def test_dropped_table_leaves_no_cycle():
+    # Reference counting alone frees a table, whether its rows' penalties
+    # were read or not, so no garbage waits for the cyclic collector.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=1e12,
+                         edge_capacity=1e12)
+    inst = build_instance(cfg, d0_m=45000.0, size=800)
+    gc.collect()
+    gc.disable()
+    try:
+        table = RateTable(inst)
+        del table
+        assert gc.collect() == 0
+        table = RateTable(inst)
+        b_first(inst, table)
+        del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from util import efficiency_improvement
 from vnfplan import scenario
 from vnfplan.model import validate_instance
 from vnfplan.scenario import (
@@ -9,7 +10,6 @@ from vnfplan.scenario import (
     ScenarioConfig,
     SweepRecord,
     build_instance,
-    efficiency_improvement,
     export_csv,
     gen_hex_layout,
     gen_mix,

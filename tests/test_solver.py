@@ -18,7 +18,6 @@ from vnfplan.solver import (
     BudgetExceededError,
     SearchBudget,
     brute_force,
-    lower_bound,
     max_accepted_chains,
     run_method,
     solve_optimal,
@@ -139,32 +138,6 @@ def test_brute_force_cap():
     inst = rand_instance(rng, max_chains=3, max_vnfs=4)
     with pytest.raises(BruteForceCapError):
         brute_force(inst, cap=2)
-
-
-def test_lower_bound_is_admissible():
-    rng = random.Random(31)
-    for _ in range(10):
-        inst = rand_instance(rng, max_chains=2, max_vnfs=3)
-        oracle = brute_force(inst)
-        if oracle.status != "optimal":
-            continue
-        assert lower_bound(inst, {}) <= oracle.solution.objective + 1e-9
-        # A one-variable prefix fixed to the optimal choice stays admissible.
-        first_chain = inst.chains[0].id
-        k = oracle.solution.assignment.cloud_of(first_chain, 1)
-        partial = {(first_chain, 1): k}
-        assert lower_bound(inst, partial) <= oracle.solution.objective + 1e-9
-
-
-def test_lower_bound_rejects_non_prefix():
-    rng = random.Random(8)
-    inst = rand_instance(rng, max_chains=2, max_vnfs=3)
-    last_chain = inst.chains[-1]
-    partial = {(last_chain.id, len(last_chain.vnfs)): 0}
-    if len(inst.chains) == 1 and len(last_chain.vnfs) == 1:
-        return  # that single variable is a legal prefix
-    with pytest.raises(ValueError):
-        lower_bound(inst, partial)
 
 
 def _three_chain_capacity_instance():

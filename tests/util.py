@@ -1,5 +1,8 @@
-"""Shared test helpers: a quantized random instance generator and an
-independent two-cloud oracle for the per-VNF rate formulas.
+"""Shared test helpers: a quantized random instance generator, an
+independent two-cloud oracle for the per-VNF rate formulas, and small
+oracles the library itself does not need (link feasibility, hop
+distances, percent savings, and the ILP's rate completion of a fixed
+binary vector).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -10,9 +13,12 @@ at least 0.005 ms; the band separates the two cases without ambiguity.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
+from vnfplan.ilp import IlpModel, x_name
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
+from vnfplan.rates import CAP_TOL, EPS_MS, INFEASIBLE, Assignment, comm_delay_ms
 
 KM = 1000.0
 
@@ -134,3 +140,86 @@ def two_cloud_oracle(inst: Instance, chain: ChainRequest,
             need = max(need, 1000.0 * lam[i] / margin)
         rates.append(need)
     return rates
+
+
+def split_feasible(dist_m: float, fiber_speed: float, bound_ms: float) -> bool:
+    """Whether a bound survives the propagation delay of a link at all."""
+    return bound_ms - comm_delay_ms(dist_m, fiber_speed) > EPS_MS
+
+
+def chain_hop_distances(inst: Instance, a: Assignment,
+                        chain: ChainRequest) -> list[float]:
+    """Fiber lengths of the links an assignment makes the chain traverse."""
+    hops = []
+    for n in range(1, len(chain.vnfs)):
+        k = a.cloud_of(chain.id, n)
+        j = a.cloud_of(chain.id, n + 1)
+        if k != j:
+            hops.append(inst.infra.dist(k, j))
+    return hops
+
+
+def efficiency_improvement(baseline: float, variant: float) -> float:
+    """Percent rate saved by the variant relative to the baseline."""
+    if baseline <= 0:
+        raise ValueError(f"baseline must be positive, got {baseline}")
+    return 100.0 * (baseline - variant) / baseline
+
+
+def assignment_to_binaries(inst: Instance, a: Assignment) -> dict[str, int]:
+    """The 0/1 values an assignment induces on the model's x variables."""
+    values: dict[str, int] = {}
+    for si, chain in enumerate(inst.chains):
+        for n in range(1, len(chain.vnfs) + 1):
+            chosen = a.cloud_of(chain.id, n)
+            for k in inst.infra.cloud_ids():
+                values[x_name(si, n, k)] = 1 if k == chosen else 0
+    return values
+
+
+@dataclass(frozen=True)
+class CompletionResult:
+    binary_ok: bool       # one-hot rows, cuts and fixings all hold
+    capacity_ok: bool
+    objective: float      # sum of minimal rates; inf when binary_ok is False
+    rates: Mapping[str, float]
+
+
+def min_completion(mdl: IlpModel, x_values: Mapping[str, int]) -> CompletionResult:
+    """Minimal feasible rate completion of a fixed binary vector.
+
+    For fixed binaries every rate variable's minimum is the largest lower
+    bound among its rows, so no LP solve is needed to evaluate a leaf.
+    """
+    binset = set(mdl.binaries)
+    binary_ok = all(x_values.get(var, 0) == 0 for var in mdl.fixed_zero)
+    rmin = {var: 0.0 for var in mdl.continuous}
+    cap_rows = []
+    for con in mdl.constraints:
+        rate_vars = [(var, coef) for var, coef in con.terms if var not in binset]
+        if not rate_vars:
+            value = sum(coef * x_values[var] for var, coef in con.terms)
+            if con.sense == "=" and value != con.rhs:
+                binary_ok = False
+            elif con.sense == "<=" and value > con.rhs:
+                binary_ok = False
+            elif con.sense == ">=" and value < con.rhs:
+                binary_ok = False
+            continue
+        if con.sense == "<=":
+            cap_rows.append(con)
+            continue
+        # Rate lower bound row: single rate variable with coefficient 1.
+        (rvar, rcoef), = rate_vars
+        bound = con.rhs - sum(coef * x_values[var] for var, coef in con.terms
+                              if var in binset)
+        rmin[rvar] = max(rmin[rvar], bound / rcoef)
+    if not binary_ok:
+        return CompletionResult(False, False, INFEASIBLE, {})
+    capacity_ok = True
+    for con in cap_rows:
+        load = sum(coef * rmin[var] for var, coef in con.terms if var not in binset)
+        if load > con.rhs + CAP_TOL:
+            capacity_ok = False
+    objective = sum(coef * rmin[var] for var, coef in mdl.objective)
+    return CompletionResult(binary_ok, capacity_ok, objective, rmin)
