@@ -143,12 +143,16 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = RateTable(inst)
     if args.emit_lp:
         with open(args.emit_lp, "w", encoding="utf-8") as fh:
             fh.write(emit_lp_text(build_ilp(inst, table)))
         print(f"wrote LP model to {args.emit_lp}")
-    budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     try:
         out = run_method(method, inst, table, budget)
     except BruteForceCapError as exc:
@@ -200,8 +204,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         axes["d0"] = d_axis
     if c_axis:
         axes["Ce"] = c_axis
-    budget = SearchBudget(time_limit=args.time_limit)
     try:
+        budget = SearchBudget(time_limit=args.time_limit)
         records = run_sweep(cfg, methods, axes=axes, reps=args.reps,
                             budget=budget,
                             measure_runtime=args.measure_runtime,

@@ -25,6 +25,12 @@ class SearchBudget:
     time_limit: float = 600.0       # seconds
     optimality_required: bool = False
 
+    def __post_init__(self):
+        if self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be non-negative, got {self.max_nodes}")
+        if not self.time_limit >= 0.0:      # also rejects NaN
+            raise ValueError(f"time_limit must be non-negative, got {self.time_limit}")
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -44,14 +50,23 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                   table: RateTable | None = None) -> SolveResult:
     """Depth-first branch and bound over per-VNF cloud choices.
 
-    Clouds are tried in ascending id order, so complete assignments are
-    visited lexicographically and the first optimum found is the
-    lexicographically smallest one; results are deterministic whenever the
-    budget is not the binding factor.  Pruning uses committed cost plus an
-    admissible completion estimate (each unassigned VNF at its cheapest
-    feasible cloud, ignoring future split penalties).  nodes counts every
-    child tried, rejected ones included; the search keeps its own stack,
-    so instance size is not bounded by the recursion limit.
+    Before searching, a root proof tries each chain's lexicographically
+    smallest zero-slack path (see _zero_slack): no split penalty and a
+    head at its cheapest cloud.  That placement meets the root bound, so
+    when it fits every capacity it is returned as optimal with nodes == 0;
+    it is then the lexicographically smallest optimum.  Otherwise the
+    search starts from b_first's placement when b_first places every
+    chain, and returns the first placement strictly cheaper than the best
+    so far (b_first's own when none is).  Clouds are tried in ascending id
+    order, so without a warm start the first optimum found is the
+    lexicographically smallest one; results are deterministic whenever
+    the budget is not the binding factor.  Pruning uses committed cost
+    plus an admissible completion estimate (each unassigned VNF at its
+    cheapest feasible cloud, ignoring future split penalties).
+    use_lower_bound=False is the plain exhaustive search: no root proof,
+    no warm start and no pruning.  nodes counts every child tried,
+    rejected ones included; the search keeps its own stack, so instance
+    size is not bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -85,6 +100,19 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         suffix_min[t] = suffix_min[t + 1] + best_base
 
     chain_ids = [c.id for c in inst.chains]
+    best_obj = INFEASIBLE
+    best_vec: Optional[list[int]] = None
+    # Both steps below are bound arguments, so the plain search skips them.
+    if use_lower_bound:
+        root = evaluate(inst, _zero_slack(inst, table), table)
+        if root.feasible:
+            return SolveResult(root, "optimal", 0, time.perf_counter() - start)
+        warm = heuristics.b_first(inst, table=table)
+        if len(warm.accepted_ids) == len(chain_ids) and warm.solution.feasible:
+            best_obj = warm.solution.objective
+            index = {k: i for i, k in enumerate(clouds)}
+            x = warm.solution.assignment.x
+            best_vec = [index[x[(chain_ids[si], n)]] for si, n in variables]
     # children[t][p]: the choices of variable t when variable t-1 sits at
     # cloud index p (see RateTable.children).  From here on a cloud is
     # named by its index in clouds.
@@ -98,8 +126,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     max_nodes = budget.max_nodes
     monotonic = time.monotonic
     deadline = monotonic() + budget.time_limit
-    best_obj = INFEASIBLE
-    best_vec: Optional[list[int]] = None
     causes = {"first-vnf-placement": 0, "split-latency": 0, "capacity": 0}
 
     # Iterative depth-first search.  At depth t the loop state is the
@@ -193,6 +219,30 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         return SolveResult(None, "infeasible", nodes, runtime,
                            infeasible_reason=reason)
     return SolveResult(None, "budget-exhausted", nodes, runtime)
+
+
+def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
+    """Every chain on its lexicographically smallest zero-slack path.
+
+    Split penalties are >= 0 and no head rate is below its minimum, so a
+    chain reaches its capacity-free optimum (its share of the root bound)
+    exactly when its head sits at a cloud of least head rate and no split
+    pays a penalty.  Staying on the same cloud costs nothing, so the
+    greedy walk below always finds a next cloud.
+    """
+    clouds = table.cloud_ids
+    vectors = {}
+    for chain in inst.chains:
+        cid = chain.id
+        k = min(clouds, key=lambda c: table.first_rate(cid, c))
+        path = [k]
+        for n in range(1, len(chain.vnfs)):
+            k = next(j for j in clouds if j == k or (
+                table.split_penalty_fwd(cid, n, k, j) == 0.0
+                and table.split_penalty_bwd(cid, n + 1, j, k) == 0.0))
+            path.append(k)
+        vectors[cid] = path
+    return Assignment.from_vectors(vectors)
 
 
 def brute_force(inst: Instance, cap: int = 10_000_000,

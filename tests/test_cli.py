@@ -156,11 +156,41 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_solve_budget_exhausted_exit_code(tmp_path, capsys):
-    inst = _gen(tmp_path)
+    # Capacity-bound, so the root proof fails, and b_first places only
+    # some chains, so the search has no warm start.
+    inst = tmp_path / "cap.yaml"
+    assert main(["gen", "--out", str(inst), "--mix", "9", "--edge-capacity", "700",
+                 "--central-capacity", "900", "--edge-sites", "center"]) == 0
     rc = main(["solve", str(inst), "--method", "optimal", "--max-nodes", "1"])
     out = capsys.readouterr().out
     assert rc == 4
     assert "status: budget-exhausted" in out
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--max-nodes", "-5"], "max_nodes must be non-negative, got -5"),
+    (["--time-limit", "-1"], "time_limit must be non-negative, got -1.0"),
+    (["--time-limit", "nan"], "time_limit must be non-negative, got nan"),
+], ids=["max-nodes-negative", "time-limit-negative", "time-limit-nan"])
+def test_solve_rejects_bad_budget(tmp_path, capsys, bad, message):
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--method", "optimal", *bad])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_sweep_rejects_bad_time_limit(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--methods", "optimal", "--out", str(out), "--axis-s", "1",
+               "--reps", "1", "--edge-sites", "center", "--time-limit", value])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: time_limit must be non-negative, got {float(value)}\n"
+    assert not out.exists()
 
 
 def test_sweep_writes_csv(tmp_path):

@@ -121,6 +121,78 @@ def test_budget_node_limit():
                                                 optimality_required=True))
 
 
+@pytest.mark.parametrize("kwargs", [{"max_nodes": -5}, {"time_limit": -1.0},
+                                    {"time_limit": math.nan}],
+                         ids=["max-nodes-negative", "time-limit-negative", "time-limit-nan"])
+def test_search_budget_rejects_bad_limits(kwargs):
+    with pytest.raises(ValueError):
+        SearchBudget(**kwargs)
+
+
+def test_search_budget_accepts_zero_and_infinite_limits():
+    for kwargs in ({"max_nodes": 0}, {"time_limit": 0}, {"time_limit": 0.0},
+                   {"time_limit": math.inf}):
+        SearchBudget(**kwargs)
+
+
+def test_root_proof_is_lex_smallest_optimum():
+    """A result proven at the root (0 nodes) is the placement the plain
+    exhaustive search returns: the lexicographically smallest optimum."""
+    proven = 0
+    for seed in (31, 32, 33):
+        rng = random.Random(seed)
+        for _ in range(40):
+            inst = rand_instance(rng, num_edges=rng.choice([1, 2, 3]))
+            res = solve_optimal(inst)
+            if res.status != "optimal" or res.nodes != 0 or not inst.chains:
+                continue
+            proven += 1
+            full = solve_optimal(inst, use_lower_bound=False)
+            assert full.status == "optimal"
+            assert res.solution.assignment == full.solution.assignment
+            assert res.solution.objective == full.solution.objective
+    assert proven >= 20
+
+
+def test_warm_start_from_b_first():
+    """Where capacity defeats the root proof and b_first places every
+    chain, a one-node search already returns b_first's deployment or a
+    cheaper one, and the full search still finds the optimum."""
+    warm = 0
+    rng = random.Random(41)
+    for _ in range(80):
+        inst = rand_instance(rng)
+        greedy = heuristics.b_first(inst)
+        if len(greedy.accepted_ids) < len(inst.chains):
+            continue
+        res = solve_optimal(inst)
+        if res.nodes == 0:
+            continue
+        warm += 1
+        assert res.status == "optimal"
+        oracle = brute_force(inst)
+        assert math.isclose(res.solution.objective, oracle.solution.objective,
+                            rel_tol=1e-9, abs_tol=1e-9)
+        first = solve_optimal(inst, budget=SearchBudget(max_nodes=1))
+        assert first.status == "feasible-incumbent"
+        assert first.solution.feasible
+        assert first.solution.objective <= greedy.solution.objective
+    assert warm >= 20
+
+
+@pytest.mark.parametrize("size", (5, 7, 9, 11))
+def test_root_proof_settles_eight_cloud_ladder(size):
+    # The benchmark's exact ladder: at every edge site the edge clouds are
+    # large enough for the capacity-free optimum.
+    for seed in range(3):
+        inst = build_instance(ScenarioConfig(edge_sites="all", seed=seed),
+                              d0_m=45_000.0, size=size)
+        res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000,
+                                                      time_limit=math.inf))
+        assert (res.status, res.nodes) == ("optimal", 0), seed
+        assert res.solution.feasible
+
+
 def test_empty_instance_is_trivially_optimal():
     infra = Infrastructure(
         clouds=(CloudNode(0, 10.0),),
@@ -189,8 +261,9 @@ def test_methods_call_solvers_through_module_attributes(monkeypatch):
                              "fixed_service"]
     for method in METHODS:
         run_method(method, inst)
-    assert calls == ["solve_optimal", "brute_force", "b_first", "fixed_split",
-                     "fixed_service"]
+    # solve_optimal warm-starts from b_first when the root proof fails.
+    assert calls == ["solve_optimal", "b_first", "brute_force", "b_first",
+                     "fixed_split", "fixed_service"]
 
 
 def test_max_accepted_all_methods_on_feasible_instance():
@@ -265,14 +338,19 @@ def test_deep_instance_does_not_recurse():
     cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=UNCAPPED,
                          edge_capacity=UNCAPPED)
     inst = build_instance(cfg, size=200)
-    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    # The root proof settles this instance at 0 nodes; the plain search
+    # still walks the 1600-variable stack.
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf),
+                        use_lower_bound=False)
     assert res.status == "feasible-incumbent"
     assert res.nodes == 20_001
     assert res.solution.feasible
 
 
 def test_time_limit_is_read_every_512_nodes():
-    inst = build_instance(ScenarioConfig(edge_sites="all", seed=0), size=7)
+    # Capacity binds on the two-cloud layout, so the root proof fails and
+    # the search runs, warm-started from b_first.
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=11)
     res = solve_optimal(inst, budget=SearchBudget(time_limit=0.0))
     assert res.status == "feasible-incumbent"
     assert res.nodes == 512
