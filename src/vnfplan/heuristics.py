@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance
+from .model import ChainRequest, Instance
 from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate
 
 
@@ -44,6 +44,12 @@ class HeuristicResult:
     accepted_ids: list[str]
 
 
+def packing_order(inst: Instance, table: RateTable) -> list[ChainRequest]:
+    """inst's chains in decreasing demand, ties by chain id: the order in
+    which b_first packs them and solve_optimal branches on them."""
+    return sorted(inst.chains, key=lambda c: (-table.chain_demand(c.id), c.id))
+
+
 def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     """Best-fit packing of chains in decreasing demand order.
 
@@ -61,8 +67,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     vectors: dict[str, list[int]] = {}
     evaluations = 0
 
-    order = sorted(inst.chains, key=lambda c: (-table.chain_demand(c.id), c.id))
-    for chain in order:
+    for chain in packing_order(inst, table):
         cid = chain.id
         n_vnfs = len(chain.vnfs)
         tail = sum(table.colocated(cid, n) for n in range(2, n_vnfs + 1))

@@ -57,16 +57,21 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     it is then the lexicographically smallest optimum.  Otherwise the
     search starts from b_first's placement when b_first places every
     chain, and returns the first placement strictly cheaper than the best
-    so far (b_first's own when none is).  Clouds are tried in ascending id
-    order, so without a warm start the first optimum found is the
-    lexicographically smallest one; results are deterministic whenever
+    so far (b_first's own when none is).  Chains are branched heaviest
+    first, in b_first's packing order (heuristics.packing_order), so a
+    chain that fits nowhere is found near the root; VNFs keep their order
+    within a chain and clouds are tried in ascending id order.  Without a
+    warm start the first optimum found is therefore the lexicographically
+    smallest in that variable order; results are deterministic whenever
     the budget is not the binding factor.  Pruning uses committed cost
     plus an admissible completion estimate (each unassigned VNF at its
     cheapest feasible cloud, ignoring future split penalties).
-    use_lower_bound=False is the plain exhaustive search: no root proof,
-    no warm start and no pruning.  nodes counts every child tried,
-    rejected ones included; the search keeps its own stack, so instance
-    size is not bounded by the recursion limit.
+    use_lower_bound=False is the plain exhaustive search in
+    input chain order: no root proof, no warm start and no pruning.
+    nodes counts every child tried, rejected ones included, and
+    infeasible_reason names the most frequent rejection cause, so it
+    depends on the visit order.  The search keeps its own stack, so
+    instance size is not bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -74,10 +79,12 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         table = RateTable(inst)
     start = time.perf_counter()
     clouds = list(inst.infra.cloud_ids())
-    variables: list[tuple[int, int]] = []
-    for si, chain in enumerate(inst.chains):
-        for n in range(1, len(chain.vnfs) + 1):
-            variables.append((si, n))
+    # Fail first: the bounded search branches the heaviest chains first,
+    # so a chain that fits no cloud is rejected near the root.  The plain
+    # search keeps input order.
+    order = heuristics.packing_order(inst, table) if use_lower_bound else inst.chains
+    variables = [(chain.id, n) for chain in order
+                 for n in range(1, len(chain.vnfs) + 1)]
     num_vars = len(variables)
 
     # A chain whose head fits nowhere makes the whole instance infeasible.
@@ -90,8 +97,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     # suffix_min[t] = cheapest possible completion cost of variables t..end.
     suffix_min = [0.0] * (num_vars + 1)
     for t in range(num_vars - 1, -1, -1):
-        si, n = variables[t]
-        cid = inst.chains[si].id
+        cid, n = variables[t]
         if n == 1:
             best_base = min(table.first_rate(cid, k) for k in clouds
                             if table.placement_feasible(cid, k))
@@ -99,7 +105,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             best_base = table.colocated(cid, n)
         suffix_min[t] = suffix_min[t + 1] + best_base
 
-    chain_ids = [c.id for c in inst.chains]
     best_obj = INFEASIBLE
     best_vec: Optional[list[int]] = None
     # Both steps below are bound arguments, so the plain search skips them.
@@ -108,15 +113,15 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         if root.feasible:
             return SolveResult(root, "optimal", 0, time.perf_counter() - start)
         warm = heuristics.b_first(inst, table=table)
-        if len(warm.accepted_ids) == len(chain_ids) and warm.solution.feasible:
+        if len(warm.accepted_ids) == len(inst.chains) and warm.solution.feasible:
             best_obj = warm.solution.objective
             index = {k: i for i, k in enumerate(clouds)}
             x = warm.solution.assignment.x
-            best_vec = [index[x[(chain_ids[si], n)]] for si, n in variables]
+            best_vec = [index[x[var]] for var in variables]
     # children[t][p]: the choices of variable t when variable t-1 sits at
     # cloud index p (see RateTable.children).  From here on a cloud is
     # named by its index in clouds.
-    children = [table.children(chain_ids[si], n) for si, n in variables]
+    children = [table.children(cid, n) for cid, n in variables]
     latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
                      for _, n in variables]
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
@@ -207,9 +212,9 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             f"search budget exhausted after {nodes} nodes ({runtime:.3f}s)")
 
     if best_vec is not None:
-        vectors: dict[str, list[int]] = {cid: [] for cid in chain_ids}
-        for t, (si, n) in enumerate(variables):
-            vectors[chain_ids[si]].append(clouds[best_vec[t]])
+        vectors: dict[str, list[int]] = {c.id: [] for c in inst.chains}
+        for (cid, _), k in zip(variables, best_vec):
+            vectors[cid].append(clouds[k])
         solution = evaluate(inst, Assignment.from_vectors(vectors), table)
         status = "optimal" if completed else "feasible-incumbent"
         return SolveResult(solution, status, nodes, runtime)

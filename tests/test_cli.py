@@ -6,9 +6,10 @@ import pytest
 
 from vnfplan.cli import main
 from vnfplan.config import load_instance, save_instance
-from vnfplan.ilp import parse_lp_text
+from vnfplan.ilp import build_ilp, parse_lp_text
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.scenario import read_csv
+from vnfplan.solver import solve_optimal
 
 
 def test_gen_writes_loadable_instance(tmp_path):
@@ -165,6 +166,25 @@ def test_solve_budget_exhausted_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 4
     assert "status: budget-exhausted" in out
+
+
+def test_solve_proves_capacity_infeasible_at_default_budget(tmp_path, capsys):
+    # The URLLC2 chains fit neither cloud alone.  Branched first, they are
+    # rejected in a few nodes; in input order the search ran out of its
+    # 10M-node default budget.
+    inst = tmp_path / "cap.yaml"
+    assert main(["gen", "--out", str(inst), "--mix", "9", "--edge-capacity", "700",
+                 "--central-capacity", "900", "--edge-sites", "center"]) == 0
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--method", "optimal"])
+    assert (rc, capsys.readouterr().out) == (3, "status: infeasible\ninfeasible: capacity\n")
+    loaded = load_instance(inst)
+    res = solve_optimal(loaded)
+    assert res.status == "infeasible"
+    assert res.nodes <= 100
+    pytest.importorskip("scipy")
+    from test_ilp import _solve_via_scipy
+    assert _solve_via_scipy(build_ilp(loaded)).status == 2   # infeasible
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from util import rand_instance
 from vnfplan import heuristics, solver
@@ -42,6 +44,12 @@ def test_agrees_with_brute_force_sample():
             assert exact.status == "infeasible"
 
 
+def _fail_first(inst: Instance) -> Instance:
+    """inst with its chains in the bounded search's branching order."""
+    return dataclasses.replace(
+        inst, chains=tuple(heuristics.packing_order(inst, RateTable(inst))))
+
+
 def test_pruning_changes_nothing():
     rng = random.Random(77)
     for _ in range(8):
@@ -49,7 +57,9 @@ def test_pruning_changes_nothing():
         pruned = solve_optimal(inst)
         full = solve_optimal(inst, use_lower_bound=False)
         assert pruned.status == full.status
-        assert full.nodes >= pruned.nodes
+        # The bounded search branches heaviest chains first, so it visits
+        # a subset of the plain search's nodes in that same order.
+        assert solve_optimal(_fail_first(inst), use_lower_bound=False).nodes >= pruned.nodes
         if pruned.solution is not None:
             assert pruned.solution.assignment == full.solution.assignment
 
@@ -243,6 +253,39 @@ def test_max_accepted_prefix_vs_incremental():
     for name in ("mystery", "cran-only", "cran_only"):
         with pytest.raises(ValueError, match="unknown method"):
             max_accepted_chains(inst, method=name)
+
+
+@pytest.mark.parametrize("ce, accepted", ((2240.0, 3), (4480.0, 6)))
+@pytest.mark.parametrize("rep", range(3))
+def test_sweep_prefix_proven_infeasible(ce, accepted, rep):
+    """The sweep's d0 = 90 km points: an URLLC2 chain fits neither cloud
+    alone, and branching it first proves the failing prefix infeasible
+    long before the sweep's node budget."""
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=11), d0_m=90_000,
+                          size=8, edge_capacity=ce, seed=11 * 100003 + rep)
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    assert max_accepted_chains(inst, budget=budget) == accepted
+    ids = [c.id for c in inst.chains]
+    res = solve_optimal(inst.subset(ids[:accepted + 1]), budget=budget)
+    assert res.status == "infeasible"
+    assert res.nodes <= 1_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_chain_order_does_not_change_proven_result(seed):
+    rng = random.Random(seed)
+    inst = rand_instance(rng, max_chains=4, max_vnfs=3, num_edges=rng.choice([0, 1, 2]))
+    res = solve_optimal(inst)
+    if res.status not in ("optimal", "infeasible"):
+        return
+    chains = list(inst.chains)
+    rng.shuffle(chains)
+    permuted = solve_optimal(dataclasses.replace(inst, chains=tuple(chains)))
+    assert permuted.status == res.status
+    if res.solution is not None:
+        assert math.isclose(permuted.solution.objective, res.solution.objective,
+                            rel_tol=1e-9)
 
 
 def test_methods_call_solvers_through_module_attributes(monkeypatch):
