@@ -19,21 +19,36 @@ from .model import (
     build_chain,
 )
 
+# libyaml's parser and emitter when PyYAML was built with it.  The Python
+# constructor and representer run either way, so the loaded objects and the
+# written bytes are the same; libyaml only does the scanning and emitting
+# several times faster.
+if yaml.__with_libyaml__:
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+def _quadratic(values) -> tuple[float, float, float]:
+    """One polynomial's three coefficients; any other count is a ValueError."""
+    a0, a1, a2 = (float(v) for v in values)
+    return a0, a1, a2
+
 
 def parse_model_section(data: dict) -> ComputeModel:
     try:
         coeffs = {}
         for pos, row in data["coeffs"].items():
-            coeffs[int(pos)] = {
-                "dl": tuple(float(v) for v in row["dl"]),
-                "ul": tuple(float(v) for v in row["ul"]),
-            }
+            coeffs[int(pos)] = {"dl": _quadratic(row["dl"]), "ul": _quadratic(row["ul"])}
+        ref_cpu_ghz = float(data["ref_cpu_ghz"])
+        if not ref_cpu_ghz > 0.0:
+            raise ValueError(f"ref_cpu_ghz must be positive, got {ref_cpu_ghz}")
         return ComputeModel(
             ref_gflops=float(data["ref_gflops"]),
-            ref_cpu_ghz=float(data["ref_cpu_ghz"]),
+            ref_cpu_ghz=ref_cpu_ghz,
             coeffs=coeffs,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad compute model section: {exc}") from exc
 
 
@@ -48,7 +63,7 @@ def parse_services_section(data: dict) -> dict[str, ServiceClass]:
                 mcs_ul=int(row["mcs_ul"]),
                 latency_profile=tuple(float(v) for v in row["latency_profile"]),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad services section: {exc}") from exc
     return services
 
@@ -56,7 +71,7 @@ def parse_services_section(data: dict) -> dict[str, ServiceClass]:
 @functools.lru_cache(maxsize=1)
 def _load_defaults() -> tuple[ComputeModel, dict[str, ServiceClass]]:
     text = resources.files("vnfplan").joinpath("data/default_model.yaml").read_text()
-    data = yaml.safe_load(text)
+    data = yaml.load(text, Loader=_Loader)
     return parse_model_section(data["model"]), parse_services_section(data["services"])
 
 
@@ -93,12 +108,15 @@ def _parse_infrastructure(data: dict) -> Infrastructure:
             cloud_distances=cloud_distances,
             fiber_speed=float(data.get("fiber_speed", 200.0)),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"bad infrastructure section: {exc}") from exc
 
 
 def _parse_chain(row: dict, model: ComputeModel,
                  services: dict[str, ServiceClass]) -> ChainRequest:
+    if not isinstance(row, dict):
+        raise ConfigError(f"chain entry {row!r} is not a mapping")
     chain_id = str(row.get("id"))
     rrh = str(row.get("rrh"))
     service: Optional[ServiceClass] = None
@@ -126,7 +144,7 @@ def load_instance(path) -> Instance:
     """Read an instance file.  Raises ConfigError on any malformed content."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -140,9 +158,10 @@ def load_instance(path) -> Instance:
     if "infrastructure" not in data:
         raise ConfigError(f"{path} has no infrastructure section")
     infra = _parse_infrastructure(data["infrastructure"])
-    chains = tuple(
-        _parse_chain(row, model, services) for row in data.get("chains", [])
-    )
+    rows = data.get("chains", [])
+    if not isinstance(rows, list):
+        raise ConfigError(f"{path} has a chains section that is not a list")
+    chains = tuple(_parse_chain(row, model, services) for row in rows)
     return Instance(infra=infra, chains=chains)
 
 
@@ -203,4 +222,4 @@ def save_instance(path, inst: Instance, model: Optional[ComputeModel] = None,
                   services: Optional[dict[str, ServiceClass]] = None) -> None:
     data = instance_to_dict(inst, model=model, services=services)
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False, default_flow_style=False)
+        yaml.dump(data, fh, Dumper=_Dumper, sort_keys=False, default_flow_style=False)

@@ -49,6 +49,7 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     continuous: list[str] = []
     fixed_zero: list[str] = []
     objective: list[tuple[str, float]] = []
+    cap_terms: list[list[tuple[str, float]]] = [[] for _ in clouds]
     onehot_rows: list[LinearConstraint] = []
     base_rows: list[LinearConstraint] = []
     penf_rows: list[LinearConstraint] = []
@@ -56,110 +57,92 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     cut_rows: list[LinearConstraint] = []
 
     for si, chain in enumerate(inst.chains):
+        cid = chain.id
         n_vnfs = len(chain.vnfs)
+        # xs[n][i] and rs[n][i] are the unit terms of VNF n at the i-th cloud,
+        # bases[n][i] its base rate there; slot 0 is unused.
+        xs: list = [None]
+        rs: list = [None]
+        bases: list = [None]
         for n in range(1, n_vnfs + 1):
-            for k in clouds:
-                binaries.append(x_name(si, n, k))
-                continuous.append(r_name(si, n, k))
-                objective.append((r_name(si, n, k), 1.0))
+            x_row = [(x_name(si, n, k), 1.0) for k in clouds]
+            r_row = [(r_name(si, n, k), 1.0) for k in clouds]
+            base_row = [table.first_rate(cid, k) for k in clouds] if n == 1 \
+                else [table.colocated(cid, n)] * len(clouds)
+            xs.append(x_row)
+            rs.append(r_row)
+            bases.append(base_row)
+            binaries += [x for x, _ in x_row]
+            continuous += [r for r, _ in r_row]
+            objective += r_row
+            for terms, r_term in zip(cap_terms, r_row):
+                terms.append(r_term)
             onehot_rows.append(LinearConstraint(
-                name=f"onehot_s{si}_n{n}",
-                terms=tuple((x_name(si, n, k), 1.0) for k in clouds),
-                sense="=",
-                rhs=1.0,
-            ))
-            for k in clouds:
-                base = table.first_rate(chain.id, k) if n == 1 \
-                    else table.colocated(chain.id, n)
+                name=f"onehot_s{si}_n{n}", terms=tuple(x_row), sense="=", rhs=1.0))
+            for k, (x, _), r_term, base in zip(clouds, x_row, r_row, base_row):
                 if base == INFEASIBLE:
-                    fixed_zero.append(x_name(si, n, k))
+                    fixed_zero.append(x)
                     continue
                 base_rows.append(LinearConstraint(
                     name=f"base_s{si}_n{n}_k{k}",
-                    terms=((r_name(si, n, k), 1.0), (x_name(si, n, k), -base)),
+                    terms=(r_term, (x, -base)),
                     sense=">=",
                     rhs=0.0,
                 ))
 
-        def head_ok(pos: int, k: int) -> bool:
-            return pos != 1 or table.placement_feasible(chain.id, k)
-
-        # Forward penalty rows: VNF n at k with its successor at j.
+        # The split penalties come from the branch and bound's child lists:
+        # entry [p][i] of table.children(cid, n + 1) holds, for VNF n at the
+        # p-th cloud and VNF n+1 at the i-th, the backward penalty on n+1 and
+        # the forward penalty on n, both INFEASIBLE when either link breaks
+        # its bound, and both 0.0 when i == p.
         for n in range(1, n_vnfs):
-            for k in clouds:
-                if not head_ok(n, k):
-                    continue
-                base = table.first_rate(chain.id, k) if n == 1 \
-                    else table.colocated(chain.id, n)
-                for j in clouds:
-                    if j == k:
-                        continue
-                    pen = table.split_penalty_fwd(chain.id, n, k, j)
-                    if pen == INFEASIBLE or pen <= 0.0:
-                        continue
-                    if table.split_penalty_bwd(chain.id, n + 1, j, k) == INFEASIBLE:
-                        continue  # the pair is cut off entirely
-                    penf_rows.append(LinearConstraint(
-                        name=f"penf_s{si}_n{n}_k{k}_j{j}",
-                        terms=((r_name(si, n, k), 1.0),
-                               (x_name(si, n, k), -(base + pen)),
-                               (x_name(si, n + 1, j), -pen)),
-                        sense=">=",
-                        rhs=-pen,
-                    ))
-        # Backward penalty rows: VNF n at k with its predecessor at j.
-        for n in range(2, n_vnfs + 1):
-            for k in clouds:
-                base = table.colocated(chain.id, n)
-                for j in clouds:
-                    if j == k or not head_ok(n - 1, j):
-                        continue
-                    pen = table.split_penalty_bwd(chain.id, n, k, j)
-                    if pen == INFEASIBLE or pen <= 0.0:
-                        continue
-                    if table.split_penalty_fwd(chain.id, n - 1, j, k) == INFEASIBLE:
-                        continue
-                    penb_rows.append(LinearConstraint(
-                        name=f"penb_s{si}_n{n}_k{k}_j{j}",
-                        terms=((r_name(si, n, k), 1.0),
-                               (x_name(si, n, k), -(base + pen)),
-                               (x_name(si, n - 1, j), -pen)),
-                        sense=">=",
-                        rhs=-pen,
-                    ))
-        # Cuts: adjacent pair placements no link can serve in time.
-        for n in range(1, n_vnfs):
-            for k in clouds:
-                if not head_ok(n, k):
-                    continue
-                for j in clouds:
-                    if j == k:
-                        continue
-                    dead = (table.split_penalty_fwd(chain.id, n, k, j) == INFEASIBLE
-                            or table.split_penalty_bwd(chain.id, n + 1, j, k) == INFEASIBLE)
-                    if dead:
+            nxt = table.children(cid, n + 1)
+            for p, k in enumerate(clouds):
+                base = bases[n][p]
+                if n == 1 and base == INFEASIBLE:
+                    continue   # the head cannot sit at k at all
+                r_term, x = rs[n][p], xs[n][p][0]
+                for i, _, _, pen in nxt[p]:
+                    j = clouds[i]
+                    if pen == INFEASIBLE:
+                        # Cut: no link serves VNF n at k and VNF n+1 at j in time.
                         cut_rows.append(LinearConstraint(
                             name=f"cut_s{si}_n{n}_k{k}_j{j}",
-                            terms=((x_name(si, n, k), 1.0),
-                                   (x_name(si, n + 1, j), 1.0)),
+                            terms=(xs[n][p], xs[n + 1][i]),
                             sense="<=",
                             rhs=1.0,
                         ))
+                    elif pen > 0.0:
+                        # Forward penalty row: VNF n at k, its successor at j.
+                        penf_rows.append(LinearConstraint(
+                            name=f"penf_s{si}_n{n}_k{k}_j{j}",
+                            terms=(r_term, (x, -(base + pen)), (xs[n + 1][i][0], -pen)),
+                            sense=">=",
+                            rhs=-pen,
+                        ))
+        # Backward penalty rows: VNF n at k with its predecessor at j.
+        for n in range(2, n_vnfs + 1):
+            prev = table.children(cid, n)
+            base = bases[n][0]
+            for i, k in enumerate(clouds):
+                r_term, x = rs[n][i], xs[n][i][0]
+                for p, j in enumerate(clouds):
+                    # INFEASIBLE too when VNF n-1 is a head that cannot sit at j.
+                    pen = prev[p][i][2]
+                    if pen == INFEASIBLE or pen <= 0.0:
+                        continue
+                    penb_rows.append(LinearConstraint(
+                        name=f"penb_s{si}_n{n}_k{k}_j{j}",
+                        terms=(r_term, (x, -(base + pen)), (xs[n - 1][p][0], -pen)),
+                        sense=">=",
+                        rhs=-pen,
+                    ))
 
-    cap_rows = []
-    for k in clouds:
-        terms = []
-        for si, chain in enumerate(inst.chains):
-            for n in range(1, len(chain.vnfs) + 1):
-                terms.append((r_name(si, n, k), 1.0))
-        if terms:
-            cap_rows.append(LinearConstraint(
-                name=f"cap_k{k}",
-                terms=tuple(terms),
-                sense="<=",
-                rhs=inst.infra.capacity(k),
-            ))
-
+    cap_rows = [
+        LinearConstraint(name=f"cap_k{k}", terms=tuple(terms), sense="<=",
+                         rhs=inst.infra.capacity(k))
+        for k, terms in zip(clouds, cap_terms) if terms
+    ]
     constraints = tuple(onehot_rows + cap_rows + base_rows
                         + penf_rows + penb_rows + cut_rows)
     return IlpModel(
@@ -171,28 +154,39 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     )
 
 
-def _format_terms(terms) -> str:
+class _CoefText(dict):
+    """Coefficient -> (text before its variable as the first term, otherwise).
+
+    Built on first sight, so each distinct coefficient is formatted once per
+    emit_lp_text call.  Equal keys give equal text: 0.0 and -0.0 both print
+    as "+ 0.0", and an int prints like the float it equals.
+    """
+
+    def __missing__(self, coef):
+        mag = float(abs(coef))
+        body = "" if mag == 1.0 else f"{mag!r} "
+        text = (f"- {body}", f"- {body}") if coef < 0 else (body, f"+ {body}")
+        self[coef] = text
+        return text
+
+
+def _format_terms(terms, coef_text: _CoefText) -> str:
     if not terms:
         return "0"
-    parts = []
-    for i, (var, coef) in enumerate(terms):
-        if coef < 0:
-            sign = "-"
-        else:
-            sign = "+" if i > 0 else ""
-        mag = float(abs(coef))
-        body = var if mag == 1.0 else f"{mag!r} {var}"
-        parts.append(f"{sign} {body}".strip() if sign else body)
-    return " ".join(parts)
+    (var, coef), rest = terms[0], terms[1:]
+    return " ".join([coef_text[coef][0] + var,
+                     *[coef_text[c][1] + v for v, c in rest]])
 
 
 def emit_lp_text(mdl: IlpModel) -> str:
     """Render the model as deterministic LP-format text."""
+    coef_text = _CoefText()
     lines = ["\\ vnfplan placement model", "Minimize"]
-    lines.append(f" obj: {_format_terms(mdl.objective)}")
+    lines.append(f" obj: {_format_terms(mdl.objective, coef_text)}")
     lines.append("Subject To")
     for con in mdl.constraints:
-        lines.append(f" {con.name}: {_format_terms(con.terms)} {con.sense} {float(con.rhs)!r}")
+        lines.append(f" {con.name}: {_format_terms(con.terms, coef_text)} "
+                     f"{con.sense} {float(con.rhs)!r}")
     if mdl.fixed_zero:
         lines.append("Bounds")
         for var in mdl.fixed_zero:
@@ -207,40 +201,65 @@ def emit_lp_text(mdl: IlpModel) -> str:
 
 _SENSE_RE = re.compile(r"(<=|>=|=)")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# Section keywords, lowercased, and the section each one opens.
+_SECTIONS = {
+    "minimize": "objective", "minimise": "objective",
+    "subject to": "constraints", "s.t.": "constraints", "st": "constraints",
+    "bounds": "bounds",
+    "binaries": "binaries", "binary": "binaries",
+    "end": None,
+}
 
 
-def _parse_terms(text: str) -> tuple[tuple[tuple[str, float], ...], float]:
+class _TokenValue(dict):
+    """Token -> its float value, or None for a variable name.
+
+    Filled on first sight, so each distinct token is matched once per
+    parse_lp_text call; names and coefficients repeat across many rows.
+    """
+
+    def __missing__(self, tok):
+        value = float(tok) if _NUM_RE.match(tok) else None
+        self[tok] = value
+        return value
+
+
+def _parse_terms(text: str, token_value: _TokenValue
+                 ) -> tuple[tuple[tuple[str, float], ...], float]:
     """Parse a linear expression into terms and a constant offset."""
     tokens = text.replace("+", " + ").replace("-", " - ").split()
-    # Re-join exponent signs split off scientific notation (e.g. 1e - 09).
-    merged: list[str] = []
-    for tok in tokens:
-        if merged and merged[-1][-1:] in "eE" and _NUM_RE.match(merged[-1] + "1") \
-                and tok in "+-":
-            merged[-1] += tok
-        elif merged and merged[-1][-1:] in "+-" and merged[-1][:-1] \
-                and _NUM_RE.match(merged[-1] + "1"):
-            merged[-1] += tok
-        else:
-            merged.append(tok)
+    if "e" in text or "E" in text:
+        # Re-join exponent signs split off scientific notation (e.g. 1e - 09).
+        # Only a token ending in e or E starts a merge.
+        merged: list[str] = []
+        for tok in tokens:
+            if merged and merged[-1][-1:] in "eE" and _NUM_RE.match(merged[-1] + "1") \
+                    and tok in "+-":
+                merged[-1] += tok
+            elif merged and merged[-1][-1:] in "+-" and merged[-1][:-1] \
+                    and _NUM_RE.match(merged[-1] + "1"):
+                merged[-1] += tok
+            else:
+                merged.append(tok)
+        tokens = merged
     terms: list[tuple[str, float]] = []
     constant = 0.0
     sign = 1.0
     coef: float | None = None
-    for tok in merged:
+    for tok in tokens:
         if tok == "+":
             continue
         if tok == "-":
             sign = -sign
             continue
-        if _NUM_RE.match(tok):
+        value = token_value[tok]
+        if value is not None:
             if coef is not None:
                 constant += sign * coef
                 sign = 1.0
-            coef = float(tok)
+            coef = value
             continue
-        value = sign * (coef if coef is not None else 1.0)
-        terms.append((tok, value))
+        terms.append((tok, sign * (coef if coef is not None else 1.0)))
         sign = 1.0
         coef = None
     if coef is not None:
@@ -259,45 +278,33 @@ def parse_lp_text(text: str) -> IlpModel:
     constraints: list[LinearConstraint] = []
     binaries: list[str] = []
     fixed_zero: list[str] = []
+    token_value = _TokenValue()
     section = None
     for raw in text.splitlines():
         line = raw.split("\\", 1)[0].strip()
         if not line:
             continue
         lowered = line.lower()
-        if lowered in ("minimize", "minimise"):
-            section = "objective"
+        if lowered in _SECTIONS:
+            section = _SECTIONS[lowered]
             continue
         if lowered == "maximize":
             raise ValueError("only minimization models are supported")
-        if lowered in ("subject to", "s.t.", "st"):
-            section = "constraints"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered in ("binaries", "binary"):
-            section = "binaries"
-            continue
-        if lowered == "end":
-            section = None
-            continue
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective, _ = _parse_terms(body)
-        elif section == "constraints":
-            if ":" not in line:
+        if section == "constraints":
+            name, colon, body = line.partition(":")
+            if not colon:
                 raise ValueError(f"constraint line without a name: {raw!r}")
-            name, body = line.split(":", 1)
+            # The leftmost sense is where body.split(sense, 1) would cut.
             match = _SENSE_RE.search(body)
             if not match:
                 raise ValueError(f"constraint line without a sense: {raw!r}")
-            sense = match.group(1)
-            lhs, rhs_text = body.split(sense, 1)
-            terms, constant = _parse_terms(lhs)
-            rhs = float(rhs_text) - constant
+            terms, constant = _parse_terms(body[:match.start()], token_value)
+            rhs = float(body[match.end():]) - constant
             constraints.append(LinearConstraint(
-                name=name.strip(), terms=terms, sense=sense, rhs=rhs))
+                name=name.strip(), terms=terms, sense=match.group(1), rhs=rhs))
+        elif section == "objective":
+            body = line.split(":", 1)[1] if ":" in line else line
+            objective, _ = _parse_terms(body, token_value)
         elif section == "bounds":
             parts = line.split("=")
             if len(parts) != 2 or float(parts[1]) != 0.0:

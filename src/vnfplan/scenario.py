@@ -23,7 +23,7 @@ from .model import (
     validate_instance,
 )
 from .rates import RateTable
-from .solver import METHODS, SearchBudget, max_accepted_chains, method_name, run_method
+from .solver import METHODS, SearchBudget, longest_prefix, method_name, run_method
 
 METHOD_ORDER = (*METHODS, "cran_only")
 
@@ -209,9 +209,10 @@ def _solve_point(cfg: ScenarioConfig, method: str, size: int, d0: float,
 
     accepted = out.accepted
     if accepted < len(inst.chains) and METHODS[solver_kind].all_or_nothing:
-        accepted = max_accepted_chains(inst, method=solver_kind, budget=budget)
-        prefix = inst.subset([c.id for c in inst.chains[:accepted]])
-        out = run_method(solver_kind, prefix, table, budget)
+        accepted, kept = longest_prefix(inst, solver_kind, table, budget, full=out)
+        if kept is None:
+            kept = run_method(solver_kind, inst.subset([]), table, budget)
+        out = kept
     sol = out.solution
     loads = sol.loads if sol is not None else {}
     full_loads = {k: loads.get(k, 0.0) for k in range(1 + len(edges))}

@@ -401,6 +401,33 @@ def run_method(method: str, inst: Instance, table: RateTable | None = None,
     return entry.run(inst, RateTable(inst) if table is None else table, budget)
 
 
+def longest_prefix(inst: Instance, method: str, table: RateTable,
+                   budget: SearchBudget | None = None,
+                   full: Outcome | None = None) -> tuple[int, Outcome | None]:
+    """The largest m such that the method accepts the first m chains, and
+    the method's outcome on those m chains (None when m is 0).
+
+    table is inst's rate table.  full, when given, is the method's outcome
+    on all of inst, which is then not solved again.
+    """
+    entry = METHODS[method_name(method)]
+    ids = [c.id for c in inst.chains]
+    best, kept = 0, None
+    for m in range(1, len(ids) + 1):
+        if m == len(ids) and full is not None:
+            out = full
+        else:
+            out = entry.run(inst.subset(ids[:m]), table, budget)
+        if out.accepted == m:
+            best, kept = m, out
+        elif entry.all_or_nothing:
+            # Dropping chains keeps a deployment feasible, so no longer
+            # prefix succeeds.  The greedy's acceptance is not monotone in
+            # the prefix length, so it tries every prefix.
+            break
+    return best, kept
+
+
 def max_accepted_chains(inst: Instance, method: str = "optimal",
                         protocol: str = "prefix",
                         budget: SearchBudget | None = None) -> int:
@@ -415,24 +442,11 @@ def max_accepted_chains(inst: Instance, method: str = "optimal",
     if protocol not in ("prefix", "incremental"):
         raise ValueError(f"unknown protocol {protocol!r}")
     table = RateTable(inst)
-
-    def accepts_all(ids: list[str]) -> bool:
-        return entry.run(inst.subset(ids), table, budget).accepted == len(ids)
-
-    ids = [c.id for c in inst.chains]
-    if protocol == "incremental":
-        kept: list[str] = []
-        for cid in ids:
-            if accepts_all(kept + [cid]):
-                kept.append(cid)
-        return len(kept)
-    best = 0
-    for m in range(1, len(ids) + 1):
-        if accepts_all(ids[:m]):
-            best = m
-        elif entry.all_or_nothing:
-            # Dropping chains keeps a deployment feasible, so no longer
-            # prefix succeeds.  The greedy's acceptance is not monotone in
-            # the prefix length, so it tries every prefix.
-            break
-    return best
+    if protocol == "prefix":
+        return longest_prefix(inst, method, table, budget)[0]
+    kept: list[str] = []
+    for chain in inst.chains:
+        ids = kept + [chain.id]
+        if entry.run(inst.subset(ids), table, budget).accepted == len(ids):
+            kept = ids
+    return len(kept)

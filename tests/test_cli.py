@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from vnfplan.cli import main
 from vnfplan.config import load_instance, save_instance
@@ -82,6 +83,54 @@ def test_solve_missing_file(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "absent.yaml")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+_SERVICE_CHAIN = (("chains",), [{"id": "c0", "rrh": "r00", "service": "eMBB"}])
+
+# Well-formed YAML whose sections have the wrong shape or an unusable
+# value, as (path, value) edits of a generated instance, and text that is
+# not an instance at all.  Each must exit 2 with one error line.
+MALFORMED = {
+    "chains-of-numbers": [(("chains",), [1, 2])],
+    "chains-mapping": [(("chains",), {"a": 1})],
+    "chains-null": [(("chains",), None)],
+    "services-list": [(("services",), [1])],
+    "model-coeffs-list": [(("model",), {"coeffs": [1]})],
+    "rrh-distances-row-list": [(("infrastructure", "rrh_distances"), {"r0": [1, 2]})],
+    "service-rb-infinite": [(("services", "eMBB", "rb"), float("inf"))],
+    "cloud-id-infinite": [(("infrastructure", "clouds", 0, "id"), float("inf"))],
+    "model-row-short": [(("model", "coeffs", 1, "dl"), [1.0]), _SERVICE_CHAIN],
+    "model-cpu-zero": [(("model", "ref_cpu_ghz"), 0), _SERVICE_CHAIN],
+    "unclosed-flow-list": "chains: [1, 2\n",
+    "top-level-list": "[1, 2]\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_solve_rejects_malformed_file(tmp_path, capsys, case):
+    path = tmp_path / "bad.yaml"
+    change = MALFORMED[case]
+    if isinstance(change, str):
+        path.write_text(change, encoding="utf-8")
+    else:
+        assert main(["gen", "--out", str(path), "--mix", "2",
+                     "--edge-sites", "center"]) == 0
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        for keys, value in change:
+            node = data
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["solve", str(path), "--method", "b-first"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
+        == captured.err.splitlines()[:1]
+    assert "Traceback" not in captured.err
 
 
 def test_solve_unknown_method(tmp_path, capsys):

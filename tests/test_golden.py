@@ -5,10 +5,13 @@ exit code (and, for sweeps, the CSV bytes) with the files recorded in
 tests/data.  The cases cover all five solve methods and their aliases on
 an uncapacitated and on capacity-bound instances, with partial,
 infeasible, over-capacity and budget-exhausted results, plus a sweep of
-all six methods with partial acceptance.
+all six methods with partial acceptance.  The instance files that
+`vnfplan gen` writes and the LP files of `solve --emit-lp` are pinned by
+length and sha256.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -87,6 +90,18 @@ def _golden_solve() -> dict:
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solve_output_matches_golden(tmp_path, capsys, case):
     assert run_solve(tmp_path, case, capsys) == _golden_solve()[case]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_written_files_match_golden(tmp_path, capsys, name):
+    path = _instance(tmp_path, name, capsys)
+    lp = tmp_path / f"{name}.lp"
+    main(["solve", str(path), "--method", "b-first", "--emit-lp", str(lp)])
+    capsys.readouterr()
+    digests = {kind: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+               for kind, data in (("yaml", path.read_bytes()), ("lp", lp.read_bytes()))}
+    golden = json.loads((DATA / "golden_files.json").read_text(encoding="utf-8"))
+    assert digests == golden[name]
 
 
 def test_sweep_output_matches_golden(tmp_path, capsys):

@@ -4,11 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
 
-from util import assignment_to_binaries, min_completion, rand_instance
+from util import assignment_to_binaries, min_completion, rand_instance, reference_parse_terms
 from vnfplan.ilp import (
     IlpModel,
+    LinearConstraint,
+    _parse_terms,
+    _TokenValue,
     build_ilp,
     emit_lp_text,
     parse_lp_text,
@@ -78,6 +83,72 @@ def test_parse_rejects_unnamed_constraint():
 def test_parse_rejects_stray_content():
     with pytest.raises(ValueError):
         parse_lp_text("hello\nMinimize\n obj: x\nEnd\n")
+
+
+@pytest.mark.parametrize("line", [" c1: x + y 3", " c1: x < 3"])
+def test_parse_rejects_constraint_without_sense(line):
+    with pytest.raises(ValueError, match="without a sense"):
+        parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
+
+
+@pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0"])
+def test_parse_rejects_unsupported_bound(line):
+    with pytest.raises(ValueError):
+        parse_lp_text(f"Minimize\n obj: x\nBounds\n{line}\nEnd\n")
+
+
+# The names emit_lp_text is given by build_ilp: no e, E, sign or space.
+_NAMES = st.builds(lambda kind, s, n, k: f"{kind}_s{s}_n{n}_k{k}",
+                   st.sampled_from("xr"), st.integers(0, 40), st.integers(1, 8),
+                   st.integers(0, 8))
+_COEFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 3e-07, -3e-07, 1e+16, -1e+16, 2.5, -152.25]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TERMS = st.lists(st.tuples(_NAMES, _COEFS), max_size=6).map(tuple)
+
+
+@st.composite
+def _ilp_models(draw):
+    objective = draw(_TERMS)
+    constraints = tuple(
+        LinearConstraint(name=f"row{i}", terms=draw(_TERMS),
+                         sense=draw(st.sampled_from(["<=", ">=", "="])),
+                         rhs=draw(_COEFS))
+        for i in range(draw(st.integers(0, 6))))
+    names = st.lists(_NAMES, max_size=4).map(tuple)
+    return IlpModel(objective=objective, constraints=constraints,
+                    binaries=draw(names),
+                    continuous=tuple(var for var, _ in objective),
+                    fixed_zero=draw(names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ilp_models())
+def test_lp_round_trip_on_random_models(mdl):
+    """Signed and zero coefficients, exponents either way, negative
+    right-hand sides and rows with no terms all survive emit then parse."""
+    text = emit_lp_text(mdl)
+    assert parse_lp_text(text) == mdl
+    assert emit_lp_text(parse_lp_text(text)) == text
+
+
+_PIECES = st.sampled_from([
+    "x_s0_n1_k2", "r_s3_n8_k0", "e", "E", "xe", "x1e", "1", "2.", ".5", "1.5",
+    "1e", "1E", "1e5", "3e-07", "1E+16", "2.5e", "+", "-", "e-", "e+", "0",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.tuples(_PIECES, st.sampled_from(["", " ", "  "])),
+                         max_size=10), min_size=1, max_size=4))
+def test_parse_terms_matches_reference_tokenizer(expressions):
+    """The memoised tokenizer, with one memo shared across expressions as
+    within one parse_lp_text call, gives the reference's terms and constant."""
+    token_value = _TokenValue()
+    for pieces in expressions:
+        text = "".join(piece + gap for piece, gap in pieces)
+        assert repr(_parse_terms(text, token_value)) == repr(reference_parse_terms(text))
 
 
 def test_assignment_to_binaries_one_hot():
@@ -202,6 +273,22 @@ def test_cut_rows_for_dead_links():
     for cut in cuts:
         assert cut.sense == "<=" and cut.rhs == 1.0
         assert all(coef == 1.0 for _, coef in cut.terms)
+
+
+def test_no_split_rows_for_an_unreachable_head():
+    # The head is 50 km from cloud 0, too far for its 0.2 ms bound, and the
+    # 90 km link kills every split: only the head at cloud 1 gets a cut.
+    vnfs = (VnfSpec(1.0, 0.2, 0.2), VnfSpec(1.0, 0.2, 0.2), VnfSpec(1.0, 0.2, 0.2))
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 100.0), CloudNode(1, 100.0)),
+        rrh_distances={"r0": {0: 50000.0, 1: 1000.0}},
+        cloud_distances={0: {0: 0.0, 1: 90000.0}, 1: {0: 90000.0, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=vnfs)
+    mdl = build_ilp(Instance(infra=infra, chains=(chain,)))
+    assert mdl.fixed_zero == (x_name(0, 1, 0),)
+    split_rows = [c.name for c in mdl.constraints if c.name.startswith(("cut", "pen"))]
+    assert split_rows == ["cut_s0_n1_k1_j0", "cut_s0_n2_k0_j1", "cut_s0_n2_k1_j0"]
 
 
 def test_emit_is_deterministic():

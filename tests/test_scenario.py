@@ -3,7 +3,7 @@ import math
 import pytest
 
 from util import efficiency_improvement
-from vnfplan import scenario
+from vnfplan import scenario, solver
 from vnfplan.model import validate_instance
 from vnfplan.scenario import (
     METHOD_ORDER,
@@ -266,3 +266,32 @@ def test_csv_handles_padded_loads(tmp_path):
     assert back[0].loads == {0: 1.5, 2: 0.25}
     # Missing columns are padded with zero on the way out.
     assert back[1].loads == {0: 2.5, 2: 0.0}
+
+
+@pytest.mark.parametrize("size, ce, accepted", ((4, 2240.0, 3), (8, 2240.0, 3),
+                                                (8, 4480.0, 6)))
+def test_rejected_sweep_point_solves_each_instance_once(monkeypatch, size, ce, accepted):
+    """A sweep point the full request fails solves the full instance, then
+    each prefix up to the first failing one, and nothing twice: the
+    accepted prefix's outcome and the full instance's are reused."""
+    cfg = ScenarioConfig(edge_sites="center", seed=11)
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    solved = []
+    plain = solver.solve_optimal
+
+    def counted(inst, *args, **kwargs):
+        solved.append(len(inst.chains))
+        return plain(inst, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_optimal", counted)
+    rec = scenario._solve_point(cfg, "optimal", size, 90_000.0, ce, 0, budget, False)
+    monkeypatch.undo()
+    assert rec.accepted == accepted
+    assert solved == [size, *range(1, min(accepted + 2, size))]
+
+    inst = build_instance(cfg, d0_m=90_000.0, size=size, edge_capacity=ce,
+                          seed=cfg.seed * 100003)
+    assert solver.max_accepted_chains(inst, budget=budget) == accepted
+    prefix = plain(inst.subset([c.id for c in inst.chains[:accepted]]), budget=budget)
+    assert rec.objective_gflops_s == prefix.solution.objective
+    assert rec.loads == {0: prefix.solution.loads[0], 1: prefix.solution.loads[1]}

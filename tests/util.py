@@ -1,8 +1,8 @@
 """Shared test helpers: a quantized random instance generator, an
 independent two-cloud oracle for the per-VNF rate formulas, and small
 oracles the library itself does not need (link feasibility, hop
-distances, percent savings, and the ILP's rate completion of a fixed
-binary vector).
+distances, percent savings, the ILP's rate completion of a fixed
+binary vector, and a plain LP expression tokenizer).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -13,6 +13,7 @@ at least 0.005 ms; the band separates the two cases without ambiguity.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -223,3 +224,49 @@ def min_completion(mdl: IlpModel, x_values: Mapping[str, int]) -> CompletionResu
             capacity_ok = False
     objective = sum(coef * rmin[var] for var, coef in mdl.objective)
     return CompletionResult(binary_ok, capacity_ok, objective, rmin)
+
+
+_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def reference_parse_terms(text: str) -> tuple[tuple[tuple[str, float], ...], float]:
+    """The LP expression tokenizer without memo or shortcuts: terms and constant.
+
+    It always runs the exponent-merge pass and matches every token against
+    the number pattern; vnfplan.ilp._parse_terms must agree with it.
+    """
+    tokens = text.replace("+", " + ").replace("-", " - ").split()
+    # Re-join exponent signs split off scientific notation (e.g. 1e - 09).
+    merged: list[str] = []
+    for tok in tokens:
+        if merged and merged[-1][-1:] in "eE" and _NUM_RE.match(merged[-1] + "1") \
+                and tok in "+-":
+            merged[-1] += tok
+        elif merged and merged[-1][-1:] in "+-" and merged[-1][:-1] \
+                and _NUM_RE.match(merged[-1] + "1"):
+            merged[-1] += tok
+        else:
+            merged.append(tok)
+    terms: list[tuple[str, float]] = []
+    constant = 0.0
+    sign = 1.0
+    coef: float | None = None
+    for tok in merged:
+        if tok == "+":
+            continue
+        if tok == "-":
+            sign = -sign
+            continue
+        if _NUM_RE.match(tok):
+            if coef is not None:
+                constant += sign * coef
+                sign = 1.0
+            coef = float(tok)
+            continue
+        value = sign * (coef if coef is not None else 1.0)
+        terms.append((tok, value))
+        sign = 1.0
+        coef = None
+    if coef is not None:
+        constant += sign * coef
+    return tuple(terms), constant
