@@ -201,6 +201,7 @@ def emit_lp_text(mdl: IlpModel) -> str:
 
 _SENSE_RE = re.compile(r"(<=|>=|=)")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NAME_RE = re.compile(r"^[^\s<>=]+$")
 # Section keywords, lowercased, and the section each one opens.
 _SECTIONS = {
     "minimize": "objective", "minimise": "objective",
@@ -306,10 +307,12 @@ def parse_lp_text(text: str) -> IlpModel:
             body = line.split(":", 1)[1] if ":" in line else line
             objective, _ = _parse_terms(body, token_value)
         elif section == "bounds":
-            parts = line.split("=")
-            if len(parts) != 2 or float(parts[1]) != 0.0:
+            # Only `<one name> = <number>` with the number 0.
+            name, eq, value = (part.strip() for part in line.partition("="))
+            if not (eq and _NAME_RE.match(name) and _NUM_RE.match(value)) \
+                    or float(value) != 0.0:
                 raise ValueError(f"unsupported bound line: {raw!r}")
-            fixed_zero.append(parts[0].strip())
+            fixed_zero.append(name)
         elif section == "binaries":
             binaries.extend(line.split())
         else:

@@ -39,6 +39,9 @@ class SolveResult:
     nodes: int
     runtime: float
     infeasible_reason: Optional[str] = None
+    # A proven lower bound on the optimum: the objective when optimal, the
+    # best root bound on a budget stop, None when infeasible.
+    best_bound: Optional[float] = None
 
 
 class _BudgetHit(Exception):
@@ -65,7 +68,14 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     smallest in that variable order; results are deterministic whenever
     the budget is not the binding factor.  Pruning uses committed cost
     plus an admissible completion estimate (each unassigned VNF at its
-    cheapest feasible cloud, ignoring future split penalties).
+    cheapest feasible cloud, ignoring future split penalties).  With a
+    warm start, a capacity-priced bound (see _priced_bound) prunes too,
+    when the node budget pays for its DP: a child goes when its priced
+    committed cost plus the priced cost still to come cannot beat the
+    incumbent.  The capacity-free estimate stays and is tested first; it
+    is cheaper and, near the root, where the priced bound is weak, the
+    tighter of the two.  best_bound is the objective when optimal and
+    the larger root bound on a budget stop.
     use_lower_bound=False is the plain exhaustive search in
     input chain order: no root proof, no warm start and no pruning.
     nodes counts every child tried, rejected ones included, and
@@ -107,24 +117,32 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
 
     best_obj = INFEASIBLE
     best_vec: Optional[list[int]] = None
-    # Both steps below are bound arguments, so the plain search skips them.
+    best_bound = suffix_min[0]
+    # The steps below are bound arguments, so the plain search skips them.
     if use_lower_bound:
         root = evaluate(inst, _zero_slack(inst, table), table)
         if root.feasible:
-            return SolveResult(root, "optimal", 0, time.perf_counter() - start)
+            return SolveResult(root, "optimal", 0, time.perf_counter() - start,
+                               best_bound=root.objective)
         warm = heuristics.b_first(inst, table=table)
-        if len(warm.accepted_ids) == len(inst.chains) and warm.solution.feasible:
-            best_obj = warm.solution.objective
-            index = {k: i for i, k in enumerate(clouds)}
-            x = warm.solution.assignment.x
-            best_vec = [index[x[var]] for var in variables]
     # children[t][p]: the choices of variable t when variable t-1 sits at
     # cloud index p (see RateTable.children).  From here on a cloud is
     # named by its index in clouds.
     children = [table.children(cid, n) for cid, n in variables]
+    caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
+    priced = None
+    if use_lower_bound and len(warm.accepted_ids) == len(inst.chains) \
+            and warm.solution.feasible:
+        best_obj = warm.solution.objective
+        index = {k: i for i, k in enumerate(clouds)}
+        x = warm.solution.assignment.x
+        best_vec = [index[x[var]] for var in variables]
+        priced = _priced_bound(order, children, caps, best_obj, budget.max_nodes)
+        if priced is not None:
+            mult, priced_rest, later, bound = priced
+            best_bound = max(best_bound, bound)
     latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
                      for _, n in variables]
-    caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     loads = [0.0] * len(clouds)
     vec = [0] * num_vars          # cloud index chosen per variable
     nodes = 0
@@ -134,17 +152,18 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     causes = {"first-vnf-placement": 0, "split-latency": 0, "capacity": 0}
 
     # Iterative depth-first search.  At depth t the loop state is the
-    # iterator over t's choices, the committed cost g, and the backward
-    # penalty and cloud index j of variable t-1; the stack keeps that
-    # state for every open ancestor together with the ancestor's choice,
-    # whose loads are taken back when its subtree is done.
+    # iterator over t's choices, the committed cost g and its priced twin
+    # G, and the backward penalty and cloud index j of variable t-1; the
+    # stack keeps that state for every open ancestor together with the
+    # ancestor's choice, whose loads are taken back when its subtree is
+    # done.
     completed = True
     if num_vars == 0:
         best_obj, best_vec = 0.0, []
     else:
         last = num_vars - 1
         stack: list[tuple] = []
-        t, g, prev_bwd, j = 0, 0.0, 0.0, 0
+        t, g, G, G2, prev_bwd, j = 0, 0.0, 0.0, 0.0, 0.0, 0
         choices = iter(children[0][0])
         # The next node that passes max_nodes or is due a clock read (each
         # 512th node); the nodes in between skip both checks.
@@ -178,6 +197,10 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                     g2 = g + self_rate + inc_prev
                     if use_lower_bound and g2 + suffix_min[t + 1] >= best_obj:
                         continue
+                    if priced:
+                        G2 = G + mult[k] * self_rate + mult[j] * inc_prev
+                        if G2 + priced_rest[t][j][k] + later[t] >= best_obj:
+                            continue
                     vec[t] = k
                     loads[k] = load_k
                     if inc_prev > 0.0:
@@ -190,15 +213,15 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                         if inc_prev > 0.0:
                             loads[j] -= inc_prev
                         continue
-                    stack.append((choices, g, prev_bwd, j, k, self_rate, inc_prev))
+                    stack.append((choices, g, G, prev_bwd, j, k, self_rate, inc_prev))
                     t += 1
                     choices = iter(children[t][k])
-                    g, prev_bwd, j = g2, pen_bwd, k
+                    g, G, prev_bwd, j = g2, G2, pen_bwd, k
                     break
                 else:
                     if not stack:
                         break
-                    choices, g, prev_bwd, j, k, self_rate, inc_prev = stack.pop()
+                    choices, g, G, prev_bwd, j, k, self_rate, inc_prev = stack.pop()
                     t -= 1
                     loads[k] -= self_rate
                     if inc_prev > 0.0:
@@ -216,14 +239,148 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         for (cid, _), k in zip(variables, best_vec):
             vectors[cid].append(clouds[k])
         solution = evaluate(inst, Assignment.from_vectors(vectors), table)
-        status = "optimal" if completed else "feasible-incumbent"
-        return SolveResult(solution, status, nodes, runtime)
+        if completed:
+            return SolveResult(solution, "optimal", nodes, runtime,
+                               best_bound=solution.objective)
+        return SolveResult(solution, "feasible-incumbent", nodes, runtime,
+                           best_bound=best_bound)
     if completed:
         reason = max(causes, key=lambda key: (causes[key], key)) \
             if any(causes.values()) else None
         return SolveResult(None, "infeasible", nodes, runtime,
                            infeasible_reason=reason)
-    return SolveResult(None, "budget-exhausted", nodes, runtime)
+    return SolveResult(None, "budget-exhausted", nodes, runtime, best_bound=best_bound)
+
+
+# Subgradient steps that tune the capacity prices of the priced bound.
+_PRICE_STEPS = 8
+
+
+def _priced_bound(order, children, caps, target, max_nodes):
+    """The capacity-priced look-ahead of solve_optimal, or None when the
+    node budget cannot pay for it.
+
+    Relaxing capacity with prices lam_k >= 0 charges a rate at cloud k
+    (1 + lam_k) and credits sum(lam_k * caps[k]); for any prices, the
+    cheapest priced placement without capacity limits, less that credit,
+    bounds every placement that fits from below (weak duality).  Its value
+    L(lam) is the sum of per-chain priced minima, each one pair-state DP
+    per distinct chain row (see _priced_row).  A few Polyak subgradient
+    steps aimed at target, the incumbent's objective, tune lam from 0.
+    Returns (mult, rest, later, bound) for the best step: mult[k] is
+    1 + lam_k; rest[t][j][k] is _priced_row's table for variable t;
+    later[t] sums the priced minima of the chains after t's, less the
+    credit and a relative float margin; bound is L(lam).
+    """
+    K = len(caps)
+    index: dict[tuple, int] = {}    # chain signature -> row number
+    rows: list[list] = []           # [children by VNF, chain count] per row
+    spans = []
+    t = 0
+    for chain in order:
+        key, n_vnfs = (chain.rrh, chain.vnfs), len(chain.vnfs)
+        r = index.setdefault(key, len(rows))
+        if r == len(rows):
+            rows.append([children[t:t + n_vnfs], 0])
+        rows[r][1] += 1
+        spans.append((r, n_vnfs))
+        t += n_vnfs
+    # One step costs about (K**3 + 100) / 10 search nodes per VNF of each
+    # row.  All steps together get at most a quarter of the node budget, so
+    # a search that spends its whole budget pays at most 25% more; a
+    # single step, at lam = 0, would not price capacity at all.
+    work = sum(len(kids) for kids, _ in rows) * (K ** 3 + 100) // 10
+    steps = min(_PRICE_STEPS, max_nodes // (4 * work))
+    if steps < 2:
+        return None
+    lam = [0.0] * K
+    best = None
+    theta = 1.0
+    for _ in range(steps):
+        mult = [1.0 + x for x in lam]
+        loads = [0.0] * K
+        tables = [_priced_row(kids, mult, loads, count) for kids, count in rows]
+        total = sum(count * least for (_, count), (_, least) in zip(rows, tables))
+        credit = sum(x * c for x, c in zip(lam, caps) if x)
+        bound = total - credit
+        if best is None or bound > best[0]:
+            best = (bound, mult, tables, 1e-9 * (total + credit))
+        else:
+            theta /= 2
+        # Projected subgradient: a free cloud (lam_k = 0) with spare
+        # capacity keeps its zero price.
+        grad = [ld - c if x or ld > c else 0.0 for x, ld, c in zip(lam, loads, caps)]
+        norm = sum(s * s for s in grad)
+        if not norm or bound >= target:
+            break
+        step = theta * (target - bound) / norm
+        lam = [max(0.0, x + step * s) for x, s in zip(lam, grad)]
+    bound, mult, tables, margin = best
+    tail = bound - margin
+    rest: list = []
+    later: list[float] = []
+    for r, n_vnfs in spans:
+        table, least = tables[r]
+        tail -= least
+        rest += table[1:]
+        later += [tail] * n_vnfs
+    return mult, rest, later, bound
+
+
+def _priced_row(kids, mult, loads, count):
+    """The priced pair-state DP of one chain row.
+
+    kids[n - 1] is RateTable.children of VNF n, and a rate at cloud index
+    k costs mult[k].  Rate n is the co-located rate plus the larger of the
+    forward and backward penalty, so the state is the clouds of VNFs n-1
+    and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
+    still to come when VNF n-1 sits at j and VNF n at k, beyond VNF n's
+    self rate (what its forward penalty adds, then VNFs n+1 onward);
+    least is the chain's priced minimum.  count times the loads of a
+    placement that attains least are added to loads.
+    """
+    K, N = len(mult), len(kids)
+    rest: list = [None] * (N + 1)
+    rest[N] = [[0.0] * K] * K
+    for n in range(N - 1, 0, -1):
+        after, nxt = rest[n + 1], kids[n]
+        # opts[k]: VNF n+1's choices when VNF n sits at k, as (forward
+        # penalty on VNF n, priced cost of VNF n+1 onward).
+        opts = [[(f, mult[l] * rate + tail[l])
+                 for l, rate, _, f in nxt[k] if rate != INFEASIBLE]
+                for k, tail in enumerate(after)]
+        table = []
+        # The head's choices do not depend on a previous cloud.
+        for by_prev in kids[n - 1][:1 if n == 1 else K]:
+            row = []
+            for k, rate, b, _ in by_prev:
+                least = INFEASIBLE
+                if rate != INFEASIBLE:
+                    m = mult[k]
+                    for f, c in opts[k]:
+                        if f > b:
+                            c += m * (f - b)
+                        if c < least:
+                            least = c
+                row.append(least)
+            table.append(row)
+        rest[n] = table * K if n == 1 else table
+    least, k, b = INFEASIBLE, 0, 0.0
+    for i, rate, _, _ in kids[0][0]:
+        if mult[i] * rate + rest[1][0][i] < least:
+            least, k, rate_k = mult[i] * rate + rest[1][0][i], i, rate
+    loads[k] += count * rate_k
+    # Walk a placement that attains least, for the subgradient.
+    for n in range(1, N):
+        m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
+        for i, rate, pen_bwd, f in kids[n][k]:
+            c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
+            if c < best:
+                best, l, rate_l, b_l, inc = c, i, rate, pen_bwd, max(f - b, 0.0)
+        loads[k] += count * inc
+        loads[l] += count * rate_l
+        k, b = l, b_l
+    return rest, least
 
 
 def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
@@ -318,7 +475,8 @@ def brute_force(inst: Instance, cap: int = 10_000_000,
     vectors = {chain.id: list(best_combo[i][0])
                for i, chain in enumerate(inst.chains)}
     solution = evaluate(inst, Assignment.from_vectors(vectors), table)
-    return SolveResult(solution, "optimal", examined, runtime)
+    return SolveResult(solution, "optimal", examined, runtime,
+                       best_bound=solution.objective)
 
 
 @dataclass(frozen=True)

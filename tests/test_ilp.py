@@ -91,7 +91,7 @@ def test_parse_rejects_constraint_without_sense(line):
         parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
 
 
-@pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0"])
+@pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0"])
 def test_parse_rejects_unsupported_bound(line):
     with pytest.raises(ValueError):
         parse_lp_text(f"Minimize\n obj: x\nBounds\n{line}\nEnd\n")

@@ -203,6 +203,69 @@ def test_root_proof_settles_eight_cloud_ladder(size):
         assert res.solution.feasible
 
 
+# The benchmark's exact ladder keeps its HiGHS optima here, in the order
+# edge sites (center, all) x S (5, 7, 9, 11) x scenario seeds 0-2.
+LADDER_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_reference.json"
+
+
+@pytest.mark.parametrize("size", (7, 9, 11))
+def test_priced_bound_proves_two_cloud_ladder(size):
+    # On two clouds the edge capacity decides the optimum, so the root
+    # proof fails and only the capacity-priced bound closes the gap.
+    optima = json.loads(LADDER_REFERENCE.read_text(encoding="utf-8"))["ladder"]
+    for seed in range(3):
+        inst = build_instance(ScenarioConfig(edge_sites="center", seed=seed),
+                              d0_m=45_000.0, size=size)
+        res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000,
+                                                      time_limit=math.inf))
+        assert res.status == "optimal", seed
+        expected = optima[3 * (5, 7, 9, 11).index(size) + seed]["objective"]
+        assert math.isclose(res.solution.objective, expected, rel_tol=1e-9), seed
+
+
+def test_best_bound_never_exceeds_brute_force(monkeypatch):
+    """best_bound is a proven lower bound: never above brute force's
+    optimum, the objective itself when the status is optimal, and None
+    for an infeasible instance.  Each priced bound L(lam) that
+    solve_optimal builds is held to the same."""
+    priced = []
+
+    def recording(*args):
+        out = real(*args)
+        if out is not None:
+            priced.append(out[3])
+        return out
+
+    real = solver._priced_bound
+    monkeypatch.setattr(solver, "_priced_bound", recording)
+    stopped = checked = 0
+    for seed in (61, 62, 63):
+        rng = random.Random(seed)
+        for _ in range(40):
+            inst = rand_instance(rng, max_chains=4, num_edges=rng.choice([1, 2, 3]))
+            oracle = brute_force(inst)
+            if oracle.status != "optimal":
+                assert oracle.best_bound is None
+                assert solve_optimal(inst).best_bound is None
+                continue
+            opt = oracle.solution.objective
+            assert oracle.best_bound == opt
+            for max_nodes in (1, 10_000_000):
+                priced.clear()
+                res = solve_optimal(inst, budget=SearchBudget(max_nodes=max_nodes))
+                if res.status == "optimal":
+                    assert res.best_bound == res.solution.objective
+                else:
+                    stopped += 1
+                    assert res.status in ("feasible-incumbent", "budget-exhausted")
+                    assert res.best_bound <= opt * (1 + 1e-9)
+                for bound in priced:
+                    checked += 1
+                    assert bound <= opt * (1 + 1e-9)
+    assert stopped >= 20
+    assert checked >= 20
+
+
 def test_empty_instance_is_trivially_optimal():
     infra = Infrastructure(
         clouds=(CloudNode(0, 10.0),),
