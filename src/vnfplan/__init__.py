@@ -14,7 +14,6 @@ from .rates import Assignment, Solution, evaluate
 from .scenario import ScenarioConfig, SweepRecord, build_instance, export_csv, run_sweep
 from .solver import (
     BruteForceCapError,
-    BudgetExceededError,
     SearchBudget,
     SolveResult,
     brute_force,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment",
     "BruteForceCapError",
-    "BudgetExceededError",
     "ConfigError",
     "HeuristicResult",
     "IlpModel",

@@ -15,15 +15,10 @@ class BruteForceCapError(ValueError):
     """The enumeration space exceeds the configured cap."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when optimality was required but the budget ran out."""
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = 10_000_000
     time_limit: float = 600.0       # seconds
-    optimality_required: bool = False
 
     def __post_init__(self):
         if self.max_nodes < 0:
@@ -53,16 +48,21 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                   table: RateTable | None = None) -> SolveResult:
     """Depth-first branch and bound over per-VNF cloud choices.
 
-    Before searching, a root proof tries each chain's lexicographically
-    smallest zero-slack path (see _zero_slack): no split penalty and a
-    head at its cheapest cloud.  That placement meets the root bound, so
-    when it fits every capacity it is returned as optimal with nodes == 0;
-    it is then the lexicographically smallest optimum.  Otherwise the
-    search starts from b_first's placement when b_first places every
-    chain, and returns the first placement strictly cheaper than the best
-    so far (b_first's own when none is).  Chains are branched heaviest
-    first, in b_first's packing order (heuristics.packing_order), so a
-    chain that fits nowhere is found near the root; VNFs keep their order
+    Two root proofs come before the search.  The first tries each chain's
+    lexicographically smallest zero-slack path (see _zero_slack): no split
+    penalty and a head at its cheapest cloud.  That placement meets the
+    capacity-free root bound, so when it fits every capacity it is
+    returned as optimal with nodes == 0; it is then the lexicographically
+    smallest optimum.  Otherwise, when b_first places every chain, its
+    placement is the incumbent, and the second proof keeps exact the
+    capacity of the cloud that the zero-slack placement overloads most
+    (see _knapsack_bound).  When that bound reaches the incumbent,
+    b_first's placement is returned as optimal with nodes == 0.  Else the
+    search starts from b_first's placement and returns the first
+    placement strictly cheaper than the best so far (b_first's own when
+    none is).  Chains are branched heaviest first, in b_first's packing
+    order (heuristics.packing_order), so a chain that fits nowhere is
+    found near the root; VNFs keep their order
     within a chain and clouds are tried in ascending id order.  Without a
     warm start the first optimum found is therefore the lexicographically
     smallest in that variable order; results are deterministic whenever
@@ -74,8 +74,11 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     committed cost plus the priced cost still to come cannot beat the
     incumbent.  The capacity-free estimate stays and is tested first; it
     is cheaper and, near the root, where the priced bound is weak, the
-    tighter of the two.  best_bound is the objective when optimal and
-    the larger root bound on a budget stop.
+    tighter of the two.  The knapsack and the priced bound each give up
+    when they would cost more than a quarter of max_nodes, counted
+    without a clock.  best_bound is the objective when optimal and the
+    largest of the three root bounds (capacity-free, knapsack, priced)
+    on a budget stop.
     use_lower_bound=False is the plain exhaustive search in
     input chain order: no root proof, no warm start and no pruning.
     nodes counts every child tried, rejected ones included, and
@@ -128,19 +131,30 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     # children[t][p]: the choices of variable t when variable t-1 sits at
     # cloud index p (see RateTable.children).  From here on a cloud is
     # named by its index in clouds.
-    children = [table.children(cid, n) for cid, n in variables]
+    rows, spans = _chain_rows(order, table)
+    children = [kids for r, _ in spans for kids in rows[r][0]]
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     priced = None
+    proven = False
     if use_lower_bound and len(warm.accepted_ids) == len(inst.chains) \
             and warm.solution.feasible:
         best_obj = warm.solution.objective
         index = {k: i for i, k in enumerate(clouds)}
         x = warm.solution.assignment.x
         best_vec = [index[x[var]] for var in variables]
-        priced = _priced_bound(order, children, caps, best_obj, budget.max_nodes)
-        if priced is not None:
-            mult, priced_rest, later, bound = priced
-            best_bound = max(best_bound, bound)
+        # Keep exact the capacity of the cloud that the zero-slack
+        # placement overloads most.
+        over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
+        bound = _knapsack_bound(rows, caps, over.index(max(over)), budget.max_nodes)
+        if bound is not None and bound >= best_obj * (1 - 1e-9):
+            proven = True
+        else:
+            if bound is not None:
+                best_bound = max(best_bound, bound)
+            priced = _priced_bound(rows, spans, caps, best_obj, budget.max_nodes)
+            if priced is not None:
+                mult, priced_rest, later, bound = priced
+                best_bound = max(best_bound, bound)
     latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
                      for _, n in variables]
     loads = [0.0] * len(clouds)
@@ -160,7 +174,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     completed = True
     if num_vars == 0:
         best_obj, best_vec = 0.0, []
-    else:
+    elif not proven:
         last = num_vars - 1
         stack: list[tuple] = []
         t, g, G, G2, prev_bwd, j = 0, 0.0, 0.0, 0.0, 0.0, 0
@@ -230,10 +244,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             completed = False
     runtime = time.perf_counter() - start
 
-    if not completed and budget.optimality_required:
-        raise BudgetExceededError(
-            f"search budget exhausted after {nodes} nodes ({runtime:.3f}s)")
-
     if best_vec is not None:
         vectors: dict[str, list[int]] = {c.id: [] for c in inst.chains}
         for (cid, _), k in zip(variables, best_vec):
@@ -252,11 +262,119 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     return SolveResult(None, "budget-exhausted", nodes, runtime, best_bound=best_bound)
 
 
+def _chain_rows(order, table):
+    """The distinct chain rows of order, for the root bounds.
+
+    Returns (rows, spans): rows[r] is [kids, count], where kids[n - 1] is
+    RateTable.children of VNF n and count is how many chains share the
+    row's (RRH, VNF list) signature; spans[i] is (row number, VNF count)
+    of order[i].
+    """
+    index: dict[tuple, int] = {}    # chain signature -> row number
+    rows: list[list] = []
+    spans = []
+    for chain in order:
+        key, n_vnfs = (chain.rrh, chain.vnfs), len(chain.vnfs)
+        r = index.setdefault(key, len(rows))
+        if r == len(rows):
+            rows.append([[table.children(chain.id, n) for n in range(1, n_vnfs + 1)], 0])
+        rows[r][1] += 1
+        spans.append((r, n_vnfs))
+    return rows, spans
+
+
+# The knapsack bound counts the binding cloud's capacity in these units.
+_UNITS = 64
+
+
+def _knapsack_bound(rows, caps, c, max_nodes):
+    """A root lower bound of solve_optimal that keeps cloud index c's
+    capacity exact and drops every other cloud's, or None when the node
+    budget cannot pay for it.
+
+    Lagrangean decomposition with a multiple-choice knapsack (Guignard &
+    Kim 1987; Pisinger 1995), without prices.  Per row, a pair-state DP
+    over the VNFs keeps, for each state (cloud of the last VNF placed, its
+    backward penalty), the Pareto list of (exact load on c, cost) over the
+    chain's placements so far, with the search's penalty arithmetic.  Each
+    chain's final load is floored to units of caps[c] / _UNITS, so a
+    placement that fits spends at most _UNITS units: the floors never add
+    up to more than the floor of the sum.  The chains are then combined by
+    min-plus convolution, and the bound is the least total cost within
+    _UNITS units.  Every (load, cost) entry the DP makes and every pair
+    the convolution tries counts as one node; past a quarter of
+    max_nodes, the share _priced_bound takes, the bound gives up.
+    """
+    cap = caps[c]
+    unit = cap / _UNITS
+    limit = max_nodes // 4
+    # With one entry in each of its K**2 pair states, the DP would make
+    # K**3 entries per VNF past the head.  When even that passes the
+    # limit, as on 8 clouds at a 20k-node budget, it does not start.
+    if sum(len(kids) - 1 for kids, _ in rows) * len(caps) ** 3 > limit:
+        return None
+    entries = 0
+    total = [(0, 0.0)]      # (units, least cost) of the chains so far
+    for kids, count in rows:
+        front = {}
+        for k, rate, _, _ in kids[0][0]:
+            load = rate if k == c else 0.0
+            if rate != INFEASIBLE and load <= cap:
+                front[k, 0.0] = [(load, rate)]
+        for by_prev in kids[1:]:
+            grown: dict[tuple, list] = {}
+            for (j, b), pairs in front.items():
+                for k, rate, pen_bwd, pen_fwd_prev in by_prev[j]:
+                    if rate == INFEASIBLE:
+                        continue
+                    inc_prev = pen_fwd_prev - b if pen_fwd_prev > b else 0.0
+                    add = (rate if k == c else 0.0) + (inc_prev if j == c else 0.0)
+                    cost = rate + inc_prev
+                    out = grown.setdefault((k, pen_bwd), [])
+                    out += [(load + add, paid + cost) for load, paid in pairs
+                            if load + add <= cap]
+                    entries += len(pairs)
+                if entries > limit:
+                    return None
+            front = {state: _falling(sorted(pairs)) for state, pairs in grown.items()}
+        least = [INFEASIBLE] * (_UNITS + 1)
+        for pairs in front.values():
+            for load, paid in pairs:
+                u = int(load / unit)
+                if paid < least[u]:
+                    least[u] = paid
+        frontier = _falling(enumerate(least))
+        for _ in range(count):
+            entries += len(total) * len(frontier)
+            if entries > limit:
+                return None
+            least = [INFEASIBLE] * (_UNITS + 1)
+            for a, x in total:
+                for u, y in frontier:
+                    if a + u > _UNITS:
+                        break
+                    if x + y < least[a + u]:
+                        least[a + u] = x + y
+            total = _falling(enumerate(least))
+    return total[-1][1] if total else INFEASIBLE
+
+
+def _falling(pairs):
+    """The (size, cost) pairs, given by rising size, whose cost is below
+    that of every pair before them: the Pareto frontier."""
+    out, low = [], INFEASIBLE
+    for size, cost in pairs:
+        if cost < low:
+            out.append((size, cost))
+            low = cost
+    return out
+
+
 # Subgradient steps that tune the capacity prices of the priced bound.
 _PRICE_STEPS = 8
 
 
-def _priced_bound(order, children, caps, target, max_nodes):
+def _priced_bound(rows, spans, caps, target, max_nodes):
     """The capacity-priced look-ahead of solve_optimal, or None when the
     node budget cannot pay for it.
 
@@ -265,26 +383,14 @@ def _priced_bound(order, children, caps, target, max_nodes):
     cheapest priced placement without capacity limits, less that credit,
     bounds every placement that fits from below (weak duality).  Its value
     L(lam) is the sum of per-chain priced minima, each one pair-state DP
-    per distinct chain row (see _priced_row).  A few Polyak subgradient
-    steps aimed at target, the incumbent's objective, tune lam from 0.
-    Returns (mult, rest, later, bound) for the best step: mult[k] is
-    1 + lam_k; rest[t][j][k] is _priced_row's table for variable t;
+    per distinct chain row (see _chain_rows and _priced_row).  A few Polyak
+    subgradient steps aimed at target, the incumbent's objective, tune lam
+    from 0.  Returns (mult, rest, later, bound) for the best step: mult[k]
+    is 1 + lam_k; rest[t][j][k] is _priced_row's table for variable t;
     later[t] sums the priced minima of the chains after t's, less the
     credit and a relative float margin; bound is L(lam).
     """
     K = len(caps)
-    index: dict[tuple, int] = {}    # chain signature -> row number
-    rows: list[list] = []           # [children by VNF, chain count] per row
-    spans = []
-    t = 0
-    for chain in order:
-        key, n_vnfs = (chain.rrh, chain.vnfs), len(chain.vnfs)
-        r = index.setdefault(key, len(rows))
-        if r == len(rows):
-            rows.append([children[t:t + n_vnfs], 0])
-        rows[r][1] += 1
-        spans.append((r, n_vnfs))
-        t += n_vnfs
     # One step costs about (K**3 + 100) / 10 search nodes per VNF of each
     # row.  All steps together get at most a quarter of the node budget, so
     # a search that spends its whole budget pays at most 25% more; a

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
 
-from util import assignment_to_binaries, min_completion, rand_instance, reference_parse_terms
+from util import (
+    SWEEP_HIT_OPTIMA,
+    assignment_to_binaries,
+    min_completion,
+    rand_instance,
+    reference_parse_terms,
+    sweep_hit_instance,
+)
 from vnfplan.ilp import (
     IlpModel,
     LinearConstraint,
@@ -22,7 +29,7 @@ from vnfplan.ilp import (
 )
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, Assignment, RateTable, evaluate
-from vnfplan.solver import solve_optimal
+from vnfplan.solver import SearchBudget, solve_optimal
 
 
 def test_variable_names():
@@ -243,6 +250,19 @@ def test_external_milp_cross_check():
             assert res.status == "infeasible"
             assert sci.status == 2
     assert checked >= 5
+
+
+@pytest.mark.parametrize("rep", range(3))
+def test_sweep_hit_optima_match_highs(rep):
+    """HiGHS proves the optima that solve_optimal proves at the root on
+    the sweep's S=8, d0 = 30 km, Ce = 2240 points."""
+    inst = sweep_hit_instance(rep)
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert res.status == "optimal"
+    sci = _solve_via_scipy(build_ilp(inst))
+    assert sci.status == 0, sci.message
+    for value in (res.solution.objective, SWEEP_HIT_OPTIMA[rep]):
+        assert math.isclose(sci.fun, value, rel_tol=1e-9)
 
 
 def test_fixed_zero_for_unreachable_head():

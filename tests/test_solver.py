@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -9,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import rand_instance
+from util import SWEEP_HIT_OPTIMA, rand_instance, sweep_hit_instance
 from vnfplan import heuristics, solver
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
-from vnfplan.rates import INFEASIBLE, RateTable
+from vnfplan.rates import CAP_TOL, INFEASIBLE, RateTable, evaluate
 from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import (
     METHODS,
     BruteForceCapError,
-    BudgetExceededError,
     SearchBudget,
     brute_force,
     max_accepted_chains,
@@ -126,9 +126,6 @@ def test_budget_node_limit():
     res = solve_optimal(inst, budget=SearchBudget(max_nodes=1))
     assert res.status in ("budget-exhausted", "feasible-incumbent")
     assert res.solution is None or res.solution.feasible
-    with pytest.raises(BudgetExceededError):
-        solve_optimal(inst, budget=SearchBudget(max_nodes=1,
-                                                optimality_required=True))
 
 
 @pytest.mark.parametrize("kwargs", [{"max_nodes": -5}, {"time_limit": -1.0},
@@ -146,16 +143,21 @@ def test_search_budget_accepts_zero_and_infinite_limits():
 
 
 def test_root_proof_is_lex_smallest_optimum():
-    """A result proven at the root (0 nodes) is the placement the plain
-    exhaustive search returns: the lexicographically smallest optimum."""
+    """A result proven by a feasible zero-slack placement is the placement
+    the plain exhaustive search returns: the lexicographically smallest
+    optimum."""
     proven = 0
     for seed in (31, 32, 33):
         rng = random.Random(seed)
         for _ in range(40):
             inst = rand_instance(rng, num_edges=rng.choice([1, 2, 3]))
-            res = solve_optimal(inst)
-            if res.status != "optimal" or res.nodes != 0 or not inst.chains:
+            if not inst.chains:
                 continue
+            table = RateTable(inst)
+            if not evaluate(inst, solver._zero_slack(inst, table), table).feasible:
+                continue
+            res = solve_optimal(inst)
+            assert (res.status, res.nodes) == ("optimal", 0)
             proven += 1
             full = solve_optimal(inst, use_lower_bound=False)
             assert full.status == "optimal"
@@ -165,19 +167,19 @@ def test_root_proof_is_lex_smallest_optimum():
 
 
 def test_warm_start_from_b_first():
-    """Where capacity defeats the root proof and b_first places every
-    chain, a one-node search already returns b_first's deployment or a
-    cheaper one, and the full search still finds the optimum."""
+    """Where capacity defeats the zero-slack root proof and b_first places
+    every chain, a one-node search already returns b_first's deployment
+    or a cheaper one, and the full search still finds the optimum."""
     warm = 0
     rng = random.Random(41)
     for _ in range(80):
         inst = rand_instance(rng)
-        greedy = heuristics.b_first(inst)
-        if len(greedy.accepted_ids) < len(inst.chains):
+        table = RateTable(inst)
+        greedy = heuristics.b_first(inst, table=table)
+        if len(greedy.accepted_ids) < len(inst.chains) or \
+                evaluate(inst, solver._zero_slack(inst, table), table).feasible:
             continue
         res = solve_optimal(inst)
-        if res.nodes == 0:
-            continue
         warm += 1
         assert res.status == "optimal"
         oracle = brute_force(inst)
@@ -223,11 +225,19 @@ def test_priced_bound_proves_two_cloud_ladder(size):
         assert math.isclose(res.solution.objective, expected, rel_tol=1e-9), seed
 
 
+def _knapsack_inputs(inst: Instance):
+    """The rows and capacities that solve_optimal hands _knapsack_bound."""
+    table = RateTable(inst)
+    rows, _ = solver._chain_rows(heuristics.packing_order(inst, table), table)
+    return rows, [inst.infra.capacity(k) + CAP_TOL for k in inst.infra.cloud_ids()]
+
+
 def test_best_bound_never_exceeds_brute_force(monkeypatch):
     """best_bound is a proven lower bound: never above brute force's
     optimum, the objective itself when the status is optimal, and None
     for an infeasible instance.  Each priced bound L(lam) that
-    solve_optimal builds is held to the same."""
+    solve_optimal builds, and the knapsack bound for every choice of the
+    cloud kept exact, are held to the same."""
     priced = []
 
     def recording(*args):
@@ -238,7 +248,7 @@ def test_best_bound_never_exceeds_brute_force(monkeypatch):
 
     real = solver._priced_bound
     monkeypatch.setattr(solver, "_priced_bound", recording)
-    stopped = checked = 0
+    stopped = checked = knapsacks = 0
     for seed in (61, 62, 63):
         rng = random.Random(seed)
         for _ in range(40):
@@ -250,6 +260,10 @@ def test_best_bound_never_exceeds_brute_force(monkeypatch):
                 continue
             opt = oracle.solution.objective
             assert oracle.best_bound == opt
+            rows, caps = _knapsack_inputs(inst)
+            for c in range(len(caps)):
+                knapsacks += 1
+                assert solver._knapsack_bound(rows, caps, c, 10**9) <= opt * (1 + 1e-9)
             for max_nodes in (1, 10_000_000):
                 priced.clear()
                 res = solve_optimal(inst, budget=SearchBudget(max_nodes=max_nodes))
@@ -264,6 +278,124 @@ def test_best_bound_never_exceeds_brute_force(monkeypatch):
                     assert bound <= opt * (1 + 1e-9)
     assert stopped >= 20
     assert checked >= 20
+    assert knapsacks >= 100
+
+
+def _enumerated_knapsack(options, c, cap):
+    """The knapsack bound by enumeration: options lists, per chain, the
+    (loads by cloud index, cost) of each placement."""
+    unit = cap / solver._UNITS
+    total = {0: 0.0}
+    for placements in options:
+        least: dict[int, float] = {}
+        for loads, cost in placements:
+            if loads[c] <= cap:
+                u = int(loads[c] / unit)
+                least[u] = min(least.get(u, INFEASIBLE), cost)
+        grown: dict[int, float] = {}
+        for a, x in total.items():
+            for u, y in least.items():
+                if a + u <= solver._UNITS:
+                    grown[a + u] = min(grown.get(a + u, INFEASIBLE), x + y)
+        total = grown
+    return min(total.values(), default=INFEASIBLE)
+
+
+def test_knapsack_bound_equals_enumeration():
+    """The DP's frontier is exact: the bound equals a min-plus combination
+    of every placement of every chain, each with its load on the cloud
+    kept exact floored to units, as the rate table prices them.  The
+    capacities tried bind at every depth: loads that single placements
+    put on that cloud, and shares of the most all chains can put there."""
+    rng = random.Random(71)
+    cases = [rand_instance(rng, max_chains=2, num_edges=rng.choice([1, 2]))
+             for _ in range(30)]
+    cases += [sweep_hit_instance(0),
+              build_instance(ScenarioConfig(edge_sites="center", seed=0),
+                             d0_m=45_000.0, size=7)]
+    compared = binding = 0
+    for inst in cases:
+        table = RateTable(inst)
+        clouds = list(inst.infra.cloud_ids())
+        rows, _ = _knapsack_inputs(inst)
+        options = []
+        for chain in inst.chains:
+            placements = []
+            for combo in itertools.product(clouds, repeat=len(chain.vnfs)):
+                rates = table.chain_rates(chain.id, combo)
+                if INFEASIBLE not in rates:
+                    placements.append(([sum(r for k, r in zip(combo, rates) if k == j)
+                                        for j in clouds], sum(rates)))
+            options.append(placements)
+        if not all(options):
+            continue
+        free = sum(min(cost for _, cost in placements) for placements in options)
+        for c in range(len(clouds)):
+            loads = sorted({ld[c] for placements in options for ld, _ in placements} - {0.0})
+            most = sum(max(ld[c] for ld, _ in placements) for placements in options)
+            for cap in loads[::max(1, len(loads) // 12)] + [most / 4, most / 2, 3 * most / 4]:
+                expected = _enumerated_knapsack(options, c, cap)
+                bound = solver._knapsack_bound(rows, [cap] * len(clouds), c, 10**9)
+                if expected == INFEASIBLE:
+                    assert bound == INFEASIBLE
+                    continue
+                compared += 1
+                binding += expected > free * (1 + 1e-9)
+                assert math.isclose(bound, expected, rel_tol=1e-12), (c, cap)
+    assert compared >= 300
+    assert binding >= 150
+
+
+def test_knapsack_bound_with_the_binding_cloud_full():
+    """Units are floored, so a placement that fills the cloud kept exact
+    to its capacity still counts as fitting: the bound reaches the
+    optimum without passing it, and proves it at the root."""
+    # A one-VNF chain of g GFLOPS needs 1000 g at the edge cloud 1, next
+    # to its RRH, and 1000 g / 0.9 at cloud 0, 20 km away.  The three
+    # heaviest chains fill the edge exactly, at 21.5, 21.25 and 21.25
+    # units of 2000 / 64: their floors fit in 64 units, their ceilings
+    # would not.
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 2000.0)),
+        rrh_distances={"r0": {0: 20_000.0, 1: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: 20_000.0}, 1: {0: 20_000.0, 1: 0.0}},
+    )
+    chains = tuple(ChainRequest(id=f"c{i}", service=None, rrh="r0",
+                                vnfs=(VnfSpec(g, 1.0, 1.0),))
+                   for i, g in enumerate((0.671875, 0.6640625, 0.6640625, 0.4)))
+    inst = Instance(infra=infra, chains=chains)
+    opt = brute_force(inst).solution
+    assert opt.loads[1] == inst.infra.capacity(1)
+    bound = solver._knapsack_bound(*_knapsack_inputs(inst), 1, 10**9)
+    assert opt.objective * (1 - 1e-9) <= bound <= opt.objective * (1 + 1e-9)
+    res = solve_optimal(inst)
+    assert (res.status, res.nodes) == ("optimal", 0)
+    assert res.solution.objective == opt.objective
+
+
+def test_knapsack_bound_gives_up_past_a_quarter_of_the_budget():
+    # On this sweep instance the DP's estimate is 448 entries and it makes
+    # about a thousand: 2_000 nodes let it start, but not finish.
+    rows, caps = _knapsack_inputs(sweep_hit_instance(0))
+    for max_nodes in (0, 4, 400, 2_000):
+        assert solver._knapsack_bound(rows, caps, 1, max_nodes) is None
+    assert solver._knapsack_bound(rows, caps, 1, 20_000) is not None
+    # On 8 clouds the estimate alone passes a quarter of 20k nodes.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, edge_capacity=1500.0)
+    rows, caps = _knapsack_inputs(build_instance(cfg, d0_m=45_000.0, size=7))
+    assert all(solver._knapsack_bound(rows, caps, c, 20_000) is None
+               for c in range(len(caps)))
+
+
+@pytest.mark.parametrize("rep", range(3))
+def test_knapsack_bound_proves_sweep_hits(rep):
+    """The sweep's S=8, d0 = 30 km, Ce = 2240 points, where b_first's
+    placement is optimal but the priced bound stops short of it."""
+    res = solve_optimal(sweep_hit_instance(rep),
+                        budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert (res.status, res.nodes) == ("optimal", 0)
+    assert math.isclose(res.solution.objective, SWEEP_HIT_OPTIMA[rep], rel_tol=1e-12)
+    assert res.best_bound == res.solution.objective
 
 
 def test_empty_instance_is_trivially_optimal():

@@ -20,8 +20,20 @@ from typing import Mapping, Optional, Sequence
 from vnfplan.ilp import IlpModel, x_name
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import CAP_TOL, EPS_MS, INFEASIBLE, Assignment, comm_delay_ms
+from vnfplan.scenario import ScenarioConfig, build_instance
 
 KM = 1000.0
+
+# The optima of the sweep's center-layout points at S=8, d0 = 30 km and
+# Ce = 2240, reps 0-2 (see sweep_hit_instance), proven by HiGHS.
+SWEEP_HIT_OPTIMA = (6949.742247657658, 6949.622311509312, 6958.6678104138355)
+
+
+def sweep_hit_instance(rep: int) -> Instance:
+    """The instance that the benchmark's sweep (scenario seed 11) solves at
+    center, S=8, d0 = 30 km, Ce = 2240 and repetition rep."""
+    return build_instance(ScenarioConfig(edge_sites="center", seed=11), d0_m=30_000.0,
+                          size=8, edge_capacity=2240.0, seed=11 * 100003 + rep)
 
 
 def rand_instance(rng: random.Random, max_chains: int = 3, max_vnfs: int = 4,
