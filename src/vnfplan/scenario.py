@@ -181,49 +181,57 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
             raise ValueError(f"unknown mix profile {cfg.mix_profile!r}")
         svc = services[cfg.mix_profile]
         mix = [(svc, rng.choice(rrhs)) for _ in range(n_chains)]
-    chains: list[ChainRequest] = []
-    for idx, (svc, rrh) in enumerate(mix):
-        chains.append(build_chain(model, svc, rrh, f"c{idx:03d}"))
-    return Instance(infra=infra, chains=tuple(chains))
+    # One VNF tuple per service, so equal chain signatures compare by identity.
+    vnfs = {svc: build_chain(model, svc, "", "").vnfs
+            for svc in dict.fromkeys(svc for svc, _ in mix)}
+    chains = tuple(ChainRequest(f"c{idx:03d}", svc, rrh, vnfs[svc])
+                   for idx, (svc, rrh) in enumerate(mix))
+    return Instance(infra=infra, chains=chains)
 
 
-def _solve_point(cfg: ScenarioConfig, method: str, size: int, d0: float,
-                 ce: float, rep: int, budget: SearchBudget,
-                 measure_runtime: bool) -> SweepRecord:
-    seed_eff = cfg.seed * 100003 + rep
-    cran = method == "cran_only"
-    inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce,
-                          seed=seed_eff, cran=cran)
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("; ".join(problems))
-    # Pad loads with the hybrid cloud ids (0 central, 1..K edge) so every
-    # record of a sweep has the same columns, whichever variant produced it.
-    edges = _edge_positions(hex_sites(cfg.rings, cfg.isd), cfg.edge_sites)
-    solver_kind = "optimal" if cran else method
-
-    started = time.perf_counter()
-    table = RateTable(inst)
-    out = run_method(solver_kind, inst, table, budget)
-    runtime = time.perf_counter() - started if measure_runtime else 0.0
-
-    accepted = out.accepted
-    if accepted < len(inst.chains) and METHODS[solver_kind].all_or_nothing:
-        accepted, kept = longest_prefix(inst, solver_kind, table, budget, full=out)
-        if kept is None:
-            kept = run_method(solver_kind, inst.subset([]), table, budget)
-        out = kept
-    sol = out.solution
-    loads = sol.loads if sol is not None else {}
-    full_loads = {k: loads.get(k, 0.0) for k in range(1 + len(edges))}
+def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
+                 d0: float, ce: float, rep: int, budget: SearchBudget,
+                 measure_runtime: bool) -> list[SweepRecord]:
+    """One record per method; each instance kind is built, checked and tabled once."""
     scenario = (f"hex{cfg.rings}-S{size}-d0{d0:g}-ce{ce:g}"
                 f"-seed{cfg.seed}-rep{rep}")
-    return SweepRecord(scenario=scenario, method=method, size=size, d0_m=d0,
-                       objective_gflops_s=sol.objective if sol is not None else 0.0,
-                       accepted=accepted, loads=full_loads, runtime_s=runtime)
+    # Pad loads with the hybrid cloud ids (0 central, 1..K edge) so every
+    # record of a sweep has the same columns, whichever variant produced it.
+    n_clouds = 1 + len(_edge_positions(hex_sites(cfg.rings, cfg.isd), cfg.edge_sites))
+    shared: dict[bool, tuple[Instance, RateTable]] = {}
+    records = []
+    for method in methods:
+        cran = method == "cran_only"
+        if cran not in shared:
+            inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce,
+                                  seed=cfg.seed * 100003 + rep, cran=cran)
+            problems = validate_instance(inst)
+            if problems:
+                raise ValueError("; ".join(problems))
+            shared[cran] = inst, RateTable(inst)
+        inst, table = shared[cran]
+        kind = "optimal" if cran else method
+        try:
+            started = time.perf_counter()
+            out = run_method(kind, inst, table, budget)
+            runtime = time.perf_counter() - started if measure_runtime else 0.0
+            accepted = out.accepted
+            if accepted < len(inst.chains) and METHODS[kind].all_or_nothing:
+                accepted, kept = longest_prefix(inst, kind, table, budget, full=out)
+                out = kept or run_method(kind, inst.subset([]), table, budget)
+        except ValueError as exc:
+            raise type(exc)(f"{scenario} {method}: {exc}") from exc
+        sol = out.solution
+        loads = sol.loads if sol is not None else {}
+        records.append(SweepRecord(
+            scenario=scenario, method=method, size=size, d0_m=d0,
+            objective_gflops_s=sol.objective if sol is not None else 0.0,
+            accepted=accepted, loads={k: loads.get(k, 0.0) for k in range(n_clouds)},
+            runtime_s=runtime))
+    return records
 
 
-def _run_task(task) -> SweepRecord:
+def _run_task(task) -> list[SweepRecord]:
     return _solve_point(*task)
 
 
@@ -231,13 +239,16 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
               axes: Optional[Mapping[str, Sequence[float]]] = None,
               reps: int = 10, budget: Optional[SearchBudget] = None,
               measure_runtime: bool = False, jobs: int = 1) -> list[SweepRecord]:
-    """Run every (method, axis point, repetition) and collect records.
+    """Run every method at every (axis point, repetition) and collect records.
 
     axes maps any of "S", "d0", "Ce" to the values to sweep; missing axes
-    stay at the config defaults.  Records come back in canonical order
-    (method, then axis point, then repetition) regardless of jobs, and
-    runtimes are reported as 0.0 unless measure_runtime is set, keeping
-    the default output reproducible byte for byte.
+    stay at the config defaults.  Each point is one task (the unit jobs > 1
+    spreads over worker processes) that builds its instances once for all
+    methods.  Records come back in canonical order (method, then axis
+    point, then repetition) regardless of jobs, and runtimes are reported
+    as 0.0 unless measure_runtime is set, keeping the default output
+    reproducible byte for byte.  A method's ValueError is raised again as
+    the same type, prefixed with the point's scenario label and method.
     """
     if not methods:
         raise ValueError("no methods given")
@@ -261,20 +272,17 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     # cran_only folds Ce into the central cloud, where no check sees it.
     if any(ce <= 0 for ce in edge_caps):
         raise ValueError(f"edge capacities must be positive, got {edge_caps}")
-    tasks = []
-    for method in ordered:
-        for size in sizes:
-            for d0 in dists:
-                for ce in edge_caps:
-                    for rep in range(reps):
-                        tasks.append((cfg, method, size, d0, ce, rep,
-                                      budget, measure_runtime))
+    tasks = [(cfg, ordered, size, d0, ce, rep, budget, measure_runtime)
+             for size in sizes for d0 in dists for ce in edge_caps
+             for rep in range(reps)]
     # Workers start on the first submit, so never ask for more than can work.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_task, tasks))
-    return [_run_task(task) for task in tasks]
+            per_point = list(pool.map(_run_task, tasks))
+    else:
+        per_point = [_run_task(task) for task in tasks]
+    return [records[i] for i in range(len(ordered)) for records in per_point]
 
 
 def _fmt(v: float) -> str:

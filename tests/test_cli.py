@@ -315,6 +315,20 @@ def test_sweep_unknown_method(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_error_names_its_point(tmp_path, capsys):
+    """Three chains of eight VNFs on two clouds exceed the brute-force cap."""
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--methods", "optimal,brute,b-first", "--out", str(out),
+               "--axis-s", "2,3", "--axis-ce", "300,4480", "--reps", "2",
+               "--edge-sites", "center"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert not out.exists()
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: hex1-S3-d030000-ce300-seed0-rep0 brute: "
+        "enumeration space exceeds cap 10000000"]
+
+
 def test_help_and_console_script():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

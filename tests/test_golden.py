@@ -113,5 +113,6 @@ def test_sweep_output_matches_golden(tmp_path, capsys):
 def test_sweep_over_brute_force_cap_matches_golden(tmp_path, capsys):
     result, csv = run_sweep_case(tmp_path, SWEEP_CAP_ARGS, capsys)
     assert result == {"rc": 2, "stdout": "",
-                      "stderr": "error: enumeration space exceeds cap 10000000\n"}
+                      "stderr": "error: hex1-S3-d030000-ce300-seed0-rep0 brute: "
+                                "enumeration space exceeds cap 10000000\n"}
     assert csv is None

@@ -4,7 +4,9 @@ import pytest
 
 from util import efficiency_improvement
 from vnfplan import scenario, solver
-from vnfplan.model import validate_instance
+from vnfplan.config import default_model
+from vnfplan.model import build_chain, validate_instance
+from vnfplan.rates import RateTable
 from vnfplan.scenario import (
     METHOD_ORDER,
     ScenarioConfig,
@@ -17,7 +19,7 @@ from vnfplan.scenario import (
     read_csv,
     run_sweep,
 )
-from vnfplan.solver import SearchBudget
+from vnfplan.solver import BruteForceCapError, SearchBudget
 
 import random
 
@@ -167,14 +169,86 @@ def test_run_sweep_rejects_bad_input():
                                  "fixed_service", "cran_only"}
 
 
+ALL_METHODS = ["optimal", "b-first", "fixed-split", "fixed-service", "cran-only"]
+
+
 def test_run_sweep_deterministic_and_parallel():
-    cfg = _small_cfg()
-    axes = {"S": [2, 4]}
-    once = run_sweep(cfg, ["b_first"], axes=axes, reps=2)
-    twice = run_sweep(cfg, ["b_first"], axes=axes, reps=2)
-    assert once == twice
-    parallel = run_sweep(cfg, ["b_first"], axes=axes, reps=2, jobs=2)
-    assert parallel == once
+    """Every method, a point whose full request is rejected (so prefixes
+    are re-solved), and the same records from one method at a time, twice,
+    and from two worker processes."""
+    cfg = ScenarioConfig(edge_sites="center", seed=11)
+    kwargs = dict(axes={"S": [2, 4], "d0": [90_000.0], "Ce": [2240.0]}, reps=2,
+                  budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    once = run_sweep(cfg, ALL_METHODS, **kwargs)
+    assert [r.method for r in once] == [m for m in METHOD_ORDER if m != "brute"
+                                        for _ in range(4)]
+    assert any(r.accepted < r.size for r in once if r.method == "optimal")
+    assert once == [rec for method in ALL_METHODS
+                    for rec in run_sweep(cfg, [method], **kwargs)]
+    assert run_sweep(cfg, ALL_METHODS, **kwargs) == once
+    assert run_sweep(cfg, ALL_METHODS, jobs=2, **kwargs) == once
+
+
+def test_sweep_point_builds_each_instance_once(monkeypatch):
+    """Both kinds of instance (hybrid and central-only) are built,
+    validated and rate-tabled once per point, whatever the methods."""
+    calls = {"build_instance": 0, "validate_instance": 0, "RateTable": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_instance", "validate_instance"):
+        monkeypatch.setattr(scenario, name, counted(name, getattr(scenario, name)))
+    # Counts tables built anywhere, not only in scenario.
+    monkeypatch.setattr(RateTable, "__init__", counted("RateTable", RateTable.__init__))
+    cfg = ScenarioConfig(edge_sites="center", seed=11)
+    records = run_sweep(cfg, ALL_METHODS, axes={"S": [4, 8], "d0": [90_000.0],
+                                                "Ce": [2240.0]}, reps=1,
+                        budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert len(records) == 10
+    assert any(r.accepted < r.size for r in records)
+    assert calls == {"build_instance": 4, "validate_instance": 4, "RateTable": 4}
+
+
+def test_run_sweep_stops_at_the_first_failing_point(monkeypatch):
+    """A method's error names its point and method, keeps its type, and no
+    method or point after it runs."""
+    built, ran = [], []
+    plain_build, plain_run = scenario.build_instance, scenario.run_method
+
+    def build(cfg, **kwargs):
+        built.append((kwargs["size"], kwargs["edge_capacity"], kwargs["seed"]))
+        return plain_build(cfg, **kwargs)
+
+    def run(kind, inst, *args):
+        ran.append((kind, len(inst.chains)))
+        return plain_run(kind, inst, *args)
+
+    monkeypatch.setattr(scenario, "build_instance", build)
+    monkeypatch.setattr(scenario, "run_method", run)
+    with pytest.raises(BruteForceCapError) as exc:
+        run_sweep(_small_cfg(), ["b-first", "brute", "optimal"],
+                  axes={"S": [2, 3], "Ce": [300.0, 4480.0]}, reps=2)
+    assert str(exc.value) == ("hex1-S3-d030000-ce300-seed0-rep0 brute: "
+                              "enumeration space exceeds cap 10000000")
+    assert built == [(2, 300.0, 0), (2, 300.0, 1), (2, 4480.0, 0), (2, 4480.0, 1),
+                     (3, 300.0, 0)]
+    assert ran[-2:] == [("optimal", 3), ("brute", 3)]
+
+
+def test_build_instance_shares_each_service_vnfs():
+    model = default_model()
+    for cfg in (ScenarioConfig(mix_size=13, seed=4),
+                ScenarioConfig(mix_size=5, mix_profile="URLLC1", edge_sites="center")):
+        inst = build_instance(cfg)
+        first = {}
+        for chain in inst.chains:
+            assert chain == build_chain(model, chain.service, chain.rrh, chain.id)
+            assert first.setdefault(chain.service.name, chain.vnfs) is chain.vnfs
+        assert len(first) == (4 if cfg.mix_profile == "standard" else 1)
 
 
 def test_run_sweep_caps_worker_processes(monkeypatch):
@@ -284,7 +358,7 @@ def test_rejected_sweep_point_solves_each_instance_once(monkeypatch, size, ce, a
         return plain(inst, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_optimal", counted)
-    rec = scenario._solve_point(cfg, "optimal", size, 90_000.0, ce, 0, budget, False)
+    [rec] = scenario._solve_point(cfg, ["optimal"], size, 90_000.0, ce, 0, budget, False)
     monkeypatch.undo()
     assert rec.accepted == accepted
     assert solved == [size, *range(1, min(accepted + 2, size))]
