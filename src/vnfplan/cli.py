@@ -98,7 +98,7 @@ def _report_invalid(inst: Instance) -> bool:
 
 def _cmd_gen(args) -> int:
     cfg = ScenarioConfig(rings=args.rings, isd=args.isd,
-                         central_dist=(args.central_dist,),
+                         central_dist=args.central_dist,
                          central_capacity=args.central_capacity,
                          edge_capacity=args.edge_capacity,
                          mix_size=args.mix, seed=args.seed,
@@ -140,10 +140,6 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         method = method_name(args.method)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from .config import default_model, default_services
 from .model import (
     ChainRequest,
     CloudNode,
-    ComputeModel,
     Infrastructure,
     Instance,
     ServiceClass,
@@ -23,7 +22,7 @@ from .model import (
     validate_instance,
 )
 from .rates import RateTable
-from .solver import METHODS, SearchBudget, longest_prefix, method_name, run_method
+from .solver import METHODS, SearchBudget, max_accepted_chains, method_name, run_method
 
 METHOD_ORDER = (*METHODS, "cran_only")
 
@@ -32,17 +31,17 @@ METHOD_ORDER = (*METHODS, "cran_only")
 class ScenarioConfig:
     """Knobs of the synthetic deployment scenarios.
 
-    Distances are meters, capacities GFLOPS/s.  central_dist lists the
-    central cloud distances a distance sweep walks through; single-point
-    runs use its first entry.  mix_profile "standard" draws the balanced mix
-    (one mMTC plus equal parts eMBB/URLLC1/URLLC2); naming a service
-    instead makes every chain that service.  edge_sites "all" co-locates
-    an edge cloud with every macro site, "center" only with the middle one.
+    Distances are meters, capacities GFLOPS/s.  central_dist is the
+    central cloud's distance from the center site wherever no d0 is given.
+    mix_profile "standard" draws the balanced mix (one mMTC plus equal
+    parts eMBB/URLLC1/URLLC2); naming a service instead makes every chain
+    that service.  edge_sites "all" co-locates an edge cloud with every
+    macro site, "center" only with the middle one.
     """
 
     rings: int = 1
     isd: float = 500.0
-    central_dist: tuple[float, ...] = (30000.0, 60000.0, 90000.0, 150000.0)
+    central_dist: float = 30000.0
     central_capacity: float = 8960.0
     edge_capacity: float = 4480.0
     mix_size: int = 7
@@ -160,15 +159,10 @@ def gen_mix(size: int, rrhs: Sequence[str], rng: random.Random,
 def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
                    size: Optional[int] = None,
                    edge_capacity: Optional[float] = None,
-                   seed: Optional[int] = None, cran: bool = False,
-                   model: Optional[ComputeModel] = None,
-                   services: Optional[dict[str, ServiceClass]] = None) -> Instance:
+                   seed: Optional[int] = None, cran: bool = False) -> Instance:
     """Materialize one scenario point into a solvable instance."""
-    if model is None:
-        model = default_model()
-    if services is None:
-        services = default_services()
-    d0 = cfg.central_dist[0] if d0_m is None else d0_m
+    model, services = default_model(), default_services()
+    d0 = cfg.central_dist if d0_m is None else d0_m
     n_chains = cfg.mix_size if size is None else size
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity
     infra, rrhs = gen_hex_layout(cfg.rings, cfg.isd, d0, cfg.central_capacity,
@@ -216,12 +210,12 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
             out = run_method(kind, inst, table, budget)
             runtime = time.perf_counter() - started if measure_runtime else 0.0
             accepted = out.accepted
-            if accepted < len(inst.chains) and METHODS[kind].all_or_nothing:
-                accepted, kept = longest_prefix(inst, kind, table, budget, full=out)
-                out = kept or run_method(kind, inst.subset([]), table, budget)
+            if accepted < len(inst.chains) and out.status != "partial":
+                accepted, out = max_accepted_chains(inst, kind, table, budget, full=out)
         except ValueError as exc:
             raise type(exc)(f"{scenario} {method}: {exc}") from exc
-        sol = out.solution
+        # out is None when no prefix is accepted: nothing is deployed.
+        sol = out.solution if out is not None else None
         loads = sol.loads if sol is not None else {}
         records.append(SweepRecord(
             scenario=scenario, method=method, size=size, d0_m=d0,
@@ -267,7 +261,7 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     sizes = [int(v) for v in axes.get("S", [cfg.mix_size])]
     if any(size < 0 for size in sizes):
         raise ValueError(f"chain counts must be non-negative, got {sizes}")
-    dists = [float(v) for v in axes.get("d0", [cfg.central_dist[0]])]
+    dists = [float(v) for v in axes.get("d0", [cfg.central_dist])]
     edge_caps = [float(v) for v in axes.get("Ce", [cfg.edge_capacity])]
     # cran_only folds Ce into the central cloud, where no check sees it.
     if any(ce <= 0 for ce in edge_caps):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, NamedTuple, Optional
+from typing import Callable, Collection, Optional
 
 from . import heuristics
 from .model import Instance
@@ -135,26 +135,25 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     children = [kids for r, _ in spans for kids in rows[r][0]]
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     priced = None
-    proven = False
     if use_lower_bound and len(warm.accepted_ids) == len(inst.chains) \
             and warm.solution.feasible:
         best_obj = warm.solution.objective
-        index = {k: i for i, k in enumerate(clouds)}
-        x = warm.solution.assignment.x
-        best_vec = [index[x[var]] for var in variables]
         # Keep exact the capacity of the cloud that the zero-slack
         # placement overloads most.
         over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
         bound = _knapsack_bound(rows, caps, over.index(max(over)), budget.max_nodes)
         if bound is not None and bound >= best_obj * (1 - 1e-9):
-            proven = True
-        else:
-            if bound is not None:
-                best_bound = max(best_bound, bound)
-            priced = _priced_bound(rows, spans, caps, best_obj, budget.max_nodes)
-            if priced is not None:
-                mult, priced_rest, later, bound = priced
-                best_bound = max(best_bound, bound)
+            return SolveResult(warm.solution, "optimal", 0, time.perf_counter() - start,
+                               best_bound=best_obj)
+        index = {k: i for i, k in enumerate(clouds)}
+        x = warm.solution.assignment.x
+        best_vec = [index[x[var]] for var in variables]
+        if bound is not None:
+            best_bound = max(best_bound, bound)
+        priced = _priced_bound(rows, spans, caps, best_obj, budget.max_nodes)
+        if priced is not None:
+            mult, priced_rest, later, bound = priced
+            best_bound = max(best_bound, bound)
     latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
                      for _, n in variables]
     loads = [0.0] * len(clouds)
@@ -174,7 +173,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     completed = True
     if num_vars == 0:
         best_obj, best_vec = 0.0, []
-    elif not proven:
+    else:
         last = num_vars - 1
         stack: list[tuple] = []
         t, g, G, G2, prev_bwd, j = 0, 0.0, 0.0, 0.0, 0.0, 0
@@ -624,25 +623,20 @@ def _fixed(sol: Solution, inst: Instance) -> Outcome:
                    reasons=tuple(f"violation: {v}" for v in sol.violations))
 
 
-class Method(NamedTuple):
-    run: Callable[[Instance, RateTable, Optional[SearchBudget]], Outcome]
-    all_or_nothing: bool = True     # places every chain or reports failure
-
-
 # Entries look the solvers up when they run, so wrappers installed on the
 # module attributes (tracing, test doubles) see every call.  The key order
 # is the order of sweep records.
-METHODS: dict[str, Method] = {
-    "optimal": Method(lambda inst, table, budget: _searched(
-        solve_optimal(inst, budget=budget, table=table), inst)),
-    "brute": Method(lambda inst, table, budget: _searched(
-        brute_force(inst, table=table), inst)),
-    "b_first": Method(lambda inst, table, budget: _packed(
-        heuristics.b_first(inst, table=table), inst), all_or_nothing=False),
-    "fixed_split": Method(lambda inst, table, budget: _fixed(
-        heuristics.fixed_split(inst, table=table), inst)),
-    "fixed_service": Method(lambda inst, table, budget: _fixed(
-        heuristics.fixed_service(inst, table=table), inst)),
+METHODS: dict[str, Callable[[Instance, RateTable, Optional[SearchBudget]], Outcome]] = {
+    "optimal": lambda inst, table, budget: _searched(
+        solve_optimal(inst, budget=budget, table=table), inst),
+    "brute": lambda inst, table, budget: _searched(
+        brute_force(inst, table=table), inst),
+    "b_first": lambda inst, table, budget: _packed(
+        heuristics.b_first(inst, table=table), inst),
+    "fixed_split": lambda inst, table, budget: _fixed(
+        heuristics.fixed_split(inst, table=table), inst),
+    "fixed_service": lambda inst, table, budget: _fixed(
+        heuristics.fixed_service(inst, table=table), inst),
 }
 
 
@@ -661,56 +655,36 @@ def method_name(token: str, names: Collection[str] = METHODS) -> str:
 def run_method(method: str, inst: Instance, table: RateTable | None = None,
                budget: SearchBudget | None = None) -> Outcome:
     """Run one METHODS entry (any spelling method_name accepts) on inst."""
-    entry = METHODS[method_name(method)]
-    return entry.run(inst, RateTable(inst) if table is None else table, budget)
+    return METHODS[method_name(method)](
+        inst, RateTable(inst) if table is None else table, budget)
 
 
-def longest_prefix(inst: Instance, method: str, table: RateTable,
-                   budget: SearchBudget | None = None,
-                   full: Outcome | None = None) -> tuple[int, Outcome | None]:
+def max_accepted_chains(inst: Instance, method: str = "optimal",
+                        table: RateTable | None = None,
+                        budget: SearchBudget | None = None,
+                        full: Outcome | None = None) -> tuple[int, Outcome | None]:
     """The largest m such that the method accepts the first m chains, and
     the method's outcome on those m chains (None when m is 0).
 
-    table is inst's rate table.  full, when given, is the method's outcome
-    on all of inst, which is then not solved again.
+    table is inst's rate table, built when not given.  full, when given,
+    is the method's outcome on all of inst, which is then not solved again.
     """
-    entry = METHODS[method_name(method)]
+    run = METHODS[method_name(method)]
+    if table is None:
+        table = RateTable(inst)
     ids = [c.id for c in inst.chains]
     best, kept = 0, None
     for m in range(1, len(ids) + 1):
         if m == len(ids) and full is not None:
             out = full
         else:
-            out = entry.run(inst.subset(ids[:m]), table, budget)
+            out = run(inst.subset(ids[:m]), table, budget)
         if out.accepted == m:
             best, kept = m, out
-        elif entry.all_or_nothing:
+        elif out.status != "partial":
             # Dropping chains keeps a deployment feasible, so no longer
-            # prefix succeeds.  The greedy's acceptance is not monotone in
-            # the prefix length, so it tries every prefix.
+            # prefix succeeds.  Only the greedy places part of a request,
+            # and its acceptance is not monotone in the prefix length, so
+            # it tries every prefix.
             break
     return best, kept
-
-
-def max_accepted_chains(inst: Instance, method: str = "optimal",
-                        protocol: str = "prefix",
-                        budget: SearchBudget | None = None) -> int:
-    """How many chains of the request sequence a method can carry.
-
-    protocol "prefix": the largest m such that the first m chains admit a
-    feasible deployment.  protocol "incremental": chains are offered one
-    by one and each is kept only if the kept set stays feasible (the
-    deployment may be rearranged at every arrival).
-    """
-    entry = METHODS[method_name(method)]
-    if protocol not in ("prefix", "incremental"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    table = RateTable(inst)
-    if protocol == "prefix":
-        return longest_prefix(inst, method, table, budget)[0]
-    kept: list[str] = []
-    for chain in inst.chains:
-        ids = kept + [chain.id]
-        if entry.run(inst.subset(ids), table, budget).accepted == len(ids):
-            kept = ids
-    return len(kept)

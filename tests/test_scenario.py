@@ -189,6 +189,48 @@ def test_run_sweep_deterministic_and_parallel():
     assert run_sweep(cfg, ALL_METHODS, jobs=2, **kwargs) == once
 
 
+def test_sweep_with_no_accepted_chain():
+    """No method places even one URLLC2 chain: every record accepts 0,
+    with objective 0.0 and a 0.0 load on every hybrid cloud id."""
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    # brute only at S=1: three URLLC2 chains pass its enumeration cap.
+    for sites, methods, sizes in (("center", ALL_METHODS, [1, 3]),
+                                  ("all", ALL_METHODS, [1, 3]),
+                                  ("center", ["brute"], [1])):
+        cfg = ScenarioConfig(edge_sites=sites, mix_profile="URLLC2",
+                             central_capacity=50.0)
+        records = run_sweep(cfg, methods, axes={"S": sizes, "Ce": [20.0]},
+                            reps=1, budget=budget)
+        assert len(records) == len(methods) * len(sizes)
+        n_clouds = 2 if sites == "center" else 8
+        for rec in records:
+            assert (rec.accepted, rec.objective_gflops_s) == (0, 0.0), rec
+            assert rec.loads == dict.fromkeys(range(n_clouds), 0.0), rec
+
+
+def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
+    """A rejected point runs its prefix search as scenario.max_accepted_chains,
+    so a wrapper put there (as a tracer does) sees every call.  b_first
+    records its own partial outcome and needs none."""
+    calls = []
+    plain = scenario.max_accepted_chains
+
+    def counted(inst, method, *args, **kwargs):
+        calls.append((method, len(inst.chains)))
+        return plain(inst, method, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "max_accepted_chains", counted)
+    cfg = ScenarioConfig(edge_sites="center", seed=11)
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    methods = [m for m in METHOD_ORDER if m != "brute"]
+    records = scenario._solve_point(cfg, methods, 8, 90_000.0, 2240.0, 0, budget, False)
+    assert [(r.method, r.accepted) for r in records] == [
+        ("optimal", 3), ("b_first", 6), ("fixed_split", 2), ("fixed_service", 2),
+        ("cran_only", 2)]
+    assert calls == [("optimal", 8), ("fixed_split", 8), ("fixed_service", 8),
+                     ("optimal", 8)]
+
+
 def test_sweep_point_builds_each_instance_once(monkeypatch):
     """Both kinds of instance (hybrid and central-only) are built,
     validated and rate-tabled once per point, whatever the methods."""
@@ -365,7 +407,7 @@ def test_rejected_sweep_point_solves_each_instance_once(monkeypatch, size, ce, a
 
     inst = build_instance(cfg, d0_m=90_000.0, size=size, edge_capacity=ce,
                           seed=cfg.seed * 100003)
-    assert solver.max_accepted_chains(inst, budget=budget) == accepted
+    assert solver.max_accepted_chains(inst, budget=budget)[0] == accepted
     prefix = plain(inst.subset([c.id for c in inst.chains[:accepted]]), budget=budget)
     assert rec.objective_gflops_s == prefix.solution.objective
     assert rec.loads == {0: prefix.solution.loads[0], 1: prefix.solution.loads[1]}

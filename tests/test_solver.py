@@ -433,21 +433,24 @@ def _three_chain_capacity_instance():
     return Instance(infra=infra, chains=chains)
 
 
-def test_max_accepted_prefix_vs_incremental():
+def test_max_accepted_prefix():
     inst = _three_chain_capacity_instance()
-    assert max_accepted_chains(inst, method="optimal", protocol="prefix") == 1
-    assert max_accepted_chains(inst, method="optimal",
-                               protocol="incremental") == 2
-    with pytest.raises(ValueError):
-        max_accepted_chains(inst, method="optimal", protocol="nope")
+    count, out = max_accepted_chains(inst, method="optimal")
+    assert count == 1
+    assert out.accepted == 1 and out.status == "optimal"
     # The same names as `vnfplan solve`: aliases in, cran-only out.
-    for protocol in ("prefix", "incremental"):
-        expected = max_accepted_chains(inst, method="b_first", protocol=protocol)
-        for alias in ("b-first", "bfirst", "B_FIRST"):
-            assert max_accepted_chains(inst, method=alias, protocol=protocol) == expected
+    expected = max_accepted_chains(inst, method="b_first")
+    for alias in ("b-first", "bfirst", "B_FIRST"):
+        assert max_accepted_chains(inst, method=alias) == expected
     for name in ("mystery", "cran-only", "cran_only"):
         with pytest.raises(ValueError, match="unknown method"):
             max_accepted_chains(inst, method=name)
+    # The greedy's acceptance is not monotone in the prefix length: it
+    # refuses the 4- and 5-chain prefixes here but places all 6 chains.
+    rng = random.Random(1462)
+    inst = rand_instance(rng, max_chains=6, max_vnfs=3, num_edges=rng.choice([1, 2]))
+    count, out = max_accepted_chains(inst, method="b_first")
+    assert count == len(inst.chains) == 6 and out.status == "feasible"
 
 
 @pytest.mark.parametrize("ce, accepted", ((2240.0, 3), (4480.0, 6)))
@@ -459,7 +462,7 @@ def test_sweep_prefix_proven_infeasible(ce, accepted, rep):
     inst = build_instance(ScenarioConfig(edge_sites="center", seed=11), d0_m=90_000,
                           size=8, edge_capacity=ce, seed=11 * 100003 + rep)
     budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
-    assert max_accepted_chains(inst, budget=budget) == accepted
+    assert max_accepted_chains(inst, budget=budget)[0] == accepted
     ids = [c.id for c in inst.chains]
     res = solve_optimal(inst.subset(ids[:accepted + 1]), budget=budget)
     assert res.status == "infeasible"
@@ -511,9 +514,9 @@ def test_max_accepted_all_methods_on_feasible_instance():
         if brute_force(inst).status == "optimal":
             break
     n = len(inst.chains)
-    assert max_accepted_chains(inst, method="optimal") == n
-    assert max_accepted_chains(inst, method="brute") == n
-    assert 0 <= max_accepted_chains(inst, method="b_first") <= n
+    assert max_accepted_chains(inst, method="optimal")[0] == n
+    assert max_accepted_chains(inst, method="brute")[0] == n
+    assert 0 <= max_accepted_chains(inst, method="b_first")[0] <= n
 
 
 def test_solution_loads_match_rates():
