@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 from .model import Instance
 from .rates import INFEASIBLE, RateTable
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     name: str
     terms: tuple[tuple[str, float], ...]
     sense: str            # "<=", ">=" or "="
@@ -77,18 +77,13 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
             objective += r_row
             for terms, r_term in zip(cap_terms, r_row):
                 terms.append(r_term)
-            onehot_rows.append(LinearConstraint(
-                name=f"onehot_s{si}_n{n}", terms=tuple(x_row), sense="=", rhs=1.0))
+            onehot_rows.append(LinearConstraint(f"onehot_s{si}_n{n}", tuple(x_row), "=", 1.0))
             for k, (x, _), r_term, base in zip(clouds, x_row, r_row, base_row):
                 if base == INFEASIBLE:
                     fixed_zero.append(x)
                     continue
                 base_rows.append(LinearConstraint(
-                    name=f"base_s{si}_n{n}_k{k}",
-                    terms=(r_term, (x, -base)),
-                    sense=">=",
-                    rhs=0.0,
-                ))
+                    f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
 
         # The split penalties come from the branch and bound's child lists:
         # entry [p][i] of table.children(cid, n + 1) holds, for VNF n at the
@@ -107,19 +102,12 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                     if pen == INFEASIBLE:
                         # Cut: no link serves VNF n at k and VNF n+1 at j in time.
                         cut_rows.append(LinearConstraint(
-                            name=f"cut_s{si}_n{n}_k{k}_j{j}",
-                            terms=(xs[n][p], xs[n + 1][i]),
-                            sense="<=",
-                            rhs=1.0,
-                        ))
+                            f"cut_s{si}_n{n}_k{k}_j{j}", (xs[n][p], xs[n + 1][i]), "<=", 1.0))
                     elif pen > 0.0:
                         # Forward penalty row: VNF n at k, its successor at j.
                         penf_rows.append(LinearConstraint(
-                            name=f"penf_s{si}_n{n}_k{k}_j{j}",
-                            terms=(r_term, (x, -(base + pen)), (xs[n + 1][i][0], -pen)),
-                            sense=">=",
-                            rhs=-pen,
-                        ))
+                            f"penf_s{si}_n{n}_k{k}_j{j}",
+                            (r_term, (x, -(base + pen)), (xs[n + 1][i][0], -pen)), ">=", -pen))
         # Backward penalty rows: VNF n at k with its predecessor at j.
         for n in range(2, n_vnfs + 1):
             prev = table.children(cid, n)
@@ -132,15 +120,11 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                     if pen == INFEASIBLE or pen <= 0.0:
                         continue
                     penb_rows.append(LinearConstraint(
-                        name=f"penb_s{si}_n{n}_k{k}_j{j}",
-                        terms=(r_term, (x, -(base + pen)), (xs[n - 1][p][0], -pen)),
-                        sense=">=",
-                        rhs=-pen,
-                    ))
+                        f"penb_s{si}_n{n}_k{k}_j{j}",
+                        (r_term, (x, -(base + pen)), (xs[n - 1][p][0], -pen)), ">=", -pen))
 
     cap_rows = [
-        LinearConstraint(name=f"cap_k{k}", terms=tuple(terms), sense="<=",
-                         rhs=inst.infra.capacity(k))
+        LinearConstraint(f"cap_k{k}", tuple(terms), "<=", inst.infra.capacity(k))
         for k, terms in zip(clouds, cap_terms) if terms
     ]
     constraints = tuple(onehot_rows + cap_rows + base_rows
@@ -155,7 +139,7 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
 
 
 class _CoefText(dict):
-    """Coefficient -> (text before its variable as the first term, otherwise).
+    """Coefficient -> its signed text before the variable ("+ 2.5 ", "- ").
 
     Built on first sight, so each distinct coefficient is formatted once per
     emit_lp_text call.  Equal keys give equal text: 0.0 and -0.0 both print
@@ -165,17 +149,14 @@ class _CoefText(dict):
     def __missing__(self, coef):
         mag = float(abs(coef))
         body = "" if mag == 1.0 else f"{mag!r} "
-        text = (f"- {body}", f"- {body}") if coef < 0 else (body, f"+ {body}")
+        text = f"- {body}" if coef < 0 else f"+ {body}"
         self[coef] = text
         return text
 
 
 def _format_terms(terms, coef_text: _CoefText) -> str:
-    if not terms:
-        return "0"
-    (var, coef), rest = terms[0], terms[1:]
-    return " ".join([coef_text[coef][0] + var,
-                     *[coef_text[c][1] + v for v, c in rest]])
+    # A first term drops its plus sign.
+    return " ".join([coef_text[c] + v for v, c in terms]).removeprefix("+ ") if terms else "0"
 
 
 def emit_lp_text(mdl: IlpModel) -> str:
@@ -184,9 +165,8 @@ def emit_lp_text(mdl: IlpModel) -> str:
     lines = ["\\ vnfplan placement model", "Minimize"]
     lines.append(f" obj: {_format_terms(mdl.objective, coef_text)}")
     lines.append("Subject To")
-    for con in mdl.constraints:
-        lines.append(f" {con.name}: {_format_terms(con.terms, coef_text)} "
-                     f"{con.sense} {float(con.rhs)!r}")
+    for name, terms, sense, rhs in mdl.constraints:
+        lines.append(f" {name}: {_format_terms(terms, coef_text)} {sense} {float(rhs)!r}")
     if mdl.fixed_zero:
         lines.append("Bounds")
         for var in mdl.fixed_zero:
@@ -199,7 +179,6 @@ def emit_lp_text(mdl: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SENSE_RE = re.compile(r"(<=|>=|=)")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[^\s<>=]+$")
 # Section keywords, lowercased, and the section each one opens.
@@ -212,57 +191,69 @@ _SECTIONS = {
 }
 
 
-class _TokenValue(dict):
-    """Token -> its float value, or None for a variable name.
+# Token kinds besides a float (a number) and None (a variable name).
+_PLUS, _MINUS, _SPLIT = object(), object(), object()
 
-    Filled on first sight, so each distinct token is matched once per
-    parse_lp_text call; names and coefficients repeat across many rows.
+
+class _TokenKind(dict):
+    """Whitespace token -> float value, None for a name, _PLUS, _MINUS, or
+    _SPLIT when _split_signs would cut it or join it to the next token (-3,
+    x-y, 1e).  Filled on first sight, so each distinct token is classified
+    once per parse_lp_text call; names and coefficients repeat across rows.
     """
 
     def __missing__(self, tok):
-        value = float(tok) if _NUM_RE.match(tok) else None
-        self[tok] = value
-        return value
+        if tok == "+" or tok == "-":
+            kind = _PLUS if tok == "+" else _MINUS
+        elif tok[0] not in "+-" and _NUM_RE.match(tok):
+            kind = float(tok)
+        elif "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
+            kind = _SPLIT
+        else:
+            kind = None
+        self[tok] = kind
+        return kind
 
 
-def _parse_terms(text: str, token_value: _TokenValue
+def _split_signs(text: str) -> list[str]:
+    """The expression's tokens with every sign split off but exponent signs:
+    a token ending in e or E takes the sign and the digits after it."""
+    merged: list[str] = []
+    for tok in text.replace("+", " + ").replace("-", " - ").split():
+        if merged and _NUM_RE.match(merged[-1] + "1") and (
+                merged[-1][-1:] in "eE" and tok in "+-"
+                or merged[-1][-1:] in "+-" and merged[-1][:-1]):
+            merged[-1] += tok
+        else:
+            merged.append(tok)
+    return merged
+
+
+def _parse_terms(text: str, kinds: _TokenKind, tokens: list[str] | None = None
                  ) -> tuple[tuple[tuple[str, float], ...], float]:
-    """Parse a linear expression into terms and a constant offset."""
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    if "e" in text or "E" in text:
-        # Re-join exponent signs split off scientific notation (e.g. 1e - 09).
-        # Only a token ending in e or E starts a merge.
-        merged: list[str] = []
-        for tok in tokens:
-            if merged and merged[-1][-1:] in "eE" and _NUM_RE.match(merged[-1] + "1") \
-                    and tok in "+-":
-                merged[-1] += tok
-            elif merged and merged[-1][-1:] in "+-" and merged[-1][:-1] \
-                    and _NUM_RE.match(merged[-1] + "1"):
-                merged[-1] += tok
-            else:
-                merged.append(tok)
-        tokens = merged
+    """Parse a linear expression into terms and a constant offset.
+
+    Whitespace tokens are read as they stand unless one is _SPLIT; then the
+    text is read again from _split_signs, where a _SPLIT token is a name."""
     terms: list[tuple[str, float]] = []
     constant = 0.0
     sign = 1.0
     coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            continue
-        if tok == "-":
+    for tok in text.split() if tokens is None else tokens:
+        kind = kinds[tok]
+        if kind is None or kind is _SPLIT and tokens is not None:
+            terms.append((tok, sign if coef is None else sign * coef))
+            sign = 1.0
+            coef = None
+        elif kind is _MINUS:
             sign = -sign
-            continue
-        value = token_value[tok]
-        if value is not None:
+        elif kind is _SPLIT:
+            return _parse_terms(text, kinds, _split_signs(text))
+        elif kind is not _PLUS:
             if coef is not None:
                 constant += sign * coef
                 sign = 1.0
-            coef = value
-            continue
-        terms.append((tok, sign * (coef if coef is not None else 1.0)))
-        sign = 1.0
-        coef = None
+            coef = kind
     if coef is not None:
         constant += sign * coef
     return tuple(terms), constant
@@ -271,41 +262,47 @@ def _parse_terms(text: str, token_value: _TokenValue
 def parse_lp_text(text: str) -> IlpModel:
     """Parse LP text produced by emit_lp_text back into an IlpModel.
 
-    Supports the subset of the LP format this module writes: a Minimize
-    section, one constraint per line, simple fixed-to-zero bounds and a
-    Binaries block.
+    Supports the subset of the LP format this module writes (one objective
+    line, one named row per line, `name = 0` bounds, Binaries) and raises
+    ValueError naming the line for anything else.
     """
-    objective: tuple[tuple[str, float], ...] = ()
+    objective: tuple[tuple[str, float], ...] | None = None
     constraints: list[LinearConstraint] = []
     binaries: list[str] = []
     fixed_zero: list[str] = []
-    token_value = _TokenValue()
+    kinds = _TokenKind()
     section = None
     for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].strip()
+        line = (raw.split("\\", 1)[0] if "\\" in raw else raw).strip()
+        # A named row; a line without a name falls through to the error below.
+        if section == "constraints" and (colon := line.find(":")) > 0:
+            # The row's body splits at its first sense: "<=", ">=" or "=".
+            eq = line.find("=", colon + 1)
+            if eq < 0:
+                raise ValueError(f"constraint line without a sense: {raw!r}")
+            start = eq - 1 if line[eq - 1] in "<>" else eq
+            terms, constant = _parse_terms(line[colon + 1:start], kinds)
+            try:
+                rhs = float(line[eq + 1:]) - constant
+            except ValueError:
+                raise ValueError(f"constraint line with a bad right-hand side: {raw!r}") from None
+            constraints.append(
+                LinearConstraint(line[:colon].strip(), terms, line[start:eq + 1], rhs))
+            continue
         if not line:
             continue
         lowered = line.lower()
         if lowered in _SECTIONS:
             section = _SECTIONS[lowered]
-            continue
-        if lowered == "maximize":
+        elif lowered == "maximize":
             raise ValueError("only minimization models are supported")
-        if section == "constraints":
-            name, colon, body = line.partition(":")
-            if not colon:
-                raise ValueError(f"constraint line without a name: {raw!r}")
-            # The leftmost sense is where body.split(sense, 1) would cut.
-            match = _SENSE_RE.search(body)
-            if not match:
-                raise ValueError(f"constraint line without a sense: {raw!r}")
-            terms, constant = _parse_terms(body[:match.start()], token_value)
-            rhs = float(body[match.end():]) - constant
-            constraints.append(LinearConstraint(
-                name=name.strip(), terms=terms, sense=match.group(1), rhs=rhs))
+        elif section == "constraints":
+            raise ValueError(f"constraint line without a name: {raw!r}")
         elif section == "objective":
+            if objective is not None:
+                raise ValueError(f"more than one objective line: {raw!r}")
             body = line.split(":", 1)[1] if ":" in line else line
-            objective, _ = _parse_terms(body, token_value)
+            objective, _ = _parse_terms(body, kinds)
         elif section == "bounds":
             # Only `<one name> = <number>` with the number 0.
             name, eq, value = (part.strip() for part in line.partition("="))
@@ -317,11 +314,11 @@ def parse_lp_text(text: str) -> IlpModel:
             binaries.extend(line.split())
         else:
             raise ValueError(f"content outside any section: {raw!r}")
-    continuous = tuple(var for var, _ in objective)
+    objective = objective or ()
     return IlpModel(
         objective=objective,
         constraints=tuple(constraints),
         binaries=tuple(binaries),
-        continuous=continuous,
+        continuous=tuple(var for var, _ in objective),
         fixed_zero=tuple(fixed_zero),
     )

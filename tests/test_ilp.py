@@ -20,7 +20,7 @@ from vnfplan.ilp import (
     IlpModel,
     LinearConstraint,
     _parse_terms,
-    _TokenValue,
+    _TokenKind,
     build_ilp,
     emit_lp_text,
     parse_lp_text,
@@ -98,6 +98,50 @@ def test_parse_rejects_constraint_without_sense(line):
         parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    (" c1: x >= y", "bad right-hand side"),
+    (" c1: x >= 1 >= 2", "bad right-hand side"),
+    (" c1: x >=", "bad right-hand side"),
+    (" : x >= 1", "without a name"),
+    (" x >= 1", "without a name"),
+])
+def test_parse_rejects_bad_constraint_line(line, message):
+    with pytest.raises(ValueError, match=message) as err:
+        parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
+    assert repr(line) in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "Minimize\n obj: x\n + 2 y\nSubject To\n c1: x >= 1\nEnd\n",
+    "Minimize\n obj: x\nSubject To\n c1: x >= 1\nMinimize\n + 2 y\nEnd\n",
+])
+def test_parse_rejects_a_second_objective_line(text):
+    """The grammar is one expression per line; a second objective line used
+    to replace the first one silently."""
+    with pytest.raises(ValueError, match="more than one objective line") as err:
+        parse_lp_text(text)
+    assert repr(" + 2 y") in str(err.value)
+
+
+def test_linear_constraint_is_a_named_tuple_row():
+    con = LinearConstraint(name="c1", terms=(("x", 1.0),), sense=">=", rhs=0.0)
+    assert con == ("c1", (("x", 1.0),), ">=", 0.0)
+    assert repr(con) == "LinearConstraint(name='c1', terms=(('x', 1.0),), sense='>=', rhs=0.0)"
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_emit_formats_negative_zero(zeros):
+    """A -0.0 coefficient prints as + 0.0 and a -0.0 right-hand side as -0.0,
+    whichever zero comes first: 0.0 and -0.0 are equal dict keys, so a
+    formatting memo must not hand one the other's text."""
+    rows = tuple(LinearConstraint(f"c{i}", (("x", 1.0), ("y", zero)), ">=", zero)
+                 for i, zero in enumerate(zeros))
+    mdl = IlpModel(objective=(), constraints=rows, binaries=(), continuous=(), fixed_zero=())
+    lines = emit_lp_text(mdl).splitlines()
+    for i, zero in enumerate(zeros):
+        assert f" c{i}: x + 0.0 y >= {zero!r}" in lines
+
+
 @pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0"])
 def test_parse_rejects_unsupported_bound(line):
     with pytest.raises(ValueError):
@@ -143,6 +187,7 @@ def test_lp_round_trip_on_random_models(mdl):
 _PIECES = st.sampled_from([
     "x_s0_n1_k2", "r_s3_n8_k0", "e", "E", "xe", "x1e", "1", "2.", ".5", "1.5",
     "1e", "1E", "1e5", "3e-07", "1E+16", "2.5e", "+", "-", "e-", "e+", "0",
+    "-3", "+2", "x-y", "1e-5x", "2e",
 ])
 
 
@@ -152,7 +197,7 @@ _PIECES = st.sampled_from([
 def test_parse_terms_matches_reference_tokenizer(expressions):
     """The memoised tokenizer, with one memo shared across expressions as
     within one parse_lp_text call, gives the reference's terms and constant."""
-    token_value = _TokenValue()
+    token_value = _TokenKind()
     for pieces in expressions:
         text = "".join(piece + gap for piece, gap in pieces)
         assert repr(_parse_terms(text, token_value)) == repr(reference_parse_terms(text))
