@@ -9,6 +9,7 @@ pairwise cuts, infeasible head placements become fixed-to-zero bounds.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -123,9 +124,10 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                         f"penb_s{si}_n{n}_k{k}_j{j}",
                         (r_term, (x, -(base + pen)), (xs[n - 1][p][0], -pen)), ">=", -pen))
 
+    # An uncapped cloud (capacity inf) gets no row: LP text has no infinite numbers.
     cap_rows = [
         LinearConstraint(f"cap_k{k}", tuple(terms), "<=", inst.infra.capacity(k))
-        for k, terms in zip(clouds, cap_terms) if terms
+        for k, terms in zip(clouds, cap_terms) if terms and inst.infra.capacity(k) < math.inf
     ]
     constraints = tuple(onehot_rows + cap_rows + base_rows
                         + penf_rows + penb_rows + cut_rows)
@@ -179,7 +181,7 @@ def emit_lp_text(mdl: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUM_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 _NAME_RE = re.compile(r"^[^\s<>=]+$")
 # Section keywords, lowercased, and the section each one opens.
 _SECTIONS = {
@@ -271,6 +273,7 @@ def parse_lp_text(text: str) -> IlpModel:
     binaries: list[str] = []
     fixed_zero: list[str] = []
     kinds = _TokenKind()
+    rhs_values: dict[str, float] = {}   # right-hand-side text -> its number
     section = None
     for raw in text.splitlines():
         line = (raw.split("\\", 1)[0] if "\\" in raw else raw).strip()
@@ -282,12 +285,15 @@ def parse_lp_text(text: str) -> IlpModel:
                 raise ValueError(f"constraint line without a sense: {raw!r}")
             start = eq - 1 if line[eq - 1] in "<>" else eq
             terms, constant = _parse_terms(line[colon + 1:start], kinds)
-            try:
-                rhs = float(line[eq + 1:]) - constant
-            except ValueError:
-                raise ValueError(f"constraint line with a bad right-hand side: {raw!r}") from None
+            rhs_text = line[eq + 1:]
+            rhs = rhs_values.get(rhs_text)
+            if rhs is None:
+                rhs = float(rhs_text) if _NUM_RE.match(rhs_text.strip()) else math.nan
+                if not math.isfinite(rhs):
+                    raise ValueError(f"constraint line with a bad right-hand side: {raw!r}")
+                rhs_values[rhs_text] = rhs
             constraints.append(
-                LinearConstraint(line[:colon].strip(), terms, line[start:eq + 1], rhs))
+                LinearConstraint(line[:colon].strip(), terms, line[start:eq + 1], rhs - constant))
             continue
         if not line:
             continue
@@ -302,7 +308,9 @@ def parse_lp_text(text: str) -> IlpModel:
             if objective is not None:
                 raise ValueError(f"more than one objective line: {raw!r}")
             body = line.split(":", 1)[1] if ":" in line else line
-            objective, _ = _parse_terms(body, kinds)
+            objective, constant = _parse_terms(body, kinds)
+            if constant:
+                raise ValueError(f"objective line with a constant: {raw!r}")
         elif section == "bounds":
             # Only `<one name> = <number>` with the number 0.
             name, eq, value = (part.strip() for part in line.partition("="))

@@ -1,6 +1,7 @@
 """Core data model: service classes, compute demand model, VNF chains, clouds."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -191,11 +192,14 @@ def validate_instance(inst: Instance) -> list[str]:
                 continue
             if d_kj < 0:
                 problems.append(f"cloud distance ({k},{j}) is negative")
+            elif math.isnan(d_kj):
+                problems.append(f"cloud distance ({k},{j}) is NaN")
+                continue
             try:
                 d_jk = infra.dist(j, k)
             except KeyError:
                 continue
-            if d_kj != d_jk:
+            if d_kj != d_jk and not math.isnan(d_jk):
                 problems.append(f"cloud distances ({k},{j}) and ({j},{k}) differ")
     for k in ids:
         raw = infra.cloud_distances.get(k, {})
@@ -220,9 +224,13 @@ def validate_instance(inst: Instance) -> list[str]:
                 elif row[k] < 0:
                     problems.append(
                         f"RRH {chain.rrh} distance to cloud {k} is negative")
+                elif math.isnan(row[k]):
+                    problems.append(f"RRH {chain.rrh} distance to cloud {k} is NaN")
         for n, vnf in enumerate(chain.vnfs, start=1):
             if vnf.gflops < 0:
                 problems.append(f"chain {chain.id} VNF {n} demand is negative")
+            elif not math.isfinite(vnf.gflops):
+                problems.append(f"chain {chain.id} VNF {n} demand is not finite")
             if not vnf.fwd_ms > 0:
                 problems.append(f"chain {chain.id} VNF {n} forward bound must be positive")
             if not vnf.bwd_ms > 0:

@@ -120,7 +120,8 @@ class _ChainRow:
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
                  links: Mapping[float, list[tuple[int, int]]],
-                 pairs: list[tuple[int, int]], chain: ChainRequest):
+                 pairs: list[tuple[int, int]], chain: ChainRequest, row_id: int):
+        self.id = row_id
         self._cloud_ids = cloud_ids
         self._fiber_speed = infra.fiber_speed
         self._links = links
@@ -191,7 +192,7 @@ class RateTable:
     co-located rate of each VNF, the base rate of VNF 1 at each cloud, and
     the forward/backward split penalties for every ordered cloud pair (a
     row computes its penalties on their first read).  Chains with equal
-    signatures share a row; chain ids map to rows.
+    signatures share a row; chain ids map to rows (see row_id).
     """
 
     def __init__(self, inst: Instance):
@@ -210,9 +211,13 @@ class RateTable:
             signature = (chain.rrh, chain.vnfs)
             row = rows.get(signature)
             if row is None:
-                row = _ChainRow(infra, self.cloud_ids, links, pairs, chain)
+                row = _ChainRow(infra, self.cloud_ids, links, pairs, chain, len(rows))
                 rows[signature] = row
             self._rows[chain.id] = row
+
+    def row_id(self, chain_id: str) -> int:
+        """The chain's row: 0, 1, ... in first-seen order, one per signature."""
+        return self._rows[chain_id].id
 
     def colocated(self, chain_id: str, n: int) -> float:
         return self._rows[chain_id].colo[n - 1]

@@ -210,8 +210,10 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
             out = run_method(kind, inst, table, budget)
             runtime = time.perf_counter() - started if measure_runtime else 0.0
             accepted = out.accepted
+            # The full request is refused, so only a shorter prefix can pass.
             if accepted < len(inst.chains) and out.status != "partial":
-                accepted, out = max_accepted_chains(inst, kind, table, budget, full=out)
+                shorter = inst.subset([c.id for c in inst.chains[:-1]])
+                accepted, out = max_accepted_chains(shorter, kind, table, budget)
         except ValueError as exc:
             raise type(exc)(f"{scenario} {method}: {exc}") from exc
         # out is None when no prefix is accepted: nothing is deployed.

@@ -12,7 +12,7 @@ from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluat
 
 
 class BruteForceCapError(ValueError):
-    """The enumeration space exceeds the configured cap."""
+    """The enumeration space exceeds BRUTE_FORCE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class SolveResult:
     solution: Optional[Solution]
     status: str                     # optimal | feasible-incumbent | infeasible | budget-exhausted
     nodes: int
-    runtime: float
     infeasible_reason: Optional[str] = None
     # A proven lower bound on the optimum: the objective when optimal, the
     # best root bound on a budget stop, None when infeasible.
@@ -48,6 +47,8 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                   table: RateTable | None = None) -> SolveResult:
     """Depth-first branch and bound over per-VNF cloud choices.
 
+    A chain head that fits no cloud, seen by the pass that sums the
+    completion estimates, gives first-vnf-placement with nodes == 0.
     Two root proofs come before the search.  The first tries each chain's
     lexicographically smallest zero-slack path (see _zero_slack): no split
     penalty and a head at its cheapest cloud.  That placement meets the
@@ -62,8 +63,8 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     placement strictly cheaper than the best so far (b_first's own when
     none is).  Chains are branched heaviest first, in b_first's packing
     order (heuristics.packing_order), so a chain that fits nowhere is
-    found near the root; VNFs keep their order
-    within a chain and clouds are tried in ascending id order.  Without a
+    found near the root; VNFs keep their order within a chain and clouds
+    are tried in ascending id order.  Without a
     warm start the first optimum found is therefore the lexicographically
     smallest in that variable order; results are deterministic whenever
     the budget is not the binding factor.  Pruning uses committed cost
@@ -78,10 +79,9 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     when they would cost more than a quarter of max_nodes, counted
     without a clock.  best_bound is the objective when optimal and the
     largest of the three root bounds (capacity-free, knapsack, priced)
-    on a budget stop.
-    use_lower_bound=False is the plain exhaustive search in
-    input chain order: no root proof, no warm start and no pruning.
-    nodes counts every child tried, rejected ones included, and
+    on a budget stop.  use_lower_bound=False is the plain exhaustive
+    search in input chain order: no root proof, no warm start and no
+    pruning.  nodes counts every child tried, rejected ones included, and
     infeasible_reason names the most frequent rejection cause, so it
     depends on the visit order.  The search keeps its own stack, so
     instance size is not bounded by the recursion limit.
@@ -90,7 +90,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         budget = SearchBudget()
     if table is None:
         table = RateTable(inst)
-    start = time.perf_counter()
     clouds = list(inst.infra.cloud_ids())
     # Fail first: the bounded search branches the heaviest chains first,
     # so a chain that fits no cloud is rejected near the root.  The plain
@@ -100,20 +99,15 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                  for n in range(1, len(chain.vnfs) + 1)]
     num_vars = len(variables)
 
-    # A chain whose head fits nowhere makes the whole instance infeasible.
-    for chain in inst.chains:
-        if not clouds or all(not table.placement_feasible(chain.id, k) for k in clouds):
-            return SolveResult(None, "infeasible", 0,
-                               time.perf_counter() - start,
-                               infeasible_reason="first-vnf-placement")
-
     # suffix_min[t] = cheapest possible completion cost of variables t..end.
+    # A chain whose head fits nowhere makes the whole instance infeasible.
     suffix_min = [0.0] * (num_vars + 1)
     for t in range(num_vars - 1, -1, -1):
         cid, n = variables[t]
         if n == 1:
-            best_base = min(table.first_rate(cid, k) for k in clouds
-                            if table.placement_feasible(cid, k))
+            best_base = min((table.first_rate(cid, k) for k in clouds), default=INFEASIBLE)
+            if best_base == INFEASIBLE:
+                return SolveResult(None, "infeasible", 0, infeasible_reason="first-vnf-placement")
         else:
             best_base = table.colocated(cid, n)
         suffix_min[t] = suffix_min[t + 1] + best_base
@@ -125,8 +119,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     if use_lower_bound:
         root = evaluate(inst, _zero_slack(inst, table), table)
         if root.feasible:
-            return SolveResult(root, "optimal", 0, time.perf_counter() - start,
-                               best_bound=root.objective)
+            return SolveResult(root, "optimal", 0, best_bound=root.objective)
         warm = heuristics.b_first(inst, table=table)
     # children[t][p]: the choices of variable t when variable t-1 sits at
     # cloud index p (see RateTable.children).  From here on a cloud is
@@ -143,8 +136,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
         bound = _knapsack_bound(rows, caps, over.index(max(over)), budget.max_nodes)
         if bound is not None and bound >= best_obj * (1 - 1e-9):
-            return SolveResult(warm.solution, "optimal", 0, time.perf_counter() - start,
-                               best_bound=best_obj)
+            return SolveResult(warm.solution, "optimal", 0, best_bound=best_obj)
         index = {k: i for i, k in enumerate(clouds)}
         x = warm.solution.assignment.x
         best_vec = [index[x[var]] for var in variables]
@@ -241,7 +233,6 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                         loads[j] -= inc_prev
         except _BudgetHit:
             completed = False
-    runtime = time.perf_counter() - start
 
     if best_vec is not None:
         vectors: dict[str, list[int]] = {c.id: [] for c in inst.chains}
@@ -249,32 +240,29 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             vectors[cid].append(clouds[k])
         solution = evaluate(inst, Assignment.from_vectors(vectors), table)
         if completed:
-            return SolveResult(solution, "optimal", nodes, runtime,
-                               best_bound=solution.objective)
-        return SolveResult(solution, "feasible-incumbent", nodes, runtime,
-                           best_bound=best_bound)
+            return SolveResult(solution, "optimal", nodes, best_bound=solution.objective)
+        return SolveResult(solution, "feasible-incumbent", nodes, best_bound=best_bound)
     if completed:
         reason = max(causes, key=lambda key: (causes[key], key)) \
             if any(causes.values()) else None
-        return SolveResult(None, "infeasible", nodes, runtime,
-                           infeasible_reason=reason)
-    return SolveResult(None, "budget-exhausted", nodes, runtime, best_bound=best_bound)
+        return SolveResult(None, "infeasible", nodes, infeasible_reason=reason)
+    return SolveResult(None, "budget-exhausted", nodes, best_bound=best_bound)
 
 
 def _chain_rows(order, table):
     """The distinct chain rows of order, for the root bounds.
 
     Returns (rows, spans): rows[r] is [kids, count], where kids[n - 1] is
-    RateTable.children of VNF n and count is how many chains share the
-    row's (RRH, VNF list) signature; spans[i] is (row number, VNF count)
-    of order[i].
+    RateTable.children of VNF n and count is how many chains of order
+    share the row of table (RateTable.row_id); rows come in first-seen
+    order.  spans[i] is (row number, VNF count) of order[i].
     """
-    index: dict[tuple, int] = {}    # chain signature -> row number
+    index: dict[int, int] = {}      # table row id -> row number
     rows: list[list] = []
     spans = []
     for chain in order:
-        key, n_vnfs = (chain.rrh, chain.vnfs), len(chain.vnfs)
-        r = index.setdefault(key, len(rows))
+        n_vnfs = len(chain.vnfs)
+        r = index.setdefault(table.row_id(chain.id), len(rows))
         if r == len(rows):
             rows.append([[table.children(chain.id, n) for n in range(1, n_vnfs + 1)], 0])
         rows[r][1] += 1
@@ -512,32 +500,31 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
     return Assignment.from_vectors(vectors)
 
 
-def brute_force(inst: Instance, cap: int = 10_000_000,
-                table: RateTable | None = None) -> SolveResult:
+# brute_force refuses instances with more placements than this.
+BRUTE_FORCE_CAP = 10_000_000
+
+
+def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
     """Exhaustive enumeration of every placement.  The equivalence oracle.
 
-    Refuses instances whose joint space exceeds the cap.  Per-chain cost
-    and load vectors are enumerated first; the cross product only has to
-    add them up and check capacities.
+    Refuses instances whose joint space exceeds BRUTE_FORCE_CAP, read at
+    call time.  Per-chain cost and load vectors are enumerated first; the
+    cross product only has to add them up and check capacities.
     """
     if table is None:
         table = RateTable(inst)
-    start = time.perf_counter()
     clouds = list(inst.infra.cloud_ids())
     space = 1
     for chain in inst.chains:
         space *= max(1, len(clouds)) ** len(chain.vnfs)
-        if space > cap:
-            raise BruteForceCapError(
-                f"enumeration space exceeds cap {cap}")
+        if space > BRUTE_FORCE_CAP:
+            raise BruteForceCapError(f"enumeration space exceeds cap {BRUTE_FORCE_CAP}")
     cloud_index = {k: i for i, k in enumerate(clouds)}
 
     per_chain: list[list[tuple[tuple[int, ...], float, tuple[float, ...]]]] = []
-    empty_chain = False
     for chain in inst.chains:
         options = []
-        n_vnfs = len(chain.vnfs)
-        for combo in itertools.product(clouds, repeat=n_vnfs):
+        for combo in itertools.product(clouds, repeat=len(chain.vnfs)):
             rates = table.chain_rates(chain.id, combo)
             if INFEASIBLE in rates:
                 continue
@@ -546,13 +533,8 @@ def brute_force(inst: Instance, cap: int = 10_000_000,
                 loads[cloud_index[k]] += rates[n]
             options.append((combo, sum(rates), tuple(loads)))
         if not options:
-            empty_chain = True
-            break
+            return SolveResult(None, "infeasible", 0, infeasible_reason="latency")
         per_chain.append(options)
-
-    if empty_chain:
-        return SolveResult(None, "infeasible", 0, time.perf_counter() - start,
-                           infeasible_reason="latency")
 
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     best_obj = INFEASIBLE
@@ -573,15 +555,12 @@ def brute_force(inst: Instance, cap: int = 10_000_000,
         if total < best_obj:
             best_obj = total
             best_combo = pick
-    runtime = time.perf_counter() - start
     if not any_feasible:
-        return SolveResult(None, "infeasible", examined, runtime,
-                           infeasible_reason="capacity")
+        return SolveResult(None, "infeasible", examined, infeasible_reason="capacity")
     vectors = {chain.id: list(best_combo[i][0])
                for i, chain in enumerate(inst.chains)}
     solution = evaluate(inst, Assignment.from_vectors(vectors), table)
-    return SolveResult(solution, "optimal", examined, runtime,
-                       best_bound=solution.objective)
+    return SolveResult(solution, "optimal", examined, best_bound=solution.objective)
 
 
 @dataclass(frozen=True)
@@ -661,13 +640,11 @@ def run_method(method: str, inst: Instance, table: RateTable | None = None,
 
 def max_accepted_chains(inst: Instance, method: str = "optimal",
                         table: RateTable | None = None,
-                        budget: SearchBudget | None = None,
-                        full: Outcome | None = None) -> tuple[int, Outcome | None]:
+                        budget: SearchBudget | None = None) -> tuple[int, Outcome | None]:
     """The largest m such that the method accepts the first m chains, and
     the method's outcome on those m chains (None when m is 0).
 
-    table is inst's rate table, built when not given.  full, when given,
-    is the method's outcome on all of inst, which is then not solved again.
+    table is a rate table that covers inst's chains, built when not given.
     """
     run = METHODS[method_name(method)]
     if table is None:
@@ -675,10 +652,7 @@ def max_accepted_chains(inst: Instance, method: str = "optimal",
     ids = [c.id for c in inst.chains]
     best, kept = 0, None
     for m in range(1, len(ids) + 1):
-        if m == len(ids) and full is not None:
-            out = full
-        else:
-            out = run(inst.subset(ids[:m]), table, budget)
+        out = run(inst.subset(ids[:m]), table, budget)
         if out.accepted == m:
             best, kept = m, out
         elif out.status != "partial":

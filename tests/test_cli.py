@@ -99,6 +99,7 @@ MALFORMED = {
     "rrh-distances-row-list": [(("infrastructure", "rrh_distances"), {"r0": [1, 2]})],
     "service-rb-infinite": [(("services", "eMBB", "rb"), float("inf"))],
     "cloud-id-infinite": [(("infrastructure", "clouds", 0, "id"), float("inf"))],
+    "vnf-demand-nan": [(("chains", 0, "vnfs", 0, "gflops"), float("nan"))],
     "model-row-short": [(("model", "coeffs", 1, "dl"), [1.0]), _SERVICE_CHAIN],
     "model-cpu-zero": [(("model", "ref_cpu_ghz"), 0), _SERVICE_CHAIN],
     "unclosed-flow-list": "chains: [1, 2\n",

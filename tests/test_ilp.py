@@ -102,6 +102,12 @@ def test_parse_rejects_constraint_without_sense(line):
     (" c1: x >= y", "bad right-hand side"),
     (" c1: x >= 1 >= 2", "bad right-hand side"),
     (" c1: x >=", "bad right-hand side"),
+    # float() reads these, but the LP grammar has only ASCII decimal numbers.
+    (" c1: x >= nan", "bad right-hand side"),
+    (" c1: x <= inf", "bad right-hand side"),
+    (" c1: x >= 1_000", "bad right-hand side"),
+    (" c1: x >= \u0661", "bad right-hand side"),
+    (" c1: x >= 1e999", "bad right-hand side"),
     (" : x >= 1", "without a name"),
     (" x >= 1", "without a name"),
 ])
@@ -109,6 +115,27 @@ def test_parse_rejects_bad_constraint_line(line, message):
     with pytest.raises(ValueError, match=message) as err:
         parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
     assert repr(line) in str(err.value)
+
+
+def test_parse_rejects_an_objective_constant():
+    """emit_lp_text never writes a constant; dropping one would change the
+    objective value without a word."""
+    with pytest.raises(ValueError, match="objective line with a constant") as err:
+        parse_lp_text("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n")
+    assert repr(" obj: x + 3") in str(err.value)
+
+
+def test_uncapped_cloud_round_trips_without_a_capacity_row():
+    """An infinite capacity has no LP number, and its row binds nothing."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, math.inf), CloudNode(1, 50.0)),
+        rrh_distances={"r0": {0: 0.0, 1: 1000.0}},
+        cloud_distances={0: {0: 0.0, 1: 1000.0}, 1: {0: 1000.0, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    mdl = build_ilp(Instance(infra=infra, chains=(chain,)))
+    assert [c.name for c in mdl.constraints if c.name.startswith("cap")] == ["cap_k1"]
+    assert parse_lp_text(emit_lp_text(mdl)) == mdl
 
 
 @pytest.mark.parametrize("text", [

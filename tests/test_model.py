@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -122,6 +123,41 @@ def test_validate_reports_all_problems():
     assert "duplicate chain id c0" in text
     assert "unknown RRH nowhere" in text
     assert "has no VNFs" in text
+
+
+def test_validate_rejects_nan_and_infinite_values():
+    nan, inf = math.nan, math.inf
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 100.0), CloudNode(1, 50.0), CloudNode(2, 50.0)),
+        rrh_distances={"r0": {0: nan, 1: 0.0, 2: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: nan, 2: 10.0}, 1: {0: nan, 1: 0.0, 2: 10.0},
+                         2: {0: nan, 1: 10.0, 2: 0.0}},
+    )
+    vnfs = (VnfSpec(nan, 1.0, 1.0), VnfSpec(inf, 1.0, 1.0), VnfSpec(-inf, 1.0, 1.0))
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=vnfs)
+    # (2,0) is NaN and (0,2) is not: each NaN entry is reported once, never
+    # as a pair of distances that differ.
+    assert validate_instance(Instance(infra=infra, chains=(chain,))) == [
+        "cloud distance (0,1) is NaN",
+        "cloud distance (1,0) is NaN",
+        "cloud distance (2,0) is NaN",
+        "RRH r0 distance to cloud 0 is NaN",
+        "chain c0 VNF 1 demand is not finite",
+        "chain c0 VNF 2 demand is not finite",
+        "chain c0 VNF 3 demand is negative",
+    ]
+
+
+def test_validate_accepts_uncapped_clouds_and_unreachable_links():
+    """An infinite capacity means uncapped, an infinite distance unreachable."""
+    inf = math.inf
+    infra = Infrastructure(
+        clouds=(CloudNode(0, inf), CloudNode(1, 50.0)),
+        rrh_distances={"r0": {0: 0.0, 1: inf}},
+        cloud_distances={0: {0: 0.0, 1: inf}, 1: {0: inf, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    assert validate_instance(Instance(infra=infra, chains=(chain,))) == []
 
 
 def test_validate_asymmetric_distances():

@@ -210,8 +210,9 @@ def test_sweep_with_no_accepted_chain():
 
 def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
     """A rejected point runs its prefix search as scenario.max_accepted_chains,
-    so a wrapper put there (as a tracer does) sees every call.  b_first
-    records its own partial outcome and needs none."""
+    so a wrapper put there (as a tracer does) sees every call.  The search
+    gets the request without its last chain, whose full outcome is already
+    known.  b_first records its own partial outcome and needs none."""
     calls = []
     plain = scenario.max_accepted_chains
 
@@ -227,8 +228,8 @@ def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
     assert [(r.method, r.accepted) for r in records] == [
         ("optimal", 3), ("b_first", 6), ("fixed_split", 2), ("fixed_service", 2),
         ("cran_only", 2)]
-    assert calls == [("optimal", 8), ("fixed_split", 8), ("fixed_service", 8),
-                     ("optimal", 8)]
+    assert calls == [("optimal", 7), ("fixed_split", 7), ("fixed_service", 7),
+                     ("optimal", 7)]
 
 
 def test_sweep_point_builds_each_instance_once(monkeypatch):

@@ -103,6 +103,46 @@ def test_infeasible_head_everywhere():
     assert brute_force(inst).status == "infeasible"
 
 
+def test_only_an_infeasible_head_reports_first_vnf_placement():
+    """The head check reads the chain heads' rates alone: an infinite rate
+    further down the chain of an unvalidated instance is rejected by the
+    search, not reported as a head that fits nowhere."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 1e6)),
+        rrh_distances={"r0": {0: 0.0, 1: 1000.0}},
+        cloud_distances={0: {0: 0.0, 1: 1000.0}, 1: {0: 1000.0, 1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0",
+                         vnfs=(VnfSpec(1.0, 1.0, 1.0), VnfSpec(math.inf, 1.0, 1.0)))
+    inst = Instance(infra=infra, chains=(chain,))
+    bounded = solve_optimal(inst)
+    plain = solve_optimal(inst, use_lower_bound=False)
+    assert (bounded.status, bounded.nodes, bounded.infeasible_reason) == ("infeasible", 2, None)
+    assert (plain.status, plain.nodes, plain.infeasible_reason) == \
+        ("infeasible", 6, "split-latency")
+
+
+def test_chain_rows_group_by_the_rate_table_row():
+    """Chains of equal signature share one RateTable row even when their VNF
+    tuples are distinct objects, and the root bounds group chains by that
+    row, in first-seen order."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 1e6)),
+        rrh_distances={"r0": {0: 0.0, 1: 1000.0}, "r1": {0: 1000.0, 1: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: 1000.0}, 1: {0: 1000.0, 1: 0.0}},
+    )
+    first, second = (tuple(VnfSpec(1.0, 1.0, 1.0) for _ in range(2)) for _ in range(2))
+    assert first == second and first is not second
+    chains = (ChainRequest("c0", None, "r0", first), ChainRequest("c1", None, "r1", first),
+              ChainRequest("c2", None, "r0", second))
+    table = RateTable(Instance(infra=infra, chains=chains))
+    assert [table.row_id(c.id) for c in chains] == [0, 1, 0]
+    rows, spans = solver._chain_rows(chains[::-1], table)
+    assert [count for _, count in rows] == [2, 1]
+    assert rows[0][0] == [table.children("c2", n) for n in (1, 2)]
+    assert spans == [(0, 2), (1, 2), (0, 2)]
+
+
 def test_infeasible_by_capacity():
     infra = Infrastructure(
         clouds=(CloudNode(0, 10.0),),
@@ -410,11 +450,12 @@ def test_empty_instance_is_trivially_optimal():
     assert brute_force(Instance(infra=infra, chains=())).status == "optimal"
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     rng = random.Random(3)
     inst = rand_instance(rng, max_chains=3, max_vnfs=4)
-    with pytest.raises(BruteForceCapError):
-        brute_force(inst, cap=2)
+    monkeypatch.setattr(solver, "BRUTE_FORCE_CAP", 2)
+    with pytest.raises(BruteForceCapError, match="exceeds cap 2$"):
+        brute_force(inst)
 
 
 def _three_chain_capacity_instance():
@@ -546,10 +587,6 @@ def test_incumbent_loads_respect_capacity():
             assert res.solution.loads[k] <= inst.infra.capacity(k) + 1e-6
 
 
-def _without_runtime(res):
-    return dataclasses.replace(res, runtime=0.0)
-
-
 def test_table_reuse_gives_same_answer():
     rng = random.Random(66)
     inst = rand_instance(rng)
@@ -571,7 +608,7 @@ def test_table_reuse_gives_same_answer():
             prefix = inst.subset(ids[:m])
             shared = solve_optimal(prefix, budget=budget, table=table)
             own = solve_optimal(prefix, budget=budget)
-            assert _without_runtime(shared) == _without_runtime(own), m
+            assert shared == own, m
 
 
 def test_deep_instance_does_not_recurse():
