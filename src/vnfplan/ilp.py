@@ -91,8 +91,9 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
         # p-th cloud and VNF n+1 at the i-th, the backward penalty on n+1 and
         # the forward penalty on n, both INFEASIBLE when either link breaks
         # its bound, and both 0.0 when i == p.
-        for n in range(1, n_vnfs):
-            nxt = table.children(cid, n + 1)
+        for n in range(1, n_vnfs + 1):
+            nxt = table.children(cid, n + 1) if n < n_vnfs else [()] * len(clouds)
+            prev = table.children(cid, n) if n > 1 else ()
             for p, k in enumerate(clouds):
                 base = bases[n][p]
                 if n == 1 and base == INFEASIBLE:
@@ -109,20 +110,15 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                         penf_rows.append(LinearConstraint(
                             f"penf_s{si}_n{n}_k{k}_j{j}",
                             (r_term, (x, -(base + pen)), (xs[n + 1][i][0], -pen)), ">=", -pen))
-        # Backward penalty rows: VNF n at k with its predecessor at j.
-        for n in range(2, n_vnfs + 1):
-            prev = table.children(cid, n)
-            base = bases[n][0]
-            for i, k in enumerate(clouds):
-                r_term, x = rs[n][i], xs[n][i][0]
-                for p, j in enumerate(clouds):
+                # Backward penalty rows: VNF n at k, its predecessor at j.
+                for q, (j, by_prev) in enumerate(zip(clouds, prev)):
                     # INFEASIBLE too when VNF n-1 is a head that cannot sit at j.
-                    pen = prev[p][i][2]
+                    pen = by_prev[p][2]
                     if pen == INFEASIBLE or pen <= 0.0:
                         continue
                     penb_rows.append(LinearConstraint(
                         f"penb_s{si}_n{n}_k{k}_j{j}",
-                        (r_term, (x, -(base + pen)), (xs[n - 1][p][0], -pen)), ">=", -pen))
+                        (r_term, (x, -(base + pen)), (xs[n - 1][q][0], -pen)), ">=", -pen))
 
     # An uncapped cloud (capacity inf) gets no row: LP text has no infinite numbers.
     cap_rows = [
@@ -202,13 +198,19 @@ class _TokenKind(dict):
     _SPLIT when _split_signs would cut it or join it to the next token (-3,
     x-y, 1e).  Filled on first sight, so each distinct token is classified
     once per parse_lp_text call; names and coefficients repeat across rows.
+    A number too large for a float reads as inf and is also kept in
+    overflow, so parse_lp_text can reject the line it first appears on.
     """
+
+    overflow: str | None = None
 
     def __missing__(self, tok):
         if tok == "+" or tok == "-":
             kind = _PLUS if tok == "+" else _MINUS
         elif tok[0] not in "+-" and _NUM_RE.match(tok):
             kind = float(tok)
+            if kind == math.inf:
+                self.overflow = tok
         elif "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
             kind = _SPLIT
         else:
@@ -285,6 +287,8 @@ def parse_lp_text(text: str) -> IlpModel:
                 raise ValueError(f"constraint line without a sense: {raw!r}")
             start = eq - 1 if line[eq - 1] in "<>" else eq
             terms, constant = _parse_terms(line[colon + 1:start], kinds)
+            if kinds.overflow:
+                raise ValueError(f"constraint line with an out-of-range number: {raw!r}")
             rhs_text = line[eq + 1:]
             rhs = rhs_values.get(rhs_text)
             if rhs is None:
@@ -309,6 +313,8 @@ def parse_lp_text(text: str) -> IlpModel:
                 raise ValueError(f"more than one objective line: {raw!r}")
             body = line.split(":", 1)[1] if ":" in line else line
             objective, constant = _parse_terms(body, kinds)
+            if kinds.overflow:
+                raise ValueError(f"objective line with an out-of-range number: {raw!r}")
             if constant:
                 raise ValueError(f"objective line with a constant: {raw!r}")
         elif section == "bounds":

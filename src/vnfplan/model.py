@@ -195,6 +195,8 @@ def validate_instance(inst: Instance) -> list[str]:
             elif math.isnan(d_kj):
                 problems.append(f"cloud distance ({k},{j}) is NaN")
                 continue
+            if j < k:
+                continue   # the pair was compared from (j, k)
             try:
                 d_jk = infra.dist(j, k)
             except KeyError:

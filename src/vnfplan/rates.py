@@ -96,86 +96,76 @@ class Solution:
     violations: tuple[str, ...]
 
 
-def _per_length(links: Mapping[float, list[tuple[int, int]]], gflops: float,
-                bound_ms: float, fiber_speed: float, base_rate: float) -> list[float]:
-    """split_penalty for every link in links order, computed once per length."""
-    pens: list[float] = []
-    for d, pairs in links.items():
-        pens += [split_penalty(gflops, bound_ms, d, fiber_speed, base_rate)] * len(pairs)
-    return pens
-
-
 class _ChainRow:
     """Rate data of one distinct (RRH, VNF list) chain signature.
 
-    The co-located and head rates are computed at once.  The split
-    penalties are computed the first time they are read, because
-    placements that keep every chain on one cloud never read them.
-    fwd[n] (bwd[n]) maps a cloud pair (k, j) to the penalty on VNF n at
-    cloud k when VNF n+1 (n-1) sits at cloud j; the lists are indexed by
-    position, so their slots below the first valid n are empty.
-    children[n] is the branch and bound's view of VNF n, also built on
-    first read; see RateTable.children.
+    The co-located rates and the head rate at each cloud position are
+    computed at once.  The split penalties are computed the first time
+    they are read, because placements that keep every chain on one cloud
+    never read them.  A penalty depends on its link only through the
+    link's length, so fwd[n][p][c] (bwd[n][p][c]) is the penalty on VNF n
+    at the p-th cloud when VNF n+1 (n-1) sits across a link of the c-th
+    length (see RateTable); the lists are indexed by VNF position, so
+    their slots below the first valid n are empty.  Only the head's
+    forward penalties vary with p; every other VNF shares one list across
+    positions.  children[n] is the branch and bound's view of VNF n, also
+    built on first read; see RateTable.children.
     """
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
-                 links: Mapping[float, list[tuple[int, int]]],
-                 pairs: list[tuple[int, int]], chain: ChainRequest, row_id: int):
+                 lengths: list[float], length_of: list[list[int | None]],
+                 chain: ChainRequest, row_id: int):
         self.id = row_id
-        self._cloud_ids = cloud_ids
         self._fiber_speed = infra.fiber_speed
-        self._links = links
-        self._pairs = pairs
+        self._lengths = lengths
+        self._length_of = length_of
         self._vnfs = chain.vnfs
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
-        self.first = {}
-        for k in cloud_ids:
-            head = chain.vnfs[0]
-            self.first[k] = first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
-                                           infra.rrh_dist(chain.rrh, k), self._fiber_speed)
+        head = chain.vnfs[0]
+        self.first = [first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
+                                     infra.rrh_dist(chain.rrh, k), self._fiber_speed)
+                      for k in cloud_ids]
         self.demand = sum(self.colo)
 
-    # Past the head, a penalty depends on its link only through the length.
+    def _penalties(self, n: int, bound_ms: float, base_rate: float) -> list[float]:
+        """split_penalty of VNF n over each link length."""
+        gflops, v = self._vnfs[n - 1].gflops, self._fiber_speed
+        return [split_penalty(gflops, bound_ms, d, v, base_rate) for d in self._lengths]
 
     @cached_property
-    def fwd(self) -> list[dict[tuple[int, int], float]]:
-        v, links = self._fiber_speed, self._links
-        fwd: list[dict[tuple[int, int], float]] = [{}]
+    def fwd(self) -> list[list[list[float]]]:
+        fwd: list[list[list[float]]] = [[]]
         for n in range(1, len(self._vnfs)):
-            vnf = self._vnfs[n - 1]
+            bound = self._vnfs[n - 1].fwd_ms
             if n == 1:
-                pens = [split_penalty(vnf.gflops, vnf.fwd_ms, d, v, self.first[k])
-                        for d, group in links.items() for k, _ in group]
+                fwd.append([self._penalties(1, bound, first) for first in self.first])
             else:
-                pens = _per_length(links, vnf.gflops, vnf.fwd_ms, v, self.colo[n - 1])
-            fwd.append(dict(zip(self._pairs, pens)))
+                fwd.append([self._penalties(n, bound, self.colo[n - 1])] * len(self.first))
         return fwd
 
     @cached_property
-    def bwd(self) -> list[dict[tuple[int, int], float]]:
-        bwd: list[dict[tuple[int, int], float]] = [{}, {}]
-        for n in range(2, len(self._vnfs) + 1):
-            vnf = self._vnfs[n - 1]
-            pens = _per_length(self._links, vnf.gflops, vnf.bwd_ms, self._fiber_speed,
-                               self.colo[n - 1])
-            bwd.append(dict(zip(self._pairs, pens)))
-        return bwd
+    def bwd(self) -> list[list[list[float]]]:
+        return [[], []] + [
+            [self._penalties(n, self._vnfs[n - 1].bwd_ms, self.colo[n - 1])] * len(self.first)
+            for n in range(2, len(self._vnfs) + 1)]
 
     @cached_property
     def children(self) -> list[list[list[tuple[int, float, float, float]]]]:
-        ids = self._cloud_ids
-        head = [(i, self.first[k], 0.0, 0.0) for i, k in enumerate(ids)]
-        children = [[], [head] * len(ids)]
+        length_of = self._length_of
+        positions = range(len(length_of))
+        head = [(i, first, 0.0, 0.0) for i, first in enumerate(self.first)]
+        children = [[], [head] * len(length_of)]
         for n in range(2, len(self._vnfs) + 1):
             colo, fwd, bwd = self.colo[n - 1], self.fwd[n - 1], self.bwd[n]
             by_prev = []
-            for j in ids:
+            for p in positions:
                 options = []
-                for i, k in enumerate(ids):
-                    if k == j:
+                for i in positions:
+                    if i == p:
                         options.append((i, colo, 0.0, 0.0))
                         continue
-                    pen_bwd, pen_fwd_prev = bwd[(k, j)], fwd[(j, k)]
+                    pen_bwd = bwd[i][length_of[i][p]]
+                    pen_fwd_prev = fwd[p][length_of[p][i]]
                     if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
                         options.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
                     else:
@@ -190,28 +180,30 @@ class RateTable:
 
     Holds one row per distinct chain signature (RRH, VNF list): the
     co-located rate of each VNF, the base rate of VNF 1 at each cloud, and
-    the forward/backward split penalties for every ordered cloud pair (a
-    row computes its penalties on their first read).  Chains with equal
-    signatures share a row; chain ids map to rows (see row_id).
+    the forward/backward split penalties for every distinct link length (a
+    row computes its penalties on their first read).  A cloud is read by
+    its position p in cloud_ids.  length_of[p][i] is the index, among
+    those lengths, of the length of the link from the p-th cloud to the
+    i-th, infra.dist(cloud_ids[p], cloud_ids[i]); it is None where p == i,
+    as no link is crossed.  Chains with equal signatures share a row;
+    chain ids map to rows (see row_id).
     """
 
     def __init__(self, inst: Instance):
         infra = inst.infra
         self.cloud_ids = infra.cloud_ids()
-        # Ordered pairs of distinct clouds, grouped by link length.
-        links: dict[float, list[tuple[int, int]]] = {}
-        for k in self.cloud_ids:
-            for j in self.cloud_ids:
-                if k != j:
-                    links.setdefault(infra.dist(k, j), []).append((k, j))
-        pairs = [pair for group in links.values() for pair in group]
+        self._position = {k: p for p, k in enumerate(self.cloud_ids)}
+        index: dict[float, int] = {}    # link length -> its index
+        self._length_of = [[None if k == j else index.setdefault(infra.dist(k, j), len(index))
+                            for j in self.cloud_ids] for k in self.cloud_ids]
+        lengths = list(index)
         rows: dict[tuple, _ChainRow] = {}
         self._rows: dict[str, _ChainRow] = {}
         for chain in inst.chains:
             signature = (chain.rrh, chain.vnfs)
             row = rows.get(signature)
             if row is None:
-                row = _ChainRow(infra, self.cloud_ids, links, pairs, chain, len(rows))
+                row = _ChainRow(infra, self.cloud_ids, lengths, self._length_of, chain, len(rows))
                 rows[signature] = row
             self._rows[chain.id] = row
 
@@ -223,23 +215,25 @@ class RateTable:
         return self._rows[chain_id].colo[n - 1]
 
     def first_rate(self, chain_id: str, k: int) -> float:
-        return self._rows[chain_id].first[k]
+        return self._rows[chain_id].first[self._position[k]]
 
     def placement_feasible(self, chain_id: str, k: int) -> bool:
         """Whether the chain head may sit at cloud k at all."""
-        return self._rows[chain_id].first[k] != INFEASIBLE
+        return self.first_rate(chain_id, k) != INFEASIBLE
 
     def split_penalty_fwd(self, chain_id: str, n: int, k: int, j: int) -> float:
         """Penalty on VNF n at cloud k when VNF n+1 sits at cloud j."""
         if k == j:
             return 0.0
-        return self._rows[chain_id].fwd[n][(k, j)]
+        p, i = self._position[k], self._position[j]
+        return self._rows[chain_id].fwd[n][p][self._length_of[p][i]]
 
     def split_penalty_bwd(self, chain_id: str, n: int, k: int, j: int) -> float:
         """Penalty on VNF n at cloud k when VNF n-1 sits at cloud j."""
         if k == j:
             return 0.0
-        return self._rows[chain_id].bwd[n][(k, j)]
+        p, i = self._position[k], self._position[j]
+        return self._rows[chain_id].bwd[n][p][self._length_of[p][i]]
 
     def children(self, chain_id: str, n: int) -> list[list[tuple[int, float, float, float]]]:
         """The branch and bound's choices for VNF n, by cloud index.
@@ -267,26 +261,16 @@ class RateTable:
         meet its bound.
         """
         row = self._rows[chain_id]
-        colo = row.colo
-        n_vnfs = len(colo)
-        k = clouds[0]
-        base = row.first[k]
-        if base == INFEASIBLE or n_vnfs == 1:
-            rates = [base]
-        else:
-            j = clouds[1]
-            rates = [base + (0.0 if k == j else row.fwd[1][(k, j)])]
-        for n in range(2, n_vnfs + 1):
-            prev, k = k, clouds[n - 1]
-            base = colo[n - 1]
-            pen_bwd = 0.0 if k == prev else row.bwd[n][(k, prev)]
-            if n < n_vnfs:
-                j = clouds[n]
-                pen_fwd = 0.0 if k == j else row.fwd[n][(k, j)]
-                rates.append(base + max(pen_fwd, pen_bwd))
-            else:
-                rates.append(base + pen_bwd)
-        return rates
+        at = [self._position[k] for k in clouds]
+        pens = [0.0] * len(at)
+        # The split after VNF n: forward penalty on n, backward on n+1.
+        for n in range(1, len(at)):
+            p, i = at[n - 1], at[n]
+            if p != i:
+                pens[n - 1] = max(pens[n - 1], row.fwd[n][p][self._length_of[p][i]])
+                pens[n] = row.bwd[n + 1][i][self._length_of[i][p]]
+        bases = [row.first[at[0]], *row.colo[1:]]
+        return [base + pen for base, pen in zip(bases, pens)]
 
 
 def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> Solution:

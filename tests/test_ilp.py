@@ -108,6 +108,7 @@ def test_parse_rejects_constraint_without_sense(line):
     (" c1: x >= 1_000", "bad right-hand side"),
     (" c1: x >= \u0661", "bad right-hand side"),
     (" c1: x >= 1e999", "bad right-hand side"),
+    (" c1: 1e999 x - 1e999 y >= 1", "out-of-range number"),
     (" : x >= 1", "without a name"),
     (" x >= 1", "without a name"),
 ])
@@ -123,6 +124,13 @@ def test_parse_rejects_an_objective_constant():
     with pytest.raises(ValueError, match="objective line with a constant") as err:
         parse_lp_text("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n")
     assert repr(" obj: x + 3") in str(err.value)
+
+
+def test_parse_rejects_an_out_of_range_objective_coefficient():
+    """float() reads 1e999 as inf, which no LP number stands for."""
+    with pytest.raises(ValueError, match="objective line with an out-of-range number") as err:
+        parse_lp_text("Minimize\n obj: 1e999 x\nSubject To\n c1: x >= 1\nEnd\n")
+    assert repr(" obj: 1e999 x") in str(err.value)
 
 
 def test_uncapped_cloud_round_trips_without_a_capacity_row():

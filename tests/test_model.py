@@ -166,8 +166,9 @@ def test_validate_asymmetric_distances():
         rrh_distances={},
         cloud_distances={0: {0: 0.0, 1: 10.0}, 1: {0: 20.0, 1: 0.0}},
     )
-    problems = validate_instance(Instance(infra=infra, chains=()))
-    assert any("differ" in p for p in problems)
+    # One message per unordered pair, not one per ordered pair.
+    assert validate_instance(Instance(infra=infra, chains=())) == [
+        "cloud distances (0,1) and (1,0) differ"]
 
 
 def test_validate_mcs_range():

@@ -256,6 +256,20 @@ def _shared_signature_instance():
     return Instance(infra=infra, chains=chains)
 
 
+def _asymmetric_instance():
+    """Three clouds whose link lengths depend on the direction of travel,
+    so a penalty read across the reverse link differs."""
+    clouds = tuple(CloudNode(k, 1e6) for k in range(3))
+    rrh = {"r0": {0: 30000.0, 1: 1000.0, 2: 5000.0}}
+    dist = {0: {0: 0.0, 1: 10000.0, 2: 50000.0},
+            1: {0: 40000.0, 1: 0.0, 2: 20000.0},
+            2: {0: 30000.0, 1: 60000.0, 2: 0.0}}
+    vnfs = (VnfSpec(4.0, 0.5, 0.5), VnfSpec(2.0, 0.3, 1.0), VnfSpec(1.0, 0.3, 0.3))
+    chain = ChainRequest(id="a", service=None, rrh="r0", vnfs=vnfs)
+    infra = Infrastructure(clouds=clouds, rrh_distances=rrh, cloud_distances=dist)
+    return Instance(infra=infra, chains=(chain,))
+
+
 def _accessor_values(table, chain):
     cid = chain.id
     n_vnfs = len(chain.vnfs)
@@ -290,9 +304,10 @@ def test_shared_rows_match_single_chain_tables():
 
 def test_rate_table_penalties_match_direct_formula():
     # Three or four clouds with repeated link lengths, so penalties that
-    # a row computes once per length land on every pair of that length.
+    # a row computes once per length land on every pair of that length,
+    # and three clouds whose link lengths depend on the direction.
     rng = random.Random(7)
-    insts = [_shared_signature_instance()]
+    insts = [_shared_signature_instance(), _asymmetric_instance()]
     insts += [rand_instance(rng, num_edges=rng.choice([2, 3])) for _ in range(20)]
     for inst in insts:
         table = RateTable(inst)
@@ -317,7 +332,7 @@ def test_rate_table_penalties_match_direct_formula():
 
 def test_children_match_accessors():
     rng = random.Random(11)
-    insts = [_shared_signature_instance()]
+    insts = [_shared_signature_instance(), _asymmetric_instance()]
     insts += [rand_instance(rng, num_edges=rng.choice([1, 2, 3])) for _ in range(20)]
     for inst in insts:
         table = RateTable(inst)
@@ -340,6 +355,21 @@ def test_children_match_accessors():
                             expected.append((i, table.colocated(cid, n) + pen_bwd,
                                              pen_bwd, pen_fwd_prev))
                     assert options == expected, (cid, n, j)
+
+
+def test_chain_rates_match_accessors():
+    for inst in (_shared_signature_instance(), _asymmetric_instance()):
+        table = RateTable(inst)
+        for chain in inst.chains:
+            cid, n_vnfs = chain.id, len(chain.vnfs)
+            for vec in itertools.product(table.cloud_ids, repeat=n_vnfs):
+                expected = []
+                for n, k in enumerate(vec, start=1):
+                    base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
+                    pen_fwd = table.split_penalty_fwd(cid, n, k, vec[n]) if n < n_vnfs else 0.0
+                    pen_bwd = table.split_penalty_bwd(cid, n, k, vec[n - 2]) if n > 1 else 0.0
+                    expected.append(base + max(pen_fwd, pen_bwd))
+                assert table.chain_rates(cid, vec) == expected, (cid, vec)
 
 
 def test_evaluate_with_shared_rows_sums_per_chain_objectives():
