@@ -96,6 +96,11 @@ def _report_invalid(inst: Instance) -> bool:
     return bool(problems)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gen(args) -> int:
     cfg = ScenarioConfig(rings=args.rings, isd=args.isd,
                          central_dist=args.central_dist,
@@ -111,8 +116,11 @@ def _cmd_gen(args) -> int:
         return 2
     if _report_invalid(inst):
         return 2
-    save_instance(args.out, inst, model=default_model(),
-                  services=default_services())
+    try:
+        save_instance(args.out, inst, model=default_model(),
+                      services=default_services())
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out}: {len(inst.chains)} chains, "
           f"{len(inst.infra.clouds)} clouds")
     return 0
@@ -146,8 +154,11 @@ def _cmd_solve(args) -> int:
         return 2
     table = RateTable(inst)
     if args.emit_lp:
-        with open(args.emit_lp, "w", encoding="utf-8") as fh:
-            fh.write(emit_lp_text(build_ilp(inst, table)))
+        try:
+            with open(args.emit_lp, "w", encoding="utf-8") as fh:
+                fh.write(emit_lp_text(build_ilp(inst, table)))
+        except OSError as exc:
+            return _cannot_write(args.emit_lp, exc)
         print(f"wrote LP model to {args.emit_lp}")
     try:
         out = run_method(method, inst, table, budget)
@@ -209,7 +220,10 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    export_csv(records, args.out)
+    try:
+        export_csv(records, args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out}: {len(records)} records")
     return 0
 

@@ -1,11 +1,10 @@
 """Integer linear program construction and LP-format text interchange.
 
-The program uses one placement binary x and one allocated-rate continuous
-variable r per (chain, VNF, cloud).  Rate formulas are linearized as lower
-bounds on r that only bind when both binaries of a split are set; since
-penalties are non-negative and r is minimized, the minimal feasible r
-reproduces the rate engine exactly.  Latency-infeasible splits become
-pairwise cuts, infeasible head placements become fixed-to-zero bounds.
+One placement binary x and one allocated-rate continuous variable r per
+(chain, VNF, cloud).  Rates are lower bounds on r, met where r is least: a
+base row per placement and, per (VNF, cloud, direction), one row per
+distinct split penalty (see _staircase).  Latency-infeasible splits become
+pairwise cuts, infeasible head placements fixed-to-zero bounds.
 """
 from __future__ import annotations
 
@@ -39,6 +38,17 @@ def x_name(si: int, n: int, k: int) -> str:
 
 def r_name(si: int, n: int, k: int) -> str:
     return f"r_s{si}_n{n}_k{k}"
+
+
+def _staircase(name: str, r_term: tuple[str, float], x: str, base: float,
+               pairs: list[tuple[float, str]]) -> list[LinearConstraint]:
+    """Penalty rows of one VNF at one cloud from (penalty, neighbour binary)
+    pairs: per distinct finite positive penalty v, ranked from the smallest,
+    r >= (base + v) x + v * (sum of neighbour binaries with v <= penalty) - v."""
+    values = sorted({pen for pen, _ in pairs if 0.0 < pen < INFEASIBLE})
+    return [LinearConstraint(f"{name}_v{rank}", (r_term, (x, -(base + v)), *(
+        (nx, -v) for pen, nx in pairs if v <= pen < INFEASIBLE)), ">=", -v)
+        for rank, v in enumerate(values)]
 
 
 def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
@@ -99,26 +109,16 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                 if n == 1 and base == INFEASIBLE:
                     continue   # the head cannot sit at k at all
                 r_term, x = rs[n][p], xs[n][p][0]
-                for i, _, _, pen in nxt[p]:
-                    j = clouds[i]
-                    if pen == INFEASIBLE:
-                        # Cut: no link serves VNF n at k and VNF n+1 at j in time.
-                        cut_rows.append(LinearConstraint(
-                            f"cut_s{si}_n{n}_k{k}_j{j}", (xs[n][p], xs[n + 1][i]), "<=", 1.0))
-                    elif pen > 0.0:
-                        # Forward penalty row: VNF n at k, its successor at j.
-                        penf_rows.append(LinearConstraint(
-                            f"penf_s{si}_n{n}_k{k}_j{j}",
-                            (r_term, (x, -(base + pen)), (xs[n + 1][i][0], -pen)), ">=", -pen))
-                # Backward penalty rows: VNF n at k, its predecessor at j.
-                for q, (j, by_prev) in enumerate(zip(clouds, prev)):
-                    # INFEASIBLE too when VNF n-1 is a head that cannot sit at j.
-                    pen = by_prev[p][2]
-                    if pen == INFEASIBLE or pen <= 0.0:
-                        continue
-                    penb_rows.append(LinearConstraint(
-                        f"penb_s{si}_n{n}_k{k}_j{j}",
-                        (r_term, (x, -(base + pen)), (xs[n - 1][q][0], -pen)), ">=", -pen))
+                # Cut: no link serves VNF n at k and VNF n+1 at the i-th cloud in time.
+                cut_rows += [LinearConstraint(f"cut_s{si}_n{n}_k{k}_j{clouds[i]}",
+                                              (xs[n][p], xs[n + 1][i]), "<=", 1.0)
+                             for i, _, _, pen in nxt[p] if pen == INFEASIBLE]
+                penf_rows += _staircase(f"penf_s{si}_n{n}_k{k}", r_term, x, base,
+                                        [(pen, xs[n + 1][i][0]) for i, _, _, pen in nxt[p]])
+                # INFEASIBLE too when VNF n-1 is a head that cannot sit at the q-th cloud.
+                penb_rows += _staircase(f"penb_s{si}_n{n}_k{k}", r_term, x, base,
+                                        [(by_prev[p][2], xs[n - 1][q][0])
+                                         for q, by_prev in enumerate(prev)])
 
     # An uncapped cloud (capacity inf) gets no row: LP text has no infinite numbers.
     cap_rows = [

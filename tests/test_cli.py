@@ -79,6 +79,25 @@ def test_solve_fixed_baselines(tmp_path):
     assert main(["solve", str(inst), "--method", "fixed-service"]) == 0
 
 
+@pytest.mark.parametrize("command", ["gen", "solve", "sweep"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "absent" / "out"
+    if command == "gen":
+        args = ["gen", "--out", str(missing), "--mix", "2", "--edge-sites", "center"]
+    elif command == "solve":
+        args = ["solve", str(_gen(tmp_path)), "--method", "b-first", "--emit-lp", str(missing)]
+    else:
+        args = ["sweep", "--methods", "b-first", "--out", str(missing), "--axis-s", "1",
+                "--reps", "1", "--edge-sites", "center"]
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
+    assert captured.err.count("\n") == 1
+    assert not missing.parent.exists()
+
+
 def test_solve_missing_file(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "absent.yaml")])
     assert rc == 2

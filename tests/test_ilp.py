@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
+from scipy.sparse import csr_matrix
 
 from util import (
     SWEEP_HIT_OPTIMA,
@@ -29,6 +31,7 @@ from vnfplan.ilp import (
 )
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, Assignment, RateTable, evaluate
+from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import SearchBudget, solve_optimal
 
 
@@ -280,36 +283,31 @@ def test_min_completion_matches_evaluate():
                 assert not sol.feasible
 
 
-def _solve_via_scipy(mdl: IlpModel):
+def _solve_via_scipy(mdl: IlpModel, relax: bool = False, **options):
+    """HiGHS on the model, as a MILP or, with relax, as its LP relaxation."""
     variables = list(mdl.continuous) + list(mdl.binaries)
     idx = {v: i for i, v in enumerate(variables)}
     c = np.zeros(len(variables))
     for var, coef in mdl.objective:
         c[idx[var]] += coef
-    rows, lb, ub = [], [], []
-    for con in mdl.constraints:
-        row = np.zeros(len(variables))
+    rows, cols, vals, lb, ub = [], [], [], [], []
+    for i, con in enumerate(mdl.constraints):
         for var, coef in con.terms:
-            row[idx[var]] += coef
-        rows.append(row)
-        if con.sense == "<=":
-            lb.append(-np.inf)
-            ub.append(con.rhs)
-        elif con.sense == ">=":
-            lb.append(con.rhs)
-            ub.append(np.inf)
-        else:
-            lb.append(con.rhs)
-            ub.append(con.rhs)
-    integrality = np.array([0] * len(mdl.continuous) + [1] * len(mdl.binaries))
+            rows.append(i)
+            cols.append(idx[var])
+            vals.append(coef)
+        lb.append(-np.inf if con.sense == "<=" else con.rhs)
+        ub.append(np.inf if con.sense == ">=" else con.rhs)
+    matrix = csr_matrix((vals, (rows, cols)), shape=(len(mdl.constraints), len(variables)))
+    integrality = np.array([0] * len(mdl.continuous) + [0 if relax else 1] * len(mdl.binaries))
     lo = np.zeros(len(variables))
     hi = np.full(len(variables), np.inf)
     for var in mdl.binaries:
         hi[idx[var]] = 1.0
     for var in mdl.fixed_zero:
         hi[idx[var]] = 0.0
-    return milp(c=c, constraints=SciCon(np.array(rows), np.array(lb), np.array(ub)),
-                integrality=integrality, bounds=Bounds(lo, hi))
+    return milp(c=c, constraints=SciCon(matrix, np.array(lb), np.array(ub)),
+                integrality=integrality, bounds=Bounds(lo, hi), options=options)
 
 
 def test_external_milp_cross_check():
@@ -343,6 +341,116 @@ def test_sweep_hit_optima_match_highs(rep):
     assert sci.status == 0, sci.message
     for value in (res.solution.objective, SWEEP_HIT_OPTIMA[rep]):
         assert math.isclose(sci.fun, value, rel_tol=1e-9)
+
+
+def _pairwise_ilp(inst, table):
+    """build_ilp's model with its penalty rows swapped for one row per split:
+    r[n,k] >= (base + p) x[n,k] + p x[m,j] - p for each neighbour VNF m at
+    each cloud j with a finite positive penalty p.  The reference that the
+    staircase rows are measured against."""
+    mdl = build_ilp(inst, table)
+    clouds = inst.infra.cloud_ids()
+    rows = [c for c in mdl.constraints if not c.name.startswith("pen")]
+    for si, chain in enumerate(inst.chains):
+        n_vnfs = len(chain.vnfs)
+        for n in range(1, n_vnfs + 1):
+            nxt = table.children(chain.id, n + 1) if n < n_vnfs else [()] * len(clouds)
+            prev = table.children(chain.id, n) if n > 1 else ()
+            for p, k in enumerate(clouds):
+                base = table.first_rate(chain.id, k) if n == 1 else table.colocated(chain.id, n)
+                if n == 1 and base == INFEASIBLE:
+                    continue
+                splits = [(x_name(si, n + 1, clouds[i]), pen) for i, _, _, pen in nxt[p]]
+                splits += [(x_name(si, n - 1, j), by_prev[p][2])
+                           for j, by_prev in zip(clouds, prev)]
+                rows += [LinearConstraint(
+                    f"pair_{len(rows)}", ((r_name(si, n, k), 1.0), (x_name(si, n, k), -(base + pen)),
+                                          (x, -pen)), ">=", -pen)
+                    for x, pen in splits if 0.0 < pen < INFEASIBLE]
+    return dataclasses.replace(mdl, constraints=tuple(rows))
+
+
+def _eight_cloud_instance(size, edge_capacity):
+    """The 8-cloud capacity-bound scenario (every site an edge cloud, central
+    cloud 45 km out, scenario seed 0) with size chains."""
+    return build_instance(ScenarioConfig(edge_sites="all", seed=0), d0_m=45_000.0,
+                          size=size, edge_capacity=edge_capacity)
+
+
+def _relaxed_objective(mdl):
+    res = _solve_via_scipy(mdl, relax=True)
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else math.inf
+
+
+def test_staircase_relaxation_is_never_below_pairwise():
+    """Each pairwise row is implied by the staircase row of its penalty, so
+    the staircase LP relaxation can only be tighter."""
+    rng = random.Random(7)
+    cases = [rand_instance(rng, num_edges=2) for _ in range(8)]
+    cases.append(_eight_cloud_instance(7, 2240.0))
+    bounds = []
+    for inst in cases:
+        table = RateTable(inst)
+        bounds.append((_relaxed_objective(build_ilp(inst, table)),
+                       _relaxed_objective(_pairwise_ilp(inst, table))))
+    for stair, pair in bounds:
+        assert stair >= pair or math.isclose(stair, pair, rel_tol=1e-9)
+    assert sum(pair < math.inf for _, pair in bounds) >= 5
+    # On 8 clouds it is strictly tighter: 5938.17 against 5937.33.
+    assert bounds[-1][0] > bounds[-1][1] + 0.5
+
+
+def test_staircase_rows_one_per_distinct_penalty():
+    """Per (VNF, cloud, direction), one row per distinct finite positive
+    penalty v, named by its rank from the smallest, that sums every
+    neighbour binary whose penalty is at least v."""
+    for inst in (_eight_cloud_instance(3, 3000.0), _small_instance(5, num_edges=2)):
+        table = RateTable(inst)
+        mdl = build_ilp(inst, table)
+        clouds = inst.infra.cloud_ids()
+        rows = {c.name: c for c in mdl.constraints if c.name.startswith("pen")}
+        expected = set()
+        most = 0
+        for si, chain in enumerate(inst.chains):
+            n_vnfs = len(chain.vnfs)
+            for n in range(1, n_vnfs + 1):
+                for p, k in enumerate(clouds):
+                    base = table.first_rate(chain.id, k) if n == 1 else table.colocated(chain.id, n)
+                    if base == INFEASIBLE:
+                        continue
+                    nxt = table.children(chain.id, n + 1)[p] if n < n_vnfs else ()
+                    prev = table.children(chain.id, n) if n > 1 else ()
+                    for family, m, pens in (
+                            ("penf", n + 1, [(clouds[i], pen) for i, _, _, pen in nxt]),
+                            ("penb", n - 1, [(j, by_prev[p][2]) for j, by_prev in zip(clouds, prev)])):
+                        values = sorted({pen for _, pen in pens if 0.0 < pen < INFEASIBLE})
+                        most = max(most, len(values))
+                        for rank, v in enumerate(values):
+                            name = f"{family}_s{si}_n{n}_k{k}_v{rank}"
+                            expected.add(name)
+                            assert rows[name] == LinearConstraint(
+                                name, ((r_name(si, n, k), 1.0), (x_name(si, n, k), -(base + v)),
+                                       *((x_name(si, m, j), -v) for j, pen in pens
+                                         if v <= pen < INFEASIBLE)), ">=", -v)
+        assert set(rows) == expected
+        assert most >= 2
+
+
+# Proven by HiGHS on the staircase model (see test_highs_proves_an_eight_cloud_optimum).
+EIGHT_CLOUD_OPTIMUM = 9209.824151504294
+
+
+def test_highs_proves_an_eight_cloud_optimum():
+    """HiGHS proves the 8-cloud S=11, Ce 3000 optimum, and the search's
+    20k-node incumbent and best bound bracket it."""
+    inst = _eight_cloud_instance(11, 3000.0)
+    sci = _solve_via_scipy(build_ilp(inst), time_limit=60.0, mip_rel_gap=0.0)
+    assert sci.status == 0, sci.message
+    assert math.isclose(sci.fun, EIGHT_CLOUD_OPTIMUM, rel_tol=1e-9)
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert res.solution.objective >= EIGHT_CLOUD_OPTIMUM * (1 - 1e-9)
+    assert res.best_bound <= EIGHT_CLOUD_OPTIMUM * (1 + 1e-9)
 
 
 def test_fixed_zero_for_unreachable_head():
