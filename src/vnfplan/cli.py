@@ -6,6 +6,7 @@ capacities in GFLOPS/s, latency bounds in milliseconds.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -130,12 +131,10 @@ def _print_solution(inst: Instance, sol: Solution) -> None:
     print(f"objective: {sol.objective!r}")
     for k in inst.infra.cloud_ids():
         print(f"load cloud {k}: {sol.loads.get(k, 0.0)!r}")
+    vectors = sol.assignment.vectors
     for chain in inst.chains:
-        if (chain.id, 1) not in sol.assignment.x:
-            continue
-        clouds = " ".join(str(sol.assignment.cloud_of(chain.id, n))
-                          for n in range(1, len(chain) + 1))
-        print(f"chain {chain.id}: {clouds}")
+        if chain.id in vectors:     # b_first's rejected chains have none
+            print(f"chain {chain.id}: {' '.join(map(str, vectors[chain.id]))}")
 
 
 def _cmd_solve(args) -> int:
@@ -198,19 +197,15 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
                          edge_capacity=args.edge_capacity,
                          seed=args.seed, mix_profile=args.mix_profile,
                          edge_sites=args.edge_sites)
-    axes = {}
     try:
-        s_axis = _parse_axis(args.axis_s, int)
-        d_axis = _parse_axis(args.axis_d0, float)
-        c_axis = _parse_axis(args.axis_ce, float)
+        axes = {name: values for name, values in (
+            ("S", _parse_axis(args.axis_s, int)), ("d0", _parse_axis(args.axis_d0, float)),
+            ("Ce", _parse_axis(args.axis_ce, float))) if values}
     except ValueError as exc:
         parser.error(str(exc))
-    if s_axis:
-        axes["S"] = s_axis
-    if d_axis:
-        axes["d0"] = d_axis
-    if c_axis:
-        axes["Ce"] = c_axis
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):      # before the sweep, so a bad path costs no solve
+        return _cannot_write(args.out, NotADirectoryError(f"no directory {out_dir}"))
     try:
         budget = SearchBudget(time_limit=args.time_limit)
         records = run_sweep(cfg, methods, axes=axes, reps=args.reps,

@@ -64,7 +64,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     clouds = list(inst.infra.cloud_ids())
     residual = {k: inst.infra.capacity(k) for k in clouds}
     events: list[PlacementEvent] = []
-    vectors: dict[str, list[int]] = {}
+    vectors: dict[str, tuple[int, ...]] = {}
     evaluations = 0
 
     for chain in packing_order(inst, table):
@@ -80,7 +80,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                 continue
             total = head + tail
             if total <= residual[k] + CAP_TOL:
-                vectors[cid] = [k] * n_vnfs
+                vectors[cid] = (k,) * n_vnfs
                 residual[k] -= total
                 events.append(PlacementEvent(cid, True, "whole", cloud=k,
                                              added_rate=total))
@@ -116,7 +116,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                         best = cand
         if best is not None:
             _, p, k, j, prefix, suffix = best
-            vectors[cid] = [k] * p + [j] * (n_vnfs - p)
+            vectors[cid] = (k,) * p + (j,) * (n_vnfs - p)
             residual[k] -= prefix
             residual[j] -= suffix
             events.append(PlacementEvent(cid, True, "split", cloud=k,
@@ -126,17 +126,18 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
             events.append(PlacementEvent(cid, False, "rejected"))
 
     accepted_ids = [c.id for c in inst.chains if c.id in vectors]
-    solution = evaluate(inst.subset(accepted_ids), Assignment.from_vectors(vectors),
-                        table)
+    solution = evaluate(inst.subset(accepted_ids), Assignment(vectors), table)
     return HeuristicResult(solution=solution, events=events,
                            evaluations=evaluations, accepted_ids=accepted_ids)
 
 
-def _nearest_edge(inst: Instance, rrh: str) -> Optional[int]:
+def _nearest_edges(inst: Instance) -> dict[str, int]:
+    """The nearest edge cloud of each chain's RRH, lowest id on ties, or
+    the central cloud 0 when there is no edge cloud."""
     edges = [k for k in inst.infra.cloud_ids() if k != 0]
-    if not edges:
-        return None
-    return min(edges, key=lambda k: (inst.infra.rrh_dist(rrh, k), k))
+    dist = inst.infra.rrh_dist
+    return {rrh: min(edges, key=lambda k: (dist(rrh, k), k), default=0)
+            for rrh in {chain.rrh for chain in inst.chains}}
 
 
 def _require_central(inst: Instance) -> None:
@@ -156,16 +157,13 @@ def fixed_split(inst: Instance, table: RateTable | None = None) -> Solution:
     edge clouds everything lands on the central cloud.
     """
     _require_central(inst)
+    nearest = _nearest_edges(inst)
     vectors = {}
     for chain in inst.chains:
-        edge = _nearest_edge(inst, chain.rrh)
         n_vnfs = len(chain.vnfs)
-        if edge is None:
-            vectors[chain.id] = [0] * n_vnfs
-            continue
         p = min(FIXED_SPLIT_AFTER, n_vnfs)
-        vectors[chain.id] = [edge] * p + [0] * (n_vnfs - p)
-    return evaluate(inst, Assignment.from_vectors(vectors), table)
+        vectors[chain.id] = (nearest[chain.rrh],) * p + (0,) * (n_vnfs - p)
+    return evaluate(inst, Assignment(vectors), table)
 
 
 def fixed_service(inst: Instance, table: RateTable | None = None) -> Solution:
@@ -175,10 +173,10 @@ def fixed_service(inst: Instance, table: RateTable | None = None) -> Solution:
     every other service to the central cloud.
     """
     _require_central(inst)
+    nearest = _nearest_edges(inst)
     vectors = {}
     for chain in inst.chains:
         name = chain.service.name.lower() if chain.service else ""
-        edge = _nearest_edge(inst, chain.rrh) if name == "urllc2" else None
-        target = edge if edge is not None else 0
-        vectors[chain.id] = [target] * len(chain.vnfs)
-    return evaluate(inst, Assignment.from_vectors(vectors), table)
+        target = nearest[chain.rrh] if name == "urllc2" else 0
+        vectors[chain.id] = (target,) * len(chain.vnfs)
+    return evaluate(inst, Assignment(vectors), table)

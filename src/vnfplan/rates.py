@@ -67,21 +67,20 @@ def first_vnf_rate(gflops: float, fwd_ms: float, bwd_ms: float,
 
 @dataclass(frozen=True)
 class Assignment:
-    """Maps every (chain id, VNF position) to a cloud id.  Positions are 1-based."""
+    """The cloud of every VNF: vectors[chain id][n - 1] hosts VNF n."""
 
-    x: Mapping[tuple[str, int], int]
+    vectors: Mapping[str, tuple[int, ...]]
 
     def cloud_of(self, chain_id: str, n: int) -> int:
-        return self.x[(chain_id, n)]
+        clouds = self.vectors[chain_id]
+        if not 1 <= n <= len(clouds):
+            raise KeyError((chain_id, n))
+        return clouds[n - 1]
 
     @staticmethod
     def from_vectors(vectors: Mapping[str, Sequence[int]]) -> "Assignment":
         """Build from {chain id: [cloud of VNF 1, cloud of VNF 2, ...]}."""
-        x = {}
-        for chain_id, clouds in vectors.items():
-            for n, k in enumerate(clouds, start=1):
-                x[(chain_id, n)] = k
-        return Assignment(x=x)
+        return Assignment({cid: tuple(clouds) for cid, clouds in vectors.items()})
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,9 @@ class Solution:
     """A fully evaluated deployment."""
 
     assignment: Assignment
-    rates: Mapping[tuple[str, int], tuple[int, float]]  # (chain, n) -> (cloud, rate)
-    objective: float                                     # sum of rates, GFLOPS/s
-    loads: Mapping[int, float]                           # cloud -> allocated rate
+    rates: Mapping[str, tuple[float, ...]]  # chain -> rate of VNF 1, 2, ...
+    objective: float                        # sum of rates, GFLOPS/s
+    loads: Mapping[int, float]              # cloud -> allocated rate
     feasible: bool
     violations: tuple[str, ...]
 
@@ -278,21 +277,26 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
 
     Collects every violated constraint instead of stopping at the first,
     so an infeasible deployment reports all of its problems at once.
+    Raises ValueError naming the chain when a chain of inst has no
+    vector, a vector of the wrong length or a cloud not in inst; vectors
+    of chains not in inst are ignored.
     """
     if table is None:
         table = RateTable(inst)
     violations: list[str] = []
-    rates: dict[tuple[str, int], tuple[int, float]] = {}
+    rates: dict[str, tuple[float, ...]] = {}
     loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
     objective = 0.0
-    x = a.x
     for chain in inst.chains:
         cid = chain.id
-        n_vnfs = len(chain.vnfs)
-        clouds = [x[(cid, n)] for n in range(1, n_vnfs + 1)]
-        per_vnf = table.chain_rates(cid, clouds)
+        clouds = a.vectors.get(cid)
+        if clouds is None or len(clouds) != len(chain.vnfs):
+            raise ValueError(f"chain {cid}: cloud vector {clouds!r} for {len(chain.vnfs)} VNFs")
+        try:
+            per_vnf = rates[cid] = tuple(table.chain_rates(cid, clouds))
+        except KeyError as exc:
+            raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
         for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
-            rates[(cid, n)] = (k, rate)
             objective += rate
             loads[k] += rate
             if rate != INFEASIBLE:
@@ -300,7 +304,7 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
             if n == 1 and not table.placement_feasible(cid, k):
                 violations.append(
                     f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
-            if n < n_vnfs:
+            if n < len(clouds):
                 j = clouds[n]
                 if table.split_penalty_fwd(cid, n, k, j) == INFEASIBLE:
                     violations.append(

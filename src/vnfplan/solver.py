@@ -138,8 +138,8 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
         if bound is not None and bound >= best_obj * (1 - 1e-9):
             return SolveResult(warm.solution, "optimal", 0, best_bound=best_obj)
         index = {k: i for i, k in enumerate(clouds)}
-        x = warm.solution.assignment.x
-        best_vec = [index[x[var]] for var in variables]
+        warm_vectors = warm.solution.assignment.vectors
+        best_vec = [index[k] for chain in order for k in warm_vectors[chain.id]]
         if bound is not None:
             best_bound = max(best_bound, bound)
         priced = _priced_bound(rows, spans, caps, best_obj, budget.max_nodes)
@@ -235,10 +235,9 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             completed = False
 
     if best_vec is not None:
-        vectors: dict[str, list[int]] = {c.id: [] for c in inst.chains}
-        for (cid, _), k in zip(variables, best_vec):
-            vectors[cid].append(clouds[k])
-        solution = evaluate(inst, Assignment.from_vectors(vectors), table)
+        picks = (clouds[k] for k in best_vec)
+        vectors = {c.id: tuple(itertools.islice(picks, len(c.vnfs))) for c in order}
+        solution = evaluate(inst, Assignment(vectors), table)
         if completed:
             return SolveResult(solution, "optimal", nodes, best_bound=solution.objective)
         return SolveResult(solution, "feasible-incumbent", nodes, best_bound=best_bound)
@@ -496,8 +495,8 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
                 table.split_penalty_fwd(cid, n, k, j) == 0.0
                 and table.split_penalty_bwd(cid, n + 1, j, k) == 0.0))
             path.append(k)
-        vectors[cid] = path
-    return Assignment.from_vectors(vectors)
+        vectors[cid] = tuple(path)
+    return Assignment(vectors)
 
 
 # brute_force refuses instances with more placements than this.
@@ -557,9 +556,8 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
             best_combo = pick
     if not any_feasible:
         return SolveResult(None, "infeasible", examined, infeasible_reason="capacity")
-    vectors = {chain.id: list(best_combo[i][0])
-               for i, chain in enumerate(inst.chains)}
-    solution = evaluate(inst, Assignment.from_vectors(vectors), table)
+    vectors = {chain.id: combo for chain, (combo, _, _) in zip(inst.chains, best_combo)}
+    solution = evaluate(inst, Assignment(vectors), table)
     return SolveResult(solution, "optimal", examined, best_bound=solution.objective)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from vnfplan import cli
 from vnfplan.cli import main
 from vnfplan.config import load_instance, save_instance
 from vnfplan.ilp import build_ilp, parse_lp_text
@@ -80,7 +81,7 @@ def test_solve_fixed_baselines(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "sweep"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, command):
     missing = tmp_path / "absent" / "out"
     if command == "gen":
         args = ["gen", "--out", str(missing), "--mix", "2", "--edge-sites", "center"]
@@ -89,6 +90,9 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     else:
         args = ["sweep", "--methods", "b-first", "--out", str(missing), "--axis-s", "1",
                 "--reps", "1", "--edge-sites", "center"]
+        # The directory is checked before any point is solved.
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda *a, **k: pytest.fail("run_sweep ran before the check"))
     capsys.readouterr()
     assert main(args) == 2
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,40 @@ def test_evaluate_collects_latency_violations():
     text = "\n".join(sol.violations)
     assert "RRH link exceeds the backward bound" in text
     assert "exceeds the forward bound" in text or "exceeds the backward bound" in text
+
+
+# A cloud vector for the centre-only instance's one 8-VNF chain, and the
+# start of the message evaluate raises for it.
+BAD_VECTORS = {
+    "too-long": ([0] * 8 + [1, 7], "chain c000: cloud vector"),
+    "too-short": ([0] * 7, "chain c000: cloud vector"),
+    "unknown-cloud": ([0] * 7 + [9], "chain c000: no cloud 9"),
+    "missing-chain": (None, "chain c000: cloud vector None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VECTORS))
+def test_evaluate_rejects_a_vector_that_does_not_fit_its_chain(case):
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=1)
+    assert inst.infra.cloud_ids() == (0, 1) and len(inst.chains[0].vnfs) == 8
+    vector, message = BAD_VECTORS[case]
+    a = Assignment.from_vectors({} if vector is None else {"c000": vector})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        evaluate(inst, a)
+
+
+def test_evaluate_ignores_vectors_of_other_chains():
+    inst = _line_instance()
+    a = Assignment.from_vectors({"c0": [1, 1, 1], "other": [5]})
+    assert evaluate(inst, a).objective == pytest.approx(7020.100502512563)
+
+
+@pytest.mark.parametrize("n", [0, -1, 4])
+def test_cloud_of_outside_the_chain_raises_key_error(n):
+    a = Assignment.from_vectors({"c0": [1, 0, 2]})
+    assert [a.cloud_of("c0", m) for m in (1, 2, 3)] == [1, 0, 2]
+    with pytest.raises(KeyError):
+        a.cloud_of("c0", n)
 
 
 def test_rate_table_matches_direct_formulas():
@@ -381,12 +416,12 @@ def test_evaluate_with_shared_rows_sums_per_chain_objectives():
                           Assignment.from_vectors({chain.id: vectors[chain.id]}))
                  for chain in inst.chains]
     # Same additions in the same order: exact.  Per-chain subtotals: rounding.
-    assert sol.objective == sum(rate for s in per_chain for _, rate in s.rates.values())
+    assert sol.objective == sum(rate for s in per_chain for r in s.rates.values() for rate in r)
     assert sol.objective == pytest.approx(sum(s.objective for s in per_chain), rel=1e-12)
     for s in per_chain:
-        for key, value in s.rates.items():
-            assert sol.rates[key] == value
-    assert sol.rates[("a", 3)] == sol.rates[("e", 3)]
+        for cid, value in s.rates.items():
+            assert sol.rates[cid] == value
+    assert sol.rates["a"] == sol.rates["e"]
 
 
 def _count_split_penalty_calls(monkeypatch):
