@@ -6,6 +6,7 @@ capacities in GFLOPS/s, latency bounds in milliseconds.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import Optional, Sequence
@@ -19,6 +20,7 @@ from .solver import BruteForceCapError, SearchBudget, method_name, run_method
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    cfg, budget = ScenarioConfig(), SearchBudget()
     parser = argparse.ArgumentParser(
         prog="vnfplan",
         description="Plan processing-chain deployments over a central cloud "
@@ -29,35 +31,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a scenario instance file")
     gen.add_argument("--out", required=True, help="output YAML path")
-    gen.add_argument("--rings", type=int, default=1,
-                     help="hexagonal rings of macro sites (default 1)")
-    gen.add_argument("--isd", type=float, default=500.0,
-                     help="inter-site distance in meters (default 500)")
-    gen.add_argument("--central-dist", type=float, default=30000.0,
-                     help="central cloud distance in meters (default 30000)")
-    gen.add_argument("--mix", type=int, default=7,
-                     help="number of chains in the service mix (default 7)")
-    gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    gen.add_argument("--edge-capacity", type=float, default=4480.0,
-                     help="edge cloud capacity in GFLOPS/s (default 4480)")
-    gen.add_argument("--central-capacity", type=float, default=8960.0,
-                     help="central cloud capacity in GFLOPS/s (default 8960)")
-    gen.add_argument("--mix-profile", default="standard",
+    gen.add_argument("--rings", type=int, default=cfg.rings,
+                     help="hexagonal rings of macro sites (default %(default)s)")
+    gen.add_argument("--isd", type=float, default=cfg.isd,
+                     help="inter-site distance in meters (default %(default)s)")
+    gen.add_argument("--central-dist", type=float, default=cfg.central_dist,
+                     help="central cloud distance in meters (default %(default)s)")
+    gen.add_argument("--mix", type=int, default=cfg.mix_size,
+                     help="number of chains in the service mix (default %(default)s)")
+    gen.add_argument("--seed", type=int, default=cfg.seed, help="RNG seed (default %(default)s)")
+    gen.add_argument("--edge-capacity", type=float, default=cfg.edge_capacity,
+                     help="edge cloud capacity in GFLOPS/s (default %(default)s)")
+    gen.add_argument("--central-capacity", type=float, default=cfg.central_capacity,
+                     help="central cloud capacity in GFLOPS/s (default %(default)s)")
+    gen.add_argument("--mix-profile", default=cfg.mix_profile,
                      help="'standard' for the balanced mix, or a service name "
-                          "to make every chain that service (default standard)")
-    gen.add_argument("--edge-sites", choices=("all", "center"), default="all",
+                          "to make every chain that service (default %(default)s)")
+    gen.add_argument("--edge-sites", choices=("all", "center"), default=cfg.edge_sites,
                      help="put an edge cloud on every site or only the "
-                          "central one (default all)")
+                          "central one (default %(default)s)")
 
     solve = sub.add_parser("solve", help="place the chains of one instance")
     solve.add_argument("instance", help="instance YAML file")
     solve.add_argument("--method", default="optimal",
                        help="optimal | brute | b-first | fixed-split | "
                             "fixed-service (default optimal)")
-    solve.add_argument("--time-limit", type=float, default=600.0,
-                       help="search time limit in seconds (default 600)")
-    solve.add_argument("--max-nodes", type=int, default=10_000_000,
-                       help="search node limit (default 10000000)")
+    solve.add_argument("--time-limit", type=float, default=budget.time_limit,
+                       help="search time limit in seconds (default %(default)s)")
+    solve.add_argument("--max-nodes", type=int, default=budget.max_nodes,
+                       help="search node limit (default %(default)s)")
     solve.add_argument("--emit-lp", metavar="PATH",
                        help="also write the placement model in LP format")
 
@@ -70,22 +72,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis-d0", help="comma separated central distances (m)")
     sweep.add_argument("--axis-ce", help="comma separated edge capacities")
     sweep.add_argument("--reps", type=int, default=10,
-                       help="repetitions per point (default 10)")
-    sweep.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sweep.add_argument("--rings", type=int, default=1)
-    sweep.add_argument("--isd", type=float, default=500.0)
-    sweep.add_argument("--central-capacity", type=float, default=8960.0)
-    sweep.add_argument("--edge-capacity", type=float, default=4480.0)
-    sweep.add_argument("--mix-profile", default="standard")
-    sweep.add_argument("--edge-sites", choices=("all", "center"), default="all")
-    sweep.add_argument("--time-limit", type=float, default=600.0,
-                       help="per-solve time limit in seconds (default 600)")
+                       help="repetitions per point (default %(default)s)")
+    sweep.add_argument("--seed", type=int, default=cfg.seed,
+                       help="base RNG seed (default %(default)s)")
+    sweep.add_argument("--rings", type=int, default=cfg.rings)
+    sweep.add_argument("--isd", type=float, default=cfg.isd)
+    sweep.add_argument("--central-capacity", type=float, default=cfg.central_capacity)
+    sweep.add_argument("--edge-capacity", type=float, default=cfg.edge_capacity)
+    sweep.add_argument("--mix-profile", default=cfg.mix_profile)
+    sweep.add_argument("--edge-sites", choices=("all", "center"), default=cfg.edge_sites)
+    sweep.add_argument("--time-limit", type=float, default=budget.time_limit,
+                       help="per-solve time limit in seconds (default %(default)s)")
     sweep.add_argument("--measure-runtime", action="store_true",
                        help="record wall-clock runtimes instead of 0.0 "
                             "(makes the CSV non-reproducible)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes, at most one per "
-                            "point and per CPU (default 1)")
+                            "point and per CPU (default %(default)s)")
     return parser
 
 
@@ -203,8 +206,11 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             ("Ce", _parse_axis(args.axis_ce, float))) if values}
     except ValueError as exc:
         parser.error(str(exc))
+    # Before the sweep, so a bad path costs no solve.
+    if os.path.isdir(args.out):
+        return _cannot_write(args.out, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
     out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):      # before the sweep, so a bad path costs no solve
+    if not os.path.isdir(out_dir):
         return _cannot_write(args.out, NotADirectoryError(f"no directory {out_dir}"))
     try:
         budget = SearchBudget(time_limit=args.time_limit)

@@ -190,19 +190,21 @@ _SECTIONS = {
 
 
 # Token kinds besides a float (a number) and None (a variable name).
-_PLUS, _MINUS, _SPLIT = object(), object(), object()
+_PLUS, _MINUS = object(), object()
 
 
 class _TokenKind(dict):
-    """Whitespace token -> float value, None for a name, _PLUS, _MINUS, or
-    _SPLIT when _split_signs would cut it or join it to the next token (-3,
-    x-y, 1e).  Filled on first sight, so each distinct token is classified
-    once per parse_lp_text call; names and coefficients repeat across rows.
-    A number too large for a float reads as inf and is also kept in
-    overflow, so parse_lp_text can reject the line it first appears on.
+    """Whitespace token -> float value, None for a name, _PLUS or _MINUS.
+
+    Filled on first sight, so each distinct token is classified once per
+    parse_lp_text call; names and coefficients repeat across rows.  A token
+    outside the grammar is described in bad, so parse_lp_text can reject
+    the line it first appears on: a sign inside a token (-3, x-y, k-1) or a
+    dangling exponent (1e), read as a name, and a number too large for a
+    float, read as inf.
     """
 
-    overflow: str | None = None
+    bad: str | None = None
 
     def __missing__(self, tok):
         if tok == "+" or tok == "-":
@@ -210,49 +212,30 @@ class _TokenKind(dict):
         elif tok[0] not in "+-" and _NUM_RE.match(tok):
             kind = float(tok)
             if kind == math.inf:
-                self.overflow = tok
-        elif "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
-            kind = _SPLIT
+                self.bad = "an out-of-range number"
         else:
             kind = None
+            if "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
+                self.bad = f"a glued sign or exponent in {tok!r}"
         self[tok] = kind
         return kind
 
 
-def _split_signs(text: str) -> list[str]:
-    """The expression's tokens with every sign split off but exponent signs:
-    a token ending in e or E takes the sign and the digits after it."""
-    merged: list[str] = []
-    for tok in text.replace("+", " + ").replace("-", " - ").split():
-        if merged and _NUM_RE.match(merged[-1] + "1") and (
-                merged[-1][-1:] in "eE" and tok in "+-"
-                or merged[-1][-1:] in "+-" and merged[-1][:-1]):
-            merged[-1] += tok
-        else:
-            merged.append(tok)
-    return merged
-
-
-def _parse_terms(text: str, kinds: _TokenKind, tokens: list[str] | None = None
-                 ) -> tuple[tuple[tuple[str, float], ...], float]:
-    """Parse a linear expression into terms and a constant offset.
-
-    Whitespace tokens are read as they stand unless one is _SPLIT; then the
-    text is read again from _split_signs, where a _SPLIT token is a name."""
+def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float], ...], float]:
+    """Parse a linear expression of whitespace tokens into terms and a
+    constant offset."""
     terms: list[tuple[str, float]] = []
     constant = 0.0
     sign = 1.0
     coef: float | None = None
-    for tok in text.split() if tokens is None else tokens:
+    for tok in text.split():
         kind = kinds[tok]
-        if kind is None or kind is _SPLIT and tokens is not None:
+        if kind is None:
             terms.append((tok, sign if coef is None else sign * coef))
             sign = 1.0
             coef = None
         elif kind is _MINUS:
             sign = -sign
-        elif kind is _SPLIT:
-            return _parse_terms(text, kinds, _split_signs(text))
         elif kind is not _PLUS:
             if coef is not None:
                 constant += sign * coef
@@ -287,8 +270,8 @@ def parse_lp_text(text: str) -> IlpModel:
                 raise ValueError(f"constraint line without a sense: {raw!r}")
             start = eq - 1 if line[eq - 1] in "<>" else eq
             terms, constant = _parse_terms(line[colon + 1:start], kinds)
-            if kinds.overflow:
-                raise ValueError(f"constraint line with an out-of-range number: {raw!r}")
+            if kinds.bad:
+                raise ValueError(f"constraint line with {kinds.bad}: {raw!r}")
             rhs_text = line[eq + 1:]
             rhs = rhs_values.get(rhs_text)
             if rhs is None:
@@ -313,8 +296,8 @@ def parse_lp_text(text: str) -> IlpModel:
                 raise ValueError(f"more than one objective line: {raw!r}")
             body = line.split(":", 1)[1] if ":" in line else line
             objective, constant = _parse_terms(body, kinds)
-            if kinds.overflow:
-                raise ValueError(f"objective line with an out-of-range number: {raw!r}")
+            if kinds.bad:
+                raise ValueError(f"objective line with {kinds.bad}: {raw!r}")
             if constant:
                 raise ValueError(f"objective line with a constant: {raw!r}")
         elif section == "bounds":

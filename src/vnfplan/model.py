@@ -25,10 +25,6 @@ class ServiceClass:
     mcs_ul: int                       # uplink index
     latency_profile: tuple[float, ...]  # ms, one entry per VNF position
 
-    @property
-    def chain_length(self) -> int:
-        return len(self.latency_profile)
-
 
 @dataclass(frozen=True)
 class ComputeModel:
@@ -62,9 +58,6 @@ class ChainRequest:
     service: Optional[ServiceClass]
     rrh: str
     vnfs: tuple[VnfSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.vnfs)
 
 
 @dataclass(frozen=True)
@@ -174,6 +167,8 @@ def validate_instance(inst: Instance) -> list[str]:
         if c.id in seen_ids:
             problems.append(f"duplicate cloud id {c.id}")
         seen_ids.add(c.id)
+        if c.id < 0:
+            problems.append(f"cloud id {c.id} must be non-negative")
         if not c.capacity > 0:
             problems.append(f"cloud {c.id} capacity must be positive, got {c.capacity}")
 

@@ -216,10 +216,6 @@ class RateTable:
     def first_rate(self, chain_id: str, k: int) -> float:
         return self._rows[chain_id].first[self._position[k]]
 
-    def placement_feasible(self, chain_id: str, k: int) -> bool:
-        """Whether the chain head may sit at cloud k at all."""
-        return self.first_rate(chain_id, k) != INFEASIBLE
-
     def split_penalty_fwd(self, chain_id: str, n: int, k: int, j: int) -> float:
         """Penalty on VNF n at cloud k when VNF n+1 sits at cloud j."""
         if k == j:
@@ -301,7 +297,7 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
             loads[k] += rate
             if rate != INFEASIBLE:
                 continue
-            if n == 1 and not table.placement_feasible(cid, k):
+            if n == 1 and table.first_rate(cid, k) == INFEASIBLE:
                 violations.append(
                     f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
             if n < len(clouds):

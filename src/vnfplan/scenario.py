@@ -227,10 +227,6 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
     return records
 
 
-def _run_task(task) -> list[SweepRecord]:
-    return _solve_point(*task)
-
-
 def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
               axes: Optional[Mapping[str, Sequence[float]]] = None,
               reps: int = 10, budget: Optional[SearchBudget] = None,
@@ -275,9 +271,9 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_run_task, tasks))
+            per_point = list(pool.map(_solve_point, *zip(*tasks)))
     else:
-        per_point = [_run_task(task) for task in tasks]
+        per_point = [_solve_point(*task) for task in tasks]
     return [records[i] for i in range(len(ordered)) for records in per_point]
 
 

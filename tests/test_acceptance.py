@@ -305,7 +305,7 @@ def test_greedy_scales_linearly(report):
         for size, inst, per_call, result in zip(sizes, insts, times, results):
             n_clouds = len(inst.infra.cloud_ids())
             assert n_clouds == 8
-            total_vnfs = sum(len(c) for c in inst.chains)
+            total_vnfs = sum(len(c.vnfs) for c in inst.chains)
             assert per_call < 1.0
             assert result.evaluations <= n_clouds ** 2 * total_vnfs
             assert len(result.accepted_ids) == size

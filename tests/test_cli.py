@@ -10,8 +10,8 @@ from vnfplan.cli import main
 from vnfplan.config import load_instance, save_instance
 from vnfplan.ilp import build_ilp, parse_lp_text
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
-from vnfplan.scenario import read_csv
-from vnfplan.solver import solve_optimal
+from vnfplan.scenario import ScenarioConfig, read_csv
+from vnfplan.solver import SearchBudget, solve_optimal
 
 
 def test_gen_writes_loadable_instance(tmp_path):
@@ -80,26 +80,32 @@ def test_solve_fixed_baselines(tmp_path):
     assert main(["solve", str(inst), "--method", "fixed-service"]) == 0
 
 
-@pytest.mark.parametrize("command", ["gen", "solve", "sweep"])
+@pytest.mark.parametrize("command", ["gen", "solve", "sweep", "sweep-to-directory"])
 def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, command):
-    missing = tmp_path / "absent" / "out"
+    target = tmp_path / "absent" / "out"
+    if command == "sweep-to-directory":
+        target = tmp_path / "out"
+        target.mkdir()
     if command == "gen":
-        args = ["gen", "--out", str(missing), "--mix", "2", "--edge-sites", "center"]
+        args = ["gen", "--out", str(target), "--mix", "2", "--edge-sites", "center"]
     elif command == "solve":
-        args = ["solve", str(_gen(tmp_path)), "--method", "b-first", "--emit-lp", str(missing)]
+        args = ["solve", str(_gen(tmp_path)), "--method", "b-first", "--emit-lp", str(target)]
     else:
-        args = ["sweep", "--methods", "b-first", "--out", str(missing), "--axis-s", "1",
+        args = ["sweep", "--methods", "b-first", "--out", str(target), "--axis-s", "1",
                 "--reps", "1", "--edge-sites", "center"]
-        # The directory is checked before any point is solved.
+        # The path is checked before any point is solved.
         monkeypatch.setattr(cli, "run_sweep",
                             lambda *a, **k: pytest.fail("run_sweep ran before the check"))
     capsys.readouterr()
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {missing}: ")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
     assert captured.err.count("\n") == 1
-    assert not missing.parent.exists()
+    assert not (tmp_path / "absent").exists()
+    if command == "sweep-to-directory":
+        assert captured.err.endswith(": Is a directory\n")
+        assert not any(target.iterdir())
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -321,6 +327,38 @@ def test_sweep_requires_methods(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--methods", " , ", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_sweep_rejects_an_empty_axis(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--methods", "b-first", "--out", str(tmp_path / "x.csv"),
+              "--axis-s", ","])
+    assert exc.value.code == 2
+    assert "error: empty axis" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_gen_rejects_an_invalid_instance(tmp_path, capsys):
+    out = tmp_path / "x.yaml"
+    assert main(["gen", "--out", str(out), "--central-capacity", "0"]) == 2
+    assert capsys.readouterr().err == "error: cloud 0 capacity must be positive, got 0.0\n"
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    """Every option default that ScenarioConfig or SearchBudget also has is
+    read from it; the rest are listed here."""
+    cfg = ScenarioConfig()
+    expected = {**vars(cfg), **vars(SearchBudget()), "mix": cfg.mix_size,
+                "out": "x", "instance": "x", "method": "optimal", "emit_lp": None,
+                "methods": "x", "axis_s": None, "axis_d0": None, "axis_ce": None,
+                "reps": 10, "measure_runtime": False, "jobs": 1}
+    parser = cli._build_parser()
+    for argv in (["gen", "--out", "x"], ["solve", "x"],
+                 ["sweep", "--methods", "x", "--out", "x"]):
+        args = vars(parser.parse_args(argv))
+        assert args.pop("command") == argv[0]
+        assert args == {dest: expected[dest] for dest in args}
 
 
 def test_sweep_unknown_method(tmp_path, capsys):

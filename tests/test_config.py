@@ -2,6 +2,7 @@
 byte, and a file with any section replaced by junk fails with ConfigError."""
 import copy
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -84,3 +85,15 @@ def test_junk_sections_raise_config_error(tmp_path, edits):
     except ConfigError:
         return
     validate_instance(inst)   # reports problems, never raises
+
+
+def test_missing_sections_raise_config_error(tmp_path):
+    path = tmp_path / "inst.yaml"
+    path.write_text(yaml.safe_dump({"chains": []}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="has no infrastructure section"):
+        load_instance(path)
+    data = copy.deepcopy(_BASE)
+    data["chains"].append({"id": "bare", "rrh": "r00"})
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="chain bare needs either a service or a vnfs list"):
+        load_instance(path)

@@ -172,7 +172,7 @@ def test_fixed_split_layout():
     sol = fixed_split(inst)
     for chain in inst.chains:
         vec = [sol.assignment.cloud_of(chain.id, n)
-               for n in range(1, len(chain) + 1)]
+               for n in range(1, len(chain.vnfs) + 1)]
         assert vec == [1, 1, 1, 1, 0, 0, 0, 0]
 
 
@@ -199,7 +199,7 @@ def test_fixed_service_routing():
     for chain in inst.chains:
         target = 1 if chain.service.name == "URLLC2" else 0
         vec = {sol.assignment.cloud_of(chain.id, n)
-               for n in range(1, len(chain) + 1)}
+               for n in range(1, len(chain.vnfs) + 1)}
         assert vec == {target}
 
 

@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix
 from util import (
     SWEEP_HIT_OPTIMA,
     assignment_to_binaries,
+    glued_tokens,
     min_completion,
     rand_instance,
     reference_parse_terms,
@@ -234,11 +235,45 @@ _PIECES = st.sampled_from([
                          max_size=10), min_size=1, max_size=4))
 def test_parse_terms_matches_reference_tokenizer(expressions):
     """The memoised tokenizer, with one memo shared across expressions as
-    within one parse_lp_text call, gives the reference's terms and constant."""
+    within one parse_lp_text call, gives the reference's terms and constant.
+    An expression with a glued token is flagged instead, and parse_lp_text
+    rejects it in the objective and in a row, naming the line."""
     token_value = _TokenKind()
     for pieces in expressions:
         text = "".join(piece + gap for piece, gap in pieces)
-        assert repr(_parse_terms(text, token_value)) == repr(reference_parse_terms(text))
+        glued = glued_tokens(text)
+        if not glued:
+            assert repr(_parse_terms(text, token_value)) == repr(reference_parse_terms(text))
+            continue
+        # Glued pieces can also make a number too large for a float (1E+1611).
+        flagged = {f"a glued sign or exponent in {tok!r}" for tok in glued}
+        flagged.add("an out-of-range number")
+        fresh = _TokenKind()
+        _parse_terms(text, fresh)
+        assert fresh.bad in flagged
+        for where, line, lp in (
+                ("objective", f" obj: {text}", f"Minimize\n obj: {text}\nEnd\n"),
+                ("constraint", f" c1: {text} >= 0",
+                 f"Minimize\n obj: x\nSubject To\n c1: {text} >= 0\nEnd\n")):
+            with pytest.raises(ValueError) as err:
+                parse_lp_text(lp)
+            assert str(err.value) == f"{where} line with {fresh.bad}: {line!r}"
+
+
+def test_signed_variable_names_raise_instead_of_parsing_another_model():
+    """A cloud id of -1, which validate_instance rejects, gives names such as
+    x_s0_n1_k-1 that no LP reader takes for one name."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 100.0), CloudNode(-1, 100.0)),
+        rrh_distances={"r0": {0: 1000.0, -1: 0.0}},
+        cloud_distances={0: {0: 0.0, -1: 5000.0}, -1: {0: 5000.0, -1: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    text = emit_lp_text(build_ilp(Instance(infra=infra, chains=(chain,))))
+    assert "x_s0_n1_k-1" in text
+    with pytest.raises(ValueError, match="objective line with a glued sign or exponent "
+                                         "in 'r_s0_n1_k-1': ' obj: r_s0_n1_k-1 "):
+        parse_lp_text(text)
 
 
 def test_assignment_to_binaries_one_hot():

@@ -59,7 +59,7 @@ def test_build_chain_latency_wiring():
     svc = ServiceClass(name="t", rb=1, mcs_dl=1, mcs_ul=1,
                        latency_profile=(0.2, 1.0, 5.0))
     chain = build_chain(model, svc, "r0", "c0")
-    assert len(chain) == 3
+    assert len(chain.vnfs) == 3
     # Backward bound of VNF n is profile[n-1]; forward bound is the next
     # VNF's backward bound, and the last VNF reuses the final entry.
     assert [v.bwd_ms for v in chain.vnfs] == [0.2, 1.0, 5.0]
@@ -71,7 +71,7 @@ def test_default_services_shape():
     services = default_services()
     assert set(services) == {"eMBB", "mMTC", "URLLC1", "URLLC2"}
     for svc in services.values():
-        assert svc.chain_length == 8
+        assert len(svc.latency_profile) == 8
     assert all(b == 0.2 for b in services["URLLC1"].latency_profile)
     assert all(b == 0.5 for b in services["URLLC2"].latency_profile)
 
@@ -123,6 +123,22 @@ def test_validate_reports_all_problems():
     assert "duplicate chain id c0" in text
     assert "unknown RRH nowhere" in text
     assert "has no VNFs" in text
+
+    # A negative cloud id, a negative distance both ways, and an entry (0,2)
+    # whose reverse (2,0) is missing.
+    infra = Infrastructure(
+        clouds=tuple(CloudNode(k, 1.0) for k in (0, 1, 2, -1)),
+        rrh_distances={"r0": {0: 0.0, 1: 0.0, 2: 0.0, -1: 0.0}},
+        cloud_distances={-1: {0: 1.0, 1: 1.0, 2: 1.0}, 0: {-1: 1.0, 1: -3.0, 2: 4.0},
+                         1: {-1: 1.0, 0: -3.0, 2: 1.0}, 2: {-1: 1.0, 1: 1.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    assert validate_instance(Instance(infra=infra, chains=(chain,))) == [
+        "cloud id -1 must be non-negative",
+        "cloud distance (0,1) is negative",
+        "cloud distance (1,0) is negative",
+        "missing cloud distance entry (2,0)",
+    ]
 
 
 def test_validate_rejects_nan_and_infinite_values():
@@ -209,5 +225,5 @@ def test_infrastructure_distance_lookup():
 def test_generated_instances_are_well_formed(seed):
     inst = rand_instance(random.Random(seed))
     assert validate_instance(inst) == []
-    total = sum(len(c) for c in inst.chains)
+    total = sum(len(c.vnfs) for c in inst.chains)
     assert len(inst.infra.cloud_ids()) ** total <= 20000

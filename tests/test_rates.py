@@ -194,12 +194,12 @@ def test_rate_table_matches_direct_formulas():
     chain = inst.chains[0]
     assert table.colocated("c0", 2) == colocated_rate(2.0, 1.0, 1.0)
     assert table.first_rate("c0", 1) == first_vnf_rate(4.0, 1.0, 1.0, 1000.0, 200.0)
-    assert table.placement_feasible("c0", 0)
+    assert table.first_rate("c0", 0) != INFEASIBLE
     assert table.chain_demand("c0") == pytest.approx(7000.0)
     assert table.split_penalty_fwd("c0", 1, 1, 1) == 0.0
     pen = table.split_penalty_fwd("c0", 2, 0, 1)
     assert pen == pytest.approx(2000.0 / 0.85 - 2000.0)
-    assert len(chain) == 3
+    assert len(chain.vnfs) == 3
 
 
 def test_chain_hop_distances():
@@ -313,7 +313,6 @@ def _accessor_values(table, chain):
     return {
         "colocated": [table.colocated(cid, n) for n in range(1, n_vnfs + 1)],
         "first_rate": [table.first_rate(cid, k) for k in clouds],
-        "placement_feasible": [table.placement_feasible(cid, k) for k in clouds],
         "split_fwd": [table.split_penalty_fwd(cid, n, k, j)
                       for n in range(1, n_vnfs) for k, j in pairs],
         "split_bwd": [table.split_penalty_bwd(cid, n, k, j)

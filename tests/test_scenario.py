@@ -309,8 +309,8 @@ def test_run_sweep_caps_worker_processes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(scenario.os, "cpu_count", lambda: 3)

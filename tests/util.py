@@ -238,32 +238,29 @@ def min_completion(mdl: IlpModel, x_values: Mapping[str, int]) -> CompletionResu
     return CompletionResult(binary_ok, capacity_ok, objective, rmin)
 
 
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUM_RE = re.compile(r"^(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def glued_tokens(text: str) -> list[str]:
+    """The whitespace tokens of an LP expression outside its grammar: a sign
+    inside a token (-3, x-y) but an exponent's (3e-07), or a dangling
+    exponent (1e)."""
+    return [tok for tok in text.split() if tok not in ("+", "-") and not _NUM_RE.match(tok)
+            and ("+" in tok or "-" in tok or re.fullmatch(r"(\d+\.?\d*|\.\d+)[eE]", tok))]
 
 
 def reference_parse_terms(text: str) -> tuple[tuple[tuple[str, float], ...], float]:
-    """The LP expression tokenizer without memo or shortcuts: terms and constant.
+    """The LP expression grammar without memo or shortcuts: terms and constant.
 
-    It always runs the exponent-merge pass and matches every token against
-    the number pattern; vnfplan.ilp._parse_terms must agree with it.
+    Whitespace tokens are a sign, an unsigned number or a name;
+    vnfplan.ilp._parse_terms must agree with it on every expression that
+    glued_tokens finds nothing in.
     """
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    # Re-join exponent signs split off scientific notation (e.g. 1e - 09).
-    merged: list[str] = []
-    for tok in tokens:
-        if merged and merged[-1][-1:] in "eE" and _NUM_RE.match(merged[-1] + "1") \
-                and tok in "+-":
-            merged[-1] += tok
-        elif merged and merged[-1][-1:] in "+-" and merged[-1][:-1] \
-                and _NUM_RE.match(merged[-1] + "1"):
-            merged[-1] += tok
-        else:
-            merged.append(tok)
     terms: list[tuple[str, float]] = []
     constant = 0.0
     sign = 1.0
     coef: float | None = None
-    for tok in merged:
+    for tok in text.split():
         if tok == "+":
             continue
         if tok == "-":
