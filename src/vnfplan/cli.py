@@ -11,16 +11,44 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, default_model, default_services, load_instance, save_instance
+from .config import default_model, default_services, load_instance, save_instance
 from .ilp import build_ilp, emit_lp_text
 from .model import Instance, validate_instance
 from .rates import RateTable, Solution
-from .scenario import ScenarioConfig, build_instance, run_sweep, export_csv
-from .solver import BruteForceCapError, SearchBudget, method_name, run_method
+from .scenario import METHOD_ORDER, ScenarioConfig, build_instance, run_sweep, export_csv
+from .solver import METHODS, SearchBudget, method_name, run_method
+
+# The ScenarioConfig fields that gen and sweep both take as options, in
+# option order, with their help; each default is the field's.
+_SCENARIO_HELP = {
+    "seed": "RNG seed",
+    "rings": "hexagonal rings of macro sites",
+    "isd": "inter-site distance in meters",
+    "central_capacity": "central cloud capacity in GFLOPS/s",
+    "edge_capacity": "edge cloud capacity in GFLOPS/s",
+    "mix_profile": "'standard' for the balanced mix, or a service name "
+                   "to make every chain that service",
+    "edge_sites": "put an edge cloud on every site or only the central one",
+}
+
+
+def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
+    cfg = ScenarioConfig()
+    for name, text in _SCENARIO_HELP.items():
+        default = getattr(cfg, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                            choices=("all", "center") if name == "edge_sites" else None,
+                            help=f"{text} (default %(default)s)")
+
+
+def _scenario(args, **fields) -> ScenarioConfig:
+    """The ScenarioConfig of args' shared scenario options and fields."""
+    return ScenarioConfig(**{name: getattr(args, name) for name in _SCENARIO_HELP}, **fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     cfg, budget = ScenarioConfig(), SearchBudget()
+    spelled = {m: m.replace("_", "-") for m in METHOD_ORDER}
     parser = argparse.ArgumentParser(
         prog="vnfplan",
         description="Plan processing-chain deployments over a central cloud "
@@ -31,31 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a scenario instance file")
     gen.add_argument("--out", required=True, help="output YAML path")
-    gen.add_argument("--rings", type=int, default=cfg.rings,
-                     help="hexagonal rings of macro sites (default %(default)s)")
-    gen.add_argument("--isd", type=float, default=cfg.isd,
-                     help="inter-site distance in meters (default %(default)s)")
     gen.add_argument("--central-dist", type=float, default=cfg.central_dist,
                      help="central cloud distance in meters (default %(default)s)")
     gen.add_argument("--mix", type=int, default=cfg.mix_size,
                      help="number of chains in the service mix (default %(default)s)")
-    gen.add_argument("--seed", type=int, default=cfg.seed, help="RNG seed (default %(default)s)")
-    gen.add_argument("--edge-capacity", type=float, default=cfg.edge_capacity,
-                     help="edge cloud capacity in GFLOPS/s (default %(default)s)")
-    gen.add_argument("--central-capacity", type=float, default=cfg.central_capacity,
-                     help="central cloud capacity in GFLOPS/s (default %(default)s)")
-    gen.add_argument("--mix-profile", default=cfg.mix_profile,
-                     help="'standard' for the balanced mix, or a service name "
-                          "to make every chain that service (default %(default)s)")
-    gen.add_argument("--edge-sites", choices=("all", "center"), default=cfg.edge_sites,
-                     help="put an edge cloud on every site or only the "
-                          "central one (default %(default)s)")
+    _add_scenario_options(gen)
 
     solve = sub.add_parser("solve", help="place the chains of one instance")
     solve.add_argument("instance", help="instance YAML file")
     solve.add_argument("--method", default="optimal",
-                       help="optimal | brute | b-first | fixed-split | "
-                            "fixed-service (default optimal)")
+                       help=" | ".join(spelled[m] for m in METHODS) + " (default %(default)s)")
     solve.add_argument("--time-limit", type=float, default=budget.time_limit,
                        help="search time limit in seconds (default %(default)s)")
     solve.add_argument("--max-nodes", type=int, default=budget.max_nodes,
@@ -65,22 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a method/axis sweep to CSV")
     sweep.add_argument("--methods", required=True,
-                       help="comma separated: optimal, brute, b-first, "
-                            "fixed-split, fixed-service, cran-only")
+                       help="comma separated: " + ", ".join(spelled.values()))
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--axis-s", help="comma separated chain counts")
     sweep.add_argument("--axis-d0", help="comma separated central distances (m)")
     sweep.add_argument("--axis-ce", help="comma separated edge capacities")
     sweep.add_argument("--reps", type=int, default=10,
                        help="repetitions per point (default %(default)s)")
-    sweep.add_argument("--seed", type=int, default=cfg.seed,
-                       help="base RNG seed (default %(default)s)")
-    sweep.add_argument("--rings", type=int, default=cfg.rings)
-    sweep.add_argument("--isd", type=float, default=cfg.isd)
-    sweep.add_argument("--central-capacity", type=float, default=cfg.central_capacity)
-    sweep.add_argument("--edge-capacity", type=float, default=cfg.edge_capacity)
-    sweep.add_argument("--mix-profile", default=cfg.mix_profile)
-    sweep.add_argument("--edge-sites", choices=("all", "center"), default=cfg.edge_sites)
+    _add_scenario_options(sweep)
     sweep.add_argument("--time-limit", type=float, default=budget.time_limit,
                        help="per-solve time limit in seconds (default %(default)s)")
     sweep.add_argument("--measure-runtime", action="store_true",
@@ -106,18 +111,7 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = ScenarioConfig(rings=args.rings, isd=args.isd,
-                         central_dist=args.central_dist,
-                         central_capacity=args.central_capacity,
-                         edge_capacity=args.edge_capacity,
-                         mix_size=args.mix, seed=args.seed,
-                         mix_profile=args.mix_profile,
-                         edge_sites=args.edge_sites)
-    try:
-        inst = build_instance(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = build_instance(_scenario(args, central_dist=args.central_dist, mix_size=args.mix))
     if _report_invalid(inst):
         return 2
     try:
@@ -141,19 +135,11 @@ def _print_solution(inst: Instance, sol: Solution) -> None:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = load_instance(args.instance)
     if _report_invalid(inst):
         return 2
-    try:
-        method = method_name(args.method)
-        budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    method = method_name(args.method)
+    budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     table = RateTable(inst)
     if args.emit_lp:
         try:
@@ -162,11 +148,7 @@ def _cmd_solve(args) -> int:
         except OSError as exc:
             return _cannot_write(args.emit_lp, exc)
         print(f"wrote LP model to {args.emit_lp}")
-    try:
-        out = run_method(method, inst, table, budget)
-    except BruteForceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = run_method(method, inst, table, budget)
     for line in out.events:
         print(line)
     print(f"status: {out.status}")
@@ -195,11 +177,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     methods = [tok for tok in args.methods.split(",") if tok.strip()]
     if not methods:
         parser.error("--methods must name at least one method")
-    cfg = ScenarioConfig(rings=args.rings, isd=args.isd,
-                         central_capacity=args.central_capacity,
-                         edge_capacity=args.edge_capacity,
-                         seed=args.seed, mix_profile=args.mix_profile,
-                         edge_sites=args.edge_sites)
     try:
         axes = {name: values for name, values in (
             ("S", _parse_axis(args.axis_s, int)), ("d0", _parse_axis(args.axis_d0, float)),
@@ -212,15 +189,9 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         return _cannot_write(args.out, NotADirectoryError(f"no directory {out_dir}"))
-    try:
-        budget = SearchBudget(time_limit=args.time_limit)
-        records = run_sweep(cfg, methods, axes=axes, reps=args.reps,
-                            budget=budget,
-                            measure_runtime=args.measure_runtime,
-                            jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = run_sweep(_scenario(args), methods, axes=axes, reps=args.reps,
+                        budget=SearchBudget(time_limit=args.time_limit),
+                        measure_runtime=args.measure_runtime, jobs=args.jobs)
     try:
         export_csv(records, args.out)
     except OSError as exc:
@@ -232,11 +203,17 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    return _cmd_sweep(args, parser)
+    # OSError and ValueError (ConfigError, BruteForceCapError) are the
+    # library's input errors; anything else is a bug and raises.
+    try:
+        if args.command == "gen":
+            return _cmd_gen(args)
+        if args.command == "solve":
+            return _cmd_solve(args)
+        return _cmd_sweep(args, parser)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -164,6 +164,10 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     model, services = default_model(), default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
     n_chains = cfg.mix_size if size is None else size
+    if n_chains < 0:
+        raise ValueError(f"chain count must be non-negative, got {n_chains}")
+    if cfg.rings < 0:
+        raise ValueError(f"rings must be non-negative, got {cfg.rings}")
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity
     infra, rrhs = gen_hex_layout(cfg.rings, cfg.isd, d0, cfg.central_capacity,
                                  ce, edge_sites=cfg.edge_sites, cran=cran)

@@ -482,7 +482,9 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
     chain reaches its capacity-free optimum (its share of the root bound)
     exactly when its head sits at a cloud of least head rate and no split
     pays a penalty.  Staying on the same cloud costs nothing, so the
-    greedy walk below always finds a next cloud.
+    greedy walk below always finds a next cloud.  It reads the keyed
+    split penalties rather than RateTable.children, so a root proof builds
+    no child tables.
     """
     clouds = table.cloud_ids
     vectors = {}

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,21 @@ def test_solve_rejects_unknown_rrh(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("method", ["fixed-split", "fixed-service"])
+def test_fixed_baselines_without_central_cloud_exit_2(tmp_path, capsys, method):
+    infra = Infrastructure(
+        clouds=(CloudNode(1, 10000.0), CloudNode(2, 10000.0)),
+        rrh_distances={"r0": {1: 30000.0, 2: 1000.0}},
+        cloud_distances={1: {1: 0.0, 2: 8000.0}, 2: {1: 8000.0, 2: 0.0}},
+    )
+    chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+    path = _write_instance(tmp_path, "noc0.yaml", infra, (chain,))
+    assert main(["solve", str(path), "--method", "b-first"]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--method", method]) == 2
+    assert capsys.readouterr() == ("", "error: fixed baselines need a central cloud with id 0\n")
+
+
 def test_solve_rejects_instance_without_clouds(tmp_path, capsys):
     infra = Infrastructure(clouds=(), rrh_distances={"r0": {}}, cloud_distances={})
     chain = ChainRequest(id="c0", service=None, rrh="r0",
@@ -343,6 +359,34 @@ def test_gen_rejects_an_invalid_instance(tmp_path, capsys):
     assert main(["gen", "--out", str(out), "--central-capacity", "0"]) == 2
     assert capsys.readouterr().err == "error: cloud 0 capacity must be positive, got 0.0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--mix", "-3"], "chain count must be non-negative, got -3"),
+    (["gen", "--rings", "-2"], "rings must be non-negative, got -2"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--rings", "-1"],
+     "rings must be non-negative, got -1"),
+], ids=["gen-mix", "gen-rings", "sweep-rings"])
+def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "x"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_scenario_options_show_the_library_default():
+    """gen and sweep document every ScenarioConfig option with its default."""
+    cfg = ScenarioConfig()
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command in ("gen", "sweep"):
+        options = [action for action in subparsers.choices[command]._actions
+                   if hasattr(cfg, action.dest)]
+        assert len(options) == {"gen": 8, "sweep": 7}[command]
+        for action in options:
+            assert action.help, (command, action.dest)
+            assert (action.help % vars(action)).endswith(
+                f"(default {getattr(cfg, action.dest)})"), (command, action.dest)
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -117,6 +117,15 @@ def test_build_instance_profiles():
         build_instance(ScenarioConfig(mix_profile="nosuch"), size=2)
 
 
+def test_build_instance_rejects_negative_chain_count_and_rings():
+    for cfg, size, message in ((ScenarioConfig(mix_size=-3), None, "got -3"),
+                               (ScenarioConfig(), -1, "got -1"),
+                               (ScenarioConfig(rings=-2), None, "rings")):
+        with pytest.raises(ValueError, match=message):
+            build_instance(cfg, size=size)
+    assert build_instance(ScenarioConfig(mix_size=0)).chains == ()
+
+
 def test_efficiency_improvement():
     assert efficiency_improvement(200.0, 150.0) == pytest.approx(25.0)
     assert efficiency_improvement(100.0, 100.0) == 0.0
