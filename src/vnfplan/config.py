@@ -93,11 +93,8 @@ def _parse_infrastructure(data: dict) -> Infrastructure:
         )
         order = [c.id for c in clouds]
         matrix = data["cloud_distances"]
-        cloud_distances: dict[int, dict[int, float]] = {}
-        for i, k in enumerate(order):
-            cloud_distances[k] = {}
-            for j, other in enumerate(order):
-                cloud_distances[k][other] = float(matrix[i][j])
+        cloud_distances = {k: {other: float(matrix[i][j]) for j, other in enumerate(order)}
+                           for i, k in enumerate(order)}
         rrh_distances = {
             str(rrh): {int(k): float(d) for k, d in row.items()}
             for rrh, row in data["rrh_distances"].items()
@@ -149,12 +146,9 @@ def load_instance(path) -> Instance:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not hold an instance mapping")
-    model = default_model()
-    services = default_services()
-    if "model" in data:
-        model = parse_model_section(data["model"])
-    if "services" in data:
-        services = parse_services_section(data["services"])
+    model = parse_model_section(data["model"]) if "model" in data else default_model()
+    services = (parse_services_section(data["services"]) if "services" in data
+                else default_services())
     if "infrastructure" not in data:
         raise ConfigError(f"{path} has no infrastructure section")
     infra = _parse_infrastructure(data["infrastructure"])

@@ -204,6 +204,7 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"cloud distance ({k},{k}) must be zero")
 
     seen_chain_ids: set[str] = set()
+    seen_rrhs: set[str] = set()     # each RRH's row is checked at its first chain
     for chain in inst.chains:
         if chain.id in seen_chain_ids:
             problems.append(f"duplicate chain id {chain.id}")
@@ -212,7 +213,8 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"chain {chain.id} has no VNFs")
         if chain.rrh not in infra.rrh_distances:
             problems.append(f"chain {chain.id} references unknown RRH {chain.rrh}")
-        else:
+        elif chain.rrh not in seen_rrhs:
+            seen_rrhs.add(chain.rrh)
             row = infra.rrh_distances[chain.rrh]
             for k in ids:
                 if k not in row:

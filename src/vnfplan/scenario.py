@@ -3,6 +3,7 @@ mixes, method comparisons and CSV export."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import random
@@ -187,6 +188,16 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     return Instance(infra=infra, chains=chains)
 
 
+def _checked_instance(cfg: ScenarioConfig, size: int, d0: float, ce: float,
+                      seed: int, cran: bool) -> Instance:
+    """build_instance, raising ValueError with every validate_instance problem."""
+    inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce, seed=seed, cran=cran)
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return inst
+
+
 def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
                  d0: float, ce: float, rep: int, budget: SearchBudget,
                  measure_runtime: bool) -> list[SweepRecord]:
@@ -201,11 +212,7 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
     for method in methods:
         cran = method == "cran_only"
         if cran not in shared:
-            inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce,
-                                  seed=cfg.seed * 100003 + rep, cran=cran)
-            problems = validate_instance(inst)
-            if problems:
-                raise ValueError("; ".join(problems))
+            inst = _checked_instance(cfg, size, d0, ce, cfg.seed * 100003 + rep, cran)
             shared[cran] = inst, RateTable(inst)
         inst, table = shared[cran]
         kind = "optimal" if cran else method
@@ -243,8 +250,10 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     methods.  Records come back in canonical order (method, then axis
     point, then repetition) regardless of jobs, and runtimes are reported
     as 0.0 unless measure_runtime is set, keeping the default output
-    reproducible byte for byte.  A method's ValueError is raised again as
-    the same type, prefixed with the point's scenario label and method.
+    reproducible byte for byte.  A point's clouds that fail build_instance
+    or validate_instance raise ValueError before the first point runs,
+    even with reps 0.  A method's ValueError is raised again as the same
+    type, prefixed with the point's scenario label and method.
     """
     if not methods:
         raise ValueError("no methods given")
@@ -268,6 +277,10 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     # cran_only folds Ce into the central cloud, where no check sees it.
     if any(ce <= 0 for ce in edge_caps):
         raise ValueError(f"edge capacities must be positive, got {edge_caps}")
+    # Bad scenario input fails before the first point, even with reps 0.
+    variants = dict.fromkeys(m == "cran_only" for m in ordered)
+    for d0, ce, cran in itertools.product(dists, edge_caps, variants):
+        _checked_instance(cfg, 0, d0, ce, cfg.seed, cran)
     tasks = [(cfg, ordered, size, d0, ce, rep, budget, measure_runtime)
              for size in sizes for d0 in dists for ce in edge_caps
              for rep in range(reps)]
@@ -308,16 +321,13 @@ def read_csv(path) -> list[SweepRecord]:
         header = next(reader)
         load_cols = [(i, int(name[len("load_k"):]))
                      for i, name in enumerate(header) if name.startswith("load_k")]
-        records = []
-        for row in reader:
-            records.append(SweepRecord(
-                scenario=row[0],
-                method=row[1],
-                size=int(row[2]),
-                d0_m=float(row[3]),
-                objective_gflops_s=float(row[4]),
-                accepted=int(row[5]),
-                loads={k: float(row[i]) for i, k in load_cols},
-                runtime_s=float(row[header.index("runtime_s")]),
-            ))
-    return records
+        return [SweepRecord(
+            scenario=row[0],
+            method=row[1],
+            size=int(row[2]),
+            d0_m=float(row[3]),
+            objective_gflops_s=float(row[4]),
+            accepted=int(row[5]),
+            loads={k: float(row[i]) for i, k in load_cols},
+            runtime_s=float(row[header.index("runtime_s")]),
+        ) for row in reader]

@@ -158,10 +158,9 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
 
     # Iterative depth-first search.  At depth t the loop state is the
     # iterator over t's choices, the committed cost g and its priced twin
-    # G, and the backward penalty and cloud index j of variable t-1; the
-    # stack keeps that state for every open ancestor together with the
-    # ancestor's choice, whose loads are taken back when its subtree is
-    # done.
+    # G, and the backward penalty and cloud index j of variable t-1.  The
+    # stack keeps that state for every open ancestor, its choice k, and its
+    # pre-push loads[j] and loads[k], which a pop restores after j and k.
     completed = True
     if num_vars == 0:
         best_obj, best_vec = 0.0, []
@@ -207,18 +206,15 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                         if G2 + priced_rest[t][j][k] + later[t] >= best_obj:
                             continue
                     vec[t] = k
-                    loads[k] = load_k
-                    if inc_prev > 0.0:
-                        loads[j] = load_j
                     if t == last:
                         if g2 < best_obj:
                             best_obj = g2
                             best_vec = vec.copy()
-                        loads[k] -= self_rate
-                        if inc_prev > 0.0:
-                            loads[j] -= inc_prev
                         continue
-                    stack.append((choices, g, G, prev_bwd, j, k, self_rate, inc_prev))
+                    stack.append((choices, g, G, prev_bwd, j, k, loads[j], loads[k]))
+                    loads[k] = load_k
+                    if inc_prev > 0.0:
+                        loads[j] = load_j
                     t += 1
                     choices = iter(children[t][k])
                     g, G, prev_bwd, j = g2, G2, pen_bwd, k
@@ -226,11 +222,8 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                 else:
                     if not stack:
                         break
-                    choices, g, G, prev_bwd, j, k, self_rate, inc_prev = stack.pop()
+                    choices, g, G, prev_bwd, j, k, loads[j], loads[k] = stack.pop()
                     t -= 1
-                    loads[k] -= self_rate
-                    if inc_prev > 0.0:
-                        loads[j] -= inc_prev
         except _BudgetHit:
             completed = False
 

@@ -374,6 +374,22 @@ def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    ["--mix-profile", "nosuch", "--rings", "-1"],
+    ["--central-capacity", "-1"],
+    ["--axis-d0", "nan"],
+], ids=["mix-profile-and-rings", "central-capacity", "d0-nan"])
+def test_sweep_rejects_bad_scenario_input_with_zero_reps(tmp_path, capsys, bad):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--methods", "b-first", "--edge-sites", "center",
+               "--out", str(out), "--reps", "0", *bad])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_scenario_options_show_the_library_default():
     """gen and sweep document every ScenarioConfig option with its default."""
     cfg = ScenarioConfig()

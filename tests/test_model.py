@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -138,6 +139,29 @@ def test_validate_reports_all_problems():
         "cloud distance (0,1) is negative",
         "cloud distance (1,0) is negative",
         "missing cloud distance entry (2,0)",
+    ]
+
+    tiny = _tiny_instance()
+    for speed in (0.0, -1.0, math.nan):
+        infra = dataclasses.replace(tiny.infra, fiber_speed=speed)
+        assert validate_instance(Instance(infra=infra, chains=tiny.chains)) == [
+            f"fiber speed must be positive, got {speed}"]
+
+
+def test_validate_reports_each_rrh_once():
+    """An RRH's problems are reported at its first chain, not once per chain."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 100.0), CloudNode(1, 50.0)),
+        rrh_distances={"r0": {0: -1.0}, "r1": {0: 0.0, 1: math.nan}},
+        cloud_distances={0: {0: 0.0, 1: 10.0}, 1: {0: 10.0, 1: 0.0}},
+    )
+    chains = tuple(ChainRequest(id=f"c{i}", service=None, rrh=rrh,
+                                vnfs=(VnfSpec(1.0, 1.0, 1.0),))
+                   for i, rrh in enumerate(("r0", "r1", "r0", "r1", "r0")))
+    assert validate_instance(Instance(infra=infra, chains=chains)) == [
+        "RRH r0 distance to cloud 0 is negative",
+        "RRH r0 has no distance to cloud 1",
+        "RRH r1 distance to cloud 1 is NaN",
     ]
 
 

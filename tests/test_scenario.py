@@ -243,7 +243,9 @@ def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
 
 def test_sweep_point_builds_each_instance_once(monkeypatch):
     """Both kinds of instance (hybrid and central-only) are built,
-    validated and rate-tabled once per point, whatever the methods."""
+    validated and rate-tabled once per point, whatever the methods.
+    Before the first point, each kind is also built and validated once
+    without chains per (d0, Ce) pair, and gets no rate table."""
     calls = {"build_instance": 0, "validate_instance": 0, "RateTable": 0}
 
     def counted(name, fn):
@@ -262,7 +264,7 @@ def test_sweep_point_builds_each_instance_once(monkeypatch):
                         budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
     assert len(records) == 10
     assert any(r.accepted < r.size for r in records)
-    assert calls == {"build_instance": 4, "validate_instance": 4, "RateTable": 4}
+    assert calls == {"build_instance": 2 + 4, "validate_instance": 2 + 4, "RateTable": 4}
 
 
 def test_run_sweep_stops_at_the_first_failing_point(monkeypatch):
@@ -286,7 +288,9 @@ def test_run_sweep_stops_at_the_first_failing_point(monkeypatch):
                   axes={"S": [2, 3], "Ce": [300.0, 4480.0]}, reps=2)
     assert str(exc.value) == ("hex1-S3-d030000-ce300-seed0-rep0 brute: "
                               "enumeration space exceeds cap 10000000")
-    assert built == [(2, 300.0, 0), (2, 300.0, 1), (2, 4480.0, 0), (2, 4480.0, 1),
+    # The chainless checks of both edge capacities come first.
+    assert built == [(0, 300.0, 0), (0, 4480.0, 0),
+                     (2, 300.0, 0), (2, 300.0, 1), (2, 4480.0, 0), (2, 4480.0, 1),
                      (3, 300.0, 0)]
     assert ran[-2:] == [("optimal", 3), ("brute", 3)]
 

@@ -321,6 +321,20 @@ def test_best_bound_never_exceeds_brute_force(monkeypatch):
     assert knapsacks >= 100
 
 
+def test_priced_bound_stops_on_a_zero_subgradient():
+    """No capacity binds, so every price stays 0, the subgradient is zero
+    and the first step is the last: L(0) is the capacity-free optimum."""
+    cfg = ScenarioConfig(edge_sites="center", seed=0, central_capacity=UNCAPPED)
+    inst = build_instance(cfg, d0_m=45_000.0, size=5, edge_capacity=UNCAPPED)
+    table = RateTable(inst)
+    rows, spans = solver._chain_rows(heuristics.packing_order(inst, table), table)
+    caps = [UNCAPPED + CAP_TOL] * 2
+    opt = solve_optimal(inst, table=table).solution.objective
+    mult, _, _, bound = solver._priced_bound(rows, spans, caps, 2 * opt, 10**7)
+    assert mult == [1.0, 1.0]
+    assert math.isclose(bound, opt, rel_tol=1e-9)
+
+
 def _enumerated_knapsack(options, c, cap):
     """The knapsack bound by enumeration: options lists, per chain, the
     (loads by cloud index, cost) of each placement."""
