@@ -203,8 +203,16 @@ def validate_instance(inst: Instance) -> list[str]:
         if raw.get(k, 0.0) != 0.0:
             problems.append(f"cloud distance ({k},{k}) must be zero")
 
+    for rrh, row in infra.rrh_distances.items():
+        for k in ids:
+            if k not in row:
+                problems.append(f"RRH {rrh} has no distance to cloud {k}")
+            elif row[k] < 0:
+                problems.append(f"RRH {rrh} distance to cloud {k} is negative")
+            elif math.isnan(row[k]):
+                problems.append(f"RRH {rrh} distance to cloud {k} is NaN")
+
     seen_chain_ids: set[str] = set()
-    seen_rrhs: set[str] = set()     # each RRH's row is checked at its first chain
     for chain in inst.chains:
         if chain.id in seen_chain_ids:
             problems.append(f"duplicate chain id {chain.id}")
@@ -213,18 +221,6 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"chain {chain.id} has no VNFs")
         if chain.rrh not in infra.rrh_distances:
             problems.append(f"chain {chain.id} references unknown RRH {chain.rrh}")
-        elif chain.rrh not in seen_rrhs:
-            seen_rrhs.add(chain.rrh)
-            row = infra.rrh_distances[chain.rrh]
-            for k in ids:
-                if k not in row:
-                    problems.append(
-                        f"RRH {chain.rrh} has no distance to cloud {k}")
-                elif row[k] < 0:
-                    problems.append(
-                        f"RRH {chain.rrh} distance to cloud {k} is negative")
-                elif math.isnan(row[k]):
-                    problems.append(f"RRH {chain.rrh} distance to cloud {k} is NaN")
         for n, vnf in enumerate(chain.vnfs, start=1):
             if vnf.gflops < 0:
                 problems.append(f"chain {chain.id} VNF {n} demand is negative")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Collection, Optional
@@ -47,109 +48,48 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
                   table: RateTable | None = None) -> SolveResult:
     """Depth-first branch and bound over per-VNF cloud choices.
 
-    A chain head that fits no cloud, seen by the pass that sums the
-    completion estimates, gives first-vnf-placement with nodes == 0.
-    Two root proofs come before the search.  The first tries each chain's
-    lexicographically smallest zero-slack path (see _zero_slack): no split
-    penalty and a head at its cheapest cloud.  That placement meets the
-    capacity-free root bound, so when it fits every capacity it is
-    returned as optimal with nodes == 0; it is then the lexicographically
-    smallest optimum.  Otherwise, when b_first places every chain, its
-    placement is the incumbent, and the second proof keeps exact the
-    capacity of the cloud that the zero-slack placement overloads most
-    (see _knapsack_bound).  When that bound reaches the incumbent,
-    b_first's placement is returned as optimal with nodes == 0.  Else the
-    search starts from b_first's placement and returns the first
-    placement strictly cheaper than the best so far (b_first's own when
-    none is).  Chains are branched heaviest first, in b_first's packing
-    order (heuristics.packing_order), so a chain that fits nowhere is
-    found near the root; VNFs keep their order within a chain and clouds
-    are tried in ascending id order.  Without a
-    warm start the first optimum found is therefore the lexicographically
-    smallest in that variable order; results are deterministic whenever
-    the budget is not the binding factor.  Pruning uses committed cost
-    plus an admissible completion estimate (each unassigned VNF at its
-    cheapest feasible cloud, ignoring future split penalties).  With a
-    warm start, a capacity-priced bound (see _priced_bound) prunes too,
-    when the node budget pays for its DP: a child goes when its priced
-    committed cost plus the priced cost still to come cannot beat the
-    incumbent.  The capacity-free estimate stays and is tested first; it
-    is cheaper and, near the root, where the priced bound is weak, the
-    tighter of the two.  The knapsack and the priced bound each give up
-    when they would cost more than a quarter of max_nodes, counted
-    without a clock.  best_bound is the objective when optimal and the
-    largest of the three root bounds (capacity-free, knapsack, priced)
-    on a budget stop.  use_lower_bound=False is the plain exhaustive
-    search in input chain order: no root proof, no warm start and no
-    pruning.  nodes counts every child tried, rejected ones included, and
-    infeasible_reason names the most frequent rejection cause, so it
-    depends on the visit order.  The search keeps its own stack, so
-    instance size is not bounded by the recursion limit.
+    _root settles the instance with nodes == 0 or hands the search its
+    bounds and incumbent.  The search returns the first placement strictly
+    cheaper than the best so far, or the incumbent, b_first's own
+    Solution, when none is.  Chains are branched heaviest first, in
+    b_first's packing order (heuristics.packing_order), so a chain that
+    fits nowhere is found near the root; VNFs keep their order within a
+    chain and clouds are tried in ascending id order, so without a warm
+    start the first optimum found is the lexicographically smallest in
+    that variable order.  A child goes when its committed cost plus the
+    completion estimate, or its priced committed cost plus the priced cost
+    still to come, cannot beat the incumbent; the first test is cheaper
+    and, near the root, the tighter.  best_bound is the objective when
+    optimal and _root's bound on a budget stop.  use_lower_bound=False is
+    the plain exhaustive search in input chain order: no root proof, no
+    warm start and no pruning.  nodes counts every child tried, rejected
+    ones included, and infeasible_reason names the most frequent rejection
+    cause, so it depends on the visit order.  Results are deterministic
+    unless the budget binds.  The search keeps its own stack, so instance
+    size is not bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
     if table is None:
         table = RateTable(inst)
-    clouds = list(inst.infra.cloud_ids())
     # Fail first: the bounded search branches the heaviest chains first,
     # so a chain that fits no cloud is rejected near the root.  The plain
     # search keeps input order.
     order = heuristics.packing_order(inst, table) if use_lower_bound else inst.chains
     variables = [(chain.id, n) for chain in order
                  for n in range(1, len(chain.vnfs) + 1)]
-    num_vars = len(variables)
-
-    # suffix_min[t] = cheapest possible completion cost of variables t..end.
-    # A chain whose head fits nowhere makes the whole instance infeasible.
-    suffix_min = [0.0] * (num_vars + 1)
-    for t in range(num_vars - 1, -1, -1):
-        cid, n = variables[t]
-        if n == 1:
-            best_base = min((table.first_rate(cid, k) for k in clouds), default=INFEASIBLE)
-            if best_base == INFEASIBLE:
-                return SolveResult(None, "infeasible", 0, infeasible_reason="first-vnf-placement")
-        else:
-            best_base = table.colocated(cid, n)
-        suffix_min[t] = suffix_min[t + 1] + best_base
-
-    best_obj = INFEASIBLE
+    root = _root(inst, table, order, variables, budget.max_nodes, use_lower_bound)
+    if isinstance(root, SolveResult):
+        return root
+    suffix, incumbent, best_bound, children, caps, priced = root
+    if priced:
+        mult, priced_rest, later, _ = priced
+    best_obj = incumbent.objective if incumbent is not None else INFEASIBLE
     best_vec: Optional[list[int]] = None
-    best_bound = suffix_min[0]
-    # The steps below are bound arguments, so the plain search skips them.
-    if use_lower_bound:
-        root = evaluate(inst, _zero_slack(inst, table), table)
-        if root.feasible:
-            return SolveResult(root, "optimal", 0, best_bound=root.objective)
-        warm = heuristics.b_first(inst, table=table)
-    # children[t][p]: the choices of variable t when variable t-1 sits at
-    # cloud index p (see RateTable.children).  From here on a cloud is
-    # named by its index in clouds.
-    rows, spans = _chain_rows(order, table)
-    children = [kids for r, _ in spans for kids in rows[r][0]]
-    caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
-    priced = None
-    if use_lower_bound and len(warm.accepted_ids) == len(inst.chains) \
-            and warm.solution.feasible:
-        best_obj = warm.solution.objective
-        # Keep exact the capacity of the cloud that the zero-slack
-        # placement overloads most.
-        over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
-        bound = _knapsack_bound(rows, caps, over.index(max(over)), budget.max_nodes)
-        if bound is not None and bound >= best_obj * (1 - 1e-9):
-            return SolveResult(warm.solution, "optimal", 0, best_bound=best_obj)
-        index = {k: i for i, k in enumerate(clouds)}
-        warm_vectors = warm.solution.assignment.vectors
-        best_vec = [index[k] for chain in order for k in warm_vectors[chain.id]]
-        if bound is not None:
-            best_bound = max(best_bound, bound)
-        priced = _priced_bound(rows, spans, caps, best_obj, budget.max_nodes)
-        if priced is not None:
-            mult, priced_rest, later, bound = priced
-            best_bound = max(best_bound, bound)
     latency_cause = ["first-vnf-placement" if n == 1 else "split-latency"
                      for _, n in variables]
-    loads = [0.0] * len(clouds)
-    vec = [0] * num_vars          # cloud index chosen per variable
+    loads = [0.0] * len(caps)
+    vec = [0] * len(variables)  # cloud index chosen per variable
     nodes = 0
     max_nodes = budget.max_nodes
     monotonic = time.monotonic
@@ -162,75 +102,74 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     # stack keeps that state for every open ancestor, its choice k, and its
     # pre-push loads[j] and loads[k], which a pop restores after j and k.
     completed = True
-    if num_vars == 0:
-        best_obj, best_vec = 0.0, []
-    else:
-        last = num_vars - 1
-        stack: list[tuple] = []
-        t, g, G, G2, prev_bwd, j = 0, 0.0, 0.0, 0.0, 0.0, 0
-        choices = iter(children[0][0])
-        # The next node that passes max_nodes or is due a clock read (each
-        # 512th node); the nodes in between skip both checks.
-        next_check = min(512, max_nodes + 1)
-        try:
-            while True:
-                for k, self_rate, pen_bwd, pen_fwd_prev in choices:
-                    nodes += 1
-                    if nodes >= next_check:
-                        if nodes > max_nodes or monotonic() > deadline:
-                            raise _BudgetHit
-                        next_check = min(nodes + 512, max_nodes + 1)
-                    if self_rate == INFEASIBLE:
-                        causes[latency_cause[t]] += 1
-                        continue
-                    load_k = loads[k] + self_rate
-                    if load_k > caps[k]:
+    last = len(variables) - 1
+    stack: list[tuple] = []
+    t, g, G, G2, prev_bwd, j = 0, 0.0, 0.0, 0.0, 0.0, 0
+    choices = iter(children[0][0])
+    # The next node that passes max_nodes or is due a clock read (each
+    # 512th node); the nodes in between skip both checks.
+    next_check = min(512, max_nodes + 1)
+    try:
+        while True:
+            for k, self_rate, pen_bwd, pen_fwd_prev in choices:
+                nodes += 1
+                if nodes >= next_check:
+                    if nodes > max_nodes or monotonic() > deadline:
+                        raise _BudgetHit
+                    next_check = min(nodes + 512, max_nodes + 1)
+                if self_rate == INFEASIBLE:
+                    causes[latency_cause[t]] += 1
+                    continue
+                load_k = loads[k] + self_rate
+                if load_k > caps[k]:
+                    causes["capacity"] += 1
+                    continue
+                # Variable t-1 pays only what its forward penalty adds to
+                # the backward one it carries; a chain head's entries have
+                # no forward penalty, so it adds nothing.
+                inc_prev = pen_fwd_prev - prev_bwd
+                if inc_prev > 0.0:
+                    load_j = loads[j] + inc_prev
+                    if load_j > caps[j]:
                         causes["capacity"] += 1
                         continue
-                    # Variable t-1 pays only what its forward penalty adds
-                    # to the backward one it carries; a chain head's
-                    # entries have no forward penalty, so it adds nothing.
-                    inc_prev = pen_fwd_prev - prev_bwd
-                    if inc_prev > 0.0:
-                        load_j = loads[j] + inc_prev
-                        if load_j > caps[j]:
-                            causes["capacity"] += 1
-                            continue
-                    else:
-                        inc_prev = 0.0
-                    g2 = g + self_rate + inc_prev
-                    if use_lower_bound and g2 + suffix_min[t + 1] >= best_obj:
-                        continue
-                    if priced:
-                        G2 = G + mult[k] * self_rate + mult[j] * inc_prev
-                        if G2 + priced_rest[t][j][k] + later[t] >= best_obj:
-                            continue
-                    vec[t] = k
-                    if t == last:
-                        if g2 < best_obj:
-                            best_obj = g2
-                            best_vec = vec.copy()
-                        continue
-                    stack.append((choices, g, G, prev_bwd, j, k, loads[j], loads[k]))
-                    loads[k] = load_k
-                    if inc_prev > 0.0:
-                        loads[j] = load_j
-                    t += 1
-                    choices = iter(children[t][k])
-                    g, G, prev_bwd, j = g2, G2, pen_bwd, k
-                    break
                 else:
-                    if not stack:
-                        break
-                    choices, g, G, prev_bwd, j, k, loads[j], loads[k] = stack.pop()
-                    t -= 1
-        except _BudgetHit:
-            completed = False
+                    inc_prev = 0.0
+                g2 = g + self_rate + inc_prev
+                if g2 + suffix[t + 1] >= best_obj:
+                    continue
+                if priced:
+                    G2 = G + mult[k] * self_rate + mult[j] * inc_prev
+                    if G2 + priced_rest[t][j][k] + later[t] >= best_obj:
+                        continue
+                vec[t] = k
+                if t == last:
+                    if g2 < best_obj:
+                        best_obj = g2
+                        best_vec = vec.copy()
+                    continue
+                stack.append((choices, g, G, prev_bwd, j, k, loads[j], loads[k]))
+                loads[k] = load_k
+                if inc_prev > 0.0:
+                    loads[j] = load_j
+                t += 1
+                choices = iter(children[t][k])
+                g, G, prev_bwd, j = g2, G2, pen_bwd, k
+                break
+            else:
+                if not stack:
+                    break
+                choices, g, G, prev_bwd, j, k, loads[j], loads[k] = stack.pop()
+                t -= 1
+    except _BudgetHit:
+        completed = False
 
+    solution = incumbent
     if best_vec is not None:
-        picks = (clouds[k] for k in best_vec)
+        picks = (table.cloud_ids[k] for k in best_vec)
         vectors = {c.id: tuple(itertools.islice(picks, len(c.vnfs))) for c in order}
         solution = evaluate(inst, Assignment(vectors), table)
+    if solution is not None:
         if completed:
             return SolveResult(solution, "optimal", nodes, best_bound=solution.objective)
         return SolveResult(solution, "feasible-incumbent", nodes, best_bound=best_bound)
@@ -239,6 +178,66 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
             if any(causes.values()) else None
         return SolveResult(None, "infeasible", nodes, infeasible_reason=reason)
     return SolveResult(None, "budget-exhausted", nodes, best_bound=best_bound)
+
+
+def _root(inst, table, order, variables, max_nodes, bounded):
+    """The root phase of solve_optimal: a SolveResult that settles inst
+    with nodes == 0, or the record (suffix, incumbent, best_bound,
+    children, caps, priced) that the search starts from.
+
+    A chain head that fits no cloud gives first-vnf-placement.  suffix[t]
+    is the least cost of variables t onward, each VNF at its cheapest
+    feasible cloud with no split penalty to come; the plain search
+    (bounded false) gets -inf, which prunes nothing, and no incumbent.
+    The first root proof tries each chain's lexicographically smallest
+    zero-slack path (see _zero_slack), which meets the bound suffix[0]:
+    when it fits every capacity it is the lexicographically smallest
+    optimum.  It also settles a chainless instance in both modes.
+    Otherwise, when b_first places every chain, its Solution is the
+    incumbent, and the second proof keeps exact the capacity of the cloud
+    that the zero-slack placement overloads most (see _knapsack_bound);
+    when that bound reaches the incumbent, the incumbent is optimal.
+    Else priced is what _priced_bound returns, None included.  The
+    knapsack and the priced bound each give up past a quarter of
+    max_nodes, counted without a clock.  best_bound is the largest root
+    bound that ran: capacity-free, knapsack or priced.  children[t][p]
+    lists variable t's choices when variable t-1 sits at cloud index p
+    (see RateTable.children); caps[p] is the capacity of cloud index p
+    plus CAP_TOL.
+    """
+    clouds = table.cloud_ids
+    suffix = [0.0] * (len(variables) + 1)
+    for t in range(len(variables) - 1, -1, -1):
+        cid, n = variables[t]
+        least = table.colocated(cid, n) if n > 1 else min(
+            (table.first_rate(cid, k) for k in clouds), default=INFEASIBLE)
+        if n == 1 and least == INFEASIBLE:
+            return SolveResult(None, "infeasible", 0, infeasible_reason="first-vnf-placement")
+        suffix[t] = suffix[t + 1] + least
+    best_bound = suffix[0]
+    if bounded or not variables:
+        root = evaluate(inst, _zero_slack(inst, table), table)
+        if root.feasible or not variables:
+            return SolveResult(root, "optimal", 0, best_bound=root.objective)
+    rows, spans = _chain_rows(order, table)
+    children = [kids for r, _ in spans for kids in rows[r][0]]
+    caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
+    if not bounded:
+        return [-math.inf] * len(suffix), None, best_bound, children, caps, None
+    warm = heuristics.b_first(inst, table=table)
+    if len(warm.accepted_ids) < len(inst.chains) or not warm.solution.feasible:
+        return suffix, None, best_bound, children, caps, None
+    incumbent = warm.solution
+    over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
+    bound = _knapsack_bound(rows, caps, over.index(max(over)), max_nodes)
+    if bound is not None:
+        if bound >= incumbent.objective * (1 - 1e-9):
+            return SolveResult(incumbent, "optimal", 0, best_bound=incumbent.objective)
+        best_bound = max(best_bound, bound)
+    priced = _priced_bound(rows, spans, caps, incumbent.objective, max_nodes)
+    if priced is not None:
+        best_bound = max(best_bound, priced[3])
+    return suffix, incumbent, best_bound, children, caps, priced
 
 
 def _chain_rows(order, table):

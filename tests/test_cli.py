@@ -378,7 +378,8 @@ def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
     ["--mix-profile", "nosuch", "--rings", "-1"],
     ["--central-capacity", "-1"],
     ["--axis-d0", "nan"],
-], ids=["mix-profile-and-rings", "central-capacity", "d0-nan"])
+    ["--isd", "nan"],
+], ids=["mix-profile-and-rings", "central-capacity", "d0-nan", "isd-nan"])
 def test_sweep_rejects_bad_scenario_input_with_zero_reps(tmp_path, capsys, bad):
     out = tmp_path / "x.csv"
     rc = main(["sweep", "--methods", "b-first", "--edge-sites", "center",

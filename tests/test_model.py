@@ -149,10 +149,12 @@ def test_validate_reports_all_problems():
 
 
 def test_validate_reports_each_rrh_once():
-    """An RRH's problems are reported at its first chain, not once per chain."""
+    """Every RRH row is checked once, before the chains: a row that many
+    chains use is reported once, and a row that no chain uses still is."""
     infra = Infrastructure(
         clouds=(CloudNode(0, 100.0), CloudNode(1, 50.0)),
-        rrh_distances={"r0": {0: -1.0}, "r1": {0: 0.0, 1: math.nan}},
+        rrh_distances={"r0": {0: -1.0}, "r1": {0: 0.0, 1: math.nan},
+                       "r2": {0: 0.0, 1: -5.0}},
         cloud_distances={0: {0: 0.0, 1: 10.0}, 1: {0: 10.0, 1: 0.0}},
     )
     chains = tuple(ChainRequest(id=f"c{i}", service=None, rrh=rrh,
@@ -162,6 +164,7 @@ def test_validate_reports_each_rrh_once():
         "RRH r0 distance to cloud 0 is negative",
         "RRH r0 has no distance to cloud 1",
         "RRH r1 distance to cloud 1 is NaN",
+        "RRH r2 distance to cloud 1 is negative",
     ]
 
 

@@ -232,6 +232,23 @@ def test_warm_start_from_b_first():
     assert warm >= 20
 
 
+def test_unimproved_warm_start_is_b_first_own_solution(monkeypatch):
+    """A warm start the search does not improve is returned as b_first's
+    Solution, not decoded and evaluated again: the only evaluate of the
+    solve is the zero-slack check."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(solver, "evaluate", counted)
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=11)
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=1, time_limit=math.inf))
+    assert (res.status, res.nodes) == ("feasible-incumbent", 2)
+    assert res.solution == heuristics.b_first(inst).solution
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("size", (5, 7, 9, 11))
 def test_root_proof_settles_eight_cloud_ladder(size):
     # The benchmark's exact ladder: at every edge site the edge clouds are
