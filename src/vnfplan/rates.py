@@ -41,19 +41,26 @@ def colocated_rate(gflops: float, fwd_ms: float, bwd_ms: float) -> float:
     return rate_for_bound(gflops, min(fwd_ms, bwd_ms))
 
 
-def split_penalty(gflops: float, bound_ms: float, dist_m: float,
-                  fiber_speed: float, base_rate: float) -> float:
-    """Extra rate a VNF needs because one neighbor sits across a link.
+def split_penalties(gflops: float, bound_ms: float, delays_ms: Sequence[float],
+                    base_rate: float) -> list[float]:
+    """Extra rate a VNF needs because one neighbor sits across a link, for
+    each link's one-way delay (see comm_delay_ms).
 
-    Returns 0 when the link adds nothing over the co-located requirement,
-    INFEASIBLE when the delay eats the entire bound.
+    An entry is 0 when its link adds nothing over the co-located
+    requirement, INFEASIBLE when the delay eats the entire bound.
     """
     if base_rate == INFEASIBLE:
-        return INFEASIBLE
-    margin = bound_ms - comm_delay_ms(dist_m, fiber_speed)
-    if margin <= EPS_MS:
-        return INFEASIBLE
-    return max(rate_for_bound(gflops, margin), base_rate) - base_rate
+        return [INFEASIBLE] * len(delays_ms)
+    work = 1000.0 * gflops      # rate_for_bound(gflops, margin) is work / margin
+    pens = []
+    for delay in delays_ms:
+        margin = bound_ms - delay
+        if margin <= EPS_MS:
+            pens.append(INFEASIBLE)
+        else:
+            rate = work / margin
+            pens.append(rate - base_rate if rate > base_rate else 0.0)
+    return pens
 
 
 def first_vnf_rate(gflops: float, fwd_ms: float, bwd_ms: float,
@@ -107,29 +114,28 @@ class _ChainRow:
     length (see RateTable); the lists are indexed by VNF position, so
     their slots below the first valid n are empty.  Only the head's
     forward penalties vary with p; every other VNF shares one list across
-    positions.  children[n] is the branch and bound's view of VNF n, also
+    positions.  children[n] is the branch and bound's view of VNF n, and
+    cheapest_first[n] the same choices in the order it tries them, both
     built on first read; see RateTable.children.
     """
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
-                 lengths: list[float], length_of: list[list[int | None]],
+                 delays: list[float], length_of: list[list[int | None]],
                  chain: ChainRequest, row_id: int):
         self.id = row_id
-        self._fiber_speed = infra.fiber_speed
-        self._lengths = lengths
+        self._delays = delays
         self._length_of = length_of
         self._vnfs = chain.vnfs
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
         head = chain.vnfs[0]
         self.first = [first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
-                                     infra.rrh_dist(chain.rrh, k), self._fiber_speed)
+                                     infra.rrh_dist(chain.rrh, k), infra.fiber_speed)
                       for k in cloud_ids]
         self.demand = sum(self.colo)
 
     def _penalties(self, n: int, bound_ms: float, base_rate: float) -> list[float]:
-        """split_penalty of VNF n over each link length."""
-        gflops, v = self._vnfs[n - 1].gflops, self._fiber_speed
-        return [split_penalty(gflops, bound_ms, d, v, base_rate) for d in self._lengths]
+        """split_penalties of VNF n over each link length."""
+        return split_penalties(self._vnfs[n - 1].gflops, bound_ms, self._delays, base_rate)
 
     @cached_property
     def fwd(self) -> list[list[list[float]]]:
@@ -173,6 +179,11 @@ class _ChainRow:
             children.append(by_prev)
         return children
 
+    @cached_property
+    def cheapest_first(self) -> list[list[list[tuple[int, float, float, float]]]]:
+        return [[sorted(options, key=lambda c: (c[1] + c[3], c[0])) for options in by_prev]
+                for by_prev in self.children]
+
 
 class RateTable:
     """Precomputed per-instance rate data, shared read-only by all solvers.
@@ -195,14 +206,15 @@ class RateTable:
         index: dict[float, int] = {}    # link length -> its index
         self._length_of = [[None if k == j else index.setdefault(infra.dist(k, j), len(index))
                             for j in self.cloud_ids] for k in self.cloud_ids]
-        lengths = list(index)
+        # One-way delay of each link length, in the order of its index.
+        delays = [comm_delay_ms(d, infra.fiber_speed) for d in index]
         rows: dict[tuple, _ChainRow] = {}
         self._rows: dict[str, _ChainRow] = {}
         for chain in inst.chains:
             signature = (chain.rrh, chain.vnfs)
             row = rows.get(signature)
             if row is None:
-                row = _ChainRow(infra, self.cloud_ids, lengths, self._length_of, chain, len(rows))
+                row = _ChainRow(infra, self.cloud_ids, delays, self._length_of, chain, len(rows))
                 rows[signature] = row
             self._rows[chain.id] = row
 
@@ -240,8 +252,18 @@ class RateTable:
         latency bound have an INFEASIBLE self rate.  The chain head does
         not depend on p: its entries are (cloud index, head rate, 0, 0),
         with INFEASIBLE where the RRH link breaks the backward bound.
+        cheapest_first holds the same entries in another order.
         """
         return self._rows[chain_id].children[n]
+
+    def cheapest_first(self, chain_id: str,
+                       n: int) -> list[list[tuple[int, float, float, float]]]:
+        """children(chain_id, n), each list [p] sorted by the cost of the
+        choice, its self rate plus its forward penalty on VNF n-1, then by
+        cloud index; INFEASIBLE choices come last.  Bounds that index a
+        list by cloud read children instead.
+        """
+        return self._rows[chain_id].cheapest_first[n]
 
     def chain_demand(self, chain_id: str) -> float:
         """Sum of co-located rates; the packing order key for heuristics."""

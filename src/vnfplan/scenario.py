@@ -161,7 +161,10 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
                    size: Optional[int] = None,
                    edge_capacity: Optional[float] = None,
                    seed: Optional[int] = None, cran: bool = False) -> Instance:
-    """Materialize one scenario point into a solvable instance."""
+    """Materialize one scenario point into a solvable instance.
+
+    Raises ValueError on a negative chain count, rings, d0 or isd.
+    """
     model, services = default_model(), default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
     n_chains = cfg.mix_size if size is None else size
@@ -169,6 +172,10 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
         raise ValueError(f"chain count must be non-negative, got {n_chains}")
     if cfg.rings < 0:
         raise ValueError(f"rings must be non-negative, got {cfg.rings}")
+    if d0 < 0:
+        raise ValueError(f"central distance must be non-negative, got {d0}")
+    if cfg.isd < 0:
+        raise ValueError(f"isd must be non-negative, got {cfg.isd}")
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity
     infra, rrhs = gen_hex_layout(cfg.rings, cfg.isd, d0, cfg.central_capacity,
                                  ce, edge_sites=cfg.edge_sites, cran=cran)

@@ -54,19 +54,21 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     Solution, when none is.  Chains are branched heaviest first, in
     b_first's packing order (heuristics.packing_order), so a chain that
     fits nowhere is found near the root; VNFs keep their order within a
-    chain and clouds are tried in ascending id order, so without a warm
-    start the first optimum found is the lexicographically smallest in
-    that variable order.  A child goes when its committed cost plus the
-    completion estimate, or its priced committed cost plus the priced cost
-    still to come, cannot beat the incumbent; the first test is cheaper
-    and, near the root, the tighter.  best_bound is the objective when
-    optimal and _root's bound on a budget stop.  use_lower_bound=False is
-    the plain exhaustive search in input chain order: no root proof, no
-    warm start and no pruning.  nodes counts every child tried, rejected
-    ones included, and infeasible_reason names the most frequent rejection
-    cause, so it depends on the visit order.  Results are deterministic
-    unless the budget binds.  The search keeps its own stack, so instance
-    size is not bounded by the recursion limit.
+    chain.  The bounded search tries the cheapest child first, by its self
+    rate plus its forward penalty on the previous VNF, then by cloud index
+    (RateTable.cheapest_first).  The plain search tries clouds in
+    ascending id order, so only it returns the lexicographically smallest
+    optimum in its variable order.  A child goes when its committed cost
+    plus the completion estimate, or its priced committed cost plus the
+    priced cost still to come, cannot beat the incumbent; the first test
+    is cheaper and, near the root, the tighter.  best_bound is the
+    objective when optimal and _root's bound on a budget stop.
+    use_lower_bound=False is the plain exhaustive search in input chain
+    order: no root proof, no warm start and no pruning.  nodes counts
+    every child tried, rejected ones included, and infeasible_reason names
+    the most frequent rejection cause, so it depends on the visit order.
+    Results are deterministic unless the budget binds.  The search keeps
+    its own stack, so instance size is not bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
@@ -201,9 +203,10 @@ def _root(inst, table, order, variables, max_nodes, bounded):
     knapsack and the priced bound each give up past a quarter of
     max_nodes, counted without a clock.  best_bound is the largest root
     bound that ran: capacity-free, knapsack or priced.  children[t][p]
-    lists variable t's choices when variable t-1 sits at cloud index p
-    (see RateTable.children); caps[p] is the capacity of cloud index p
-    plus CAP_TOL.
+    lists variable t's choices when variable t-1 sits at cloud index p,
+    cheapest first for the bounded search and by cloud index for the plain
+    one (see RateTable.cheapest_first); caps[p] is the capacity of cloud
+    index p plus CAP_TOL.
     """
     clouds = table.cloud_ids
     suffix = [0.0] * (len(variables) + 1)
@@ -219,15 +222,17 @@ def _root(inst, table, order, variables, max_nodes, bounded):
         root = evaluate(inst, _zero_slack(inst, table), table)
         if root.feasible or not variables:
             return SolveResult(root, "optimal", 0, best_bound=root.objective)
-    rows, spans = _chain_rows(order, table)
-    children = [kids for r, _ in spans for kids in rows[r][0]]
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     if not bounded:
+        children = [table.children(cid, n) for cid, n in variables]
         return [-math.inf] * len(suffix), None, best_bound, children, caps, None
+    children = [table.cheapest_first(cid, n) for cid, n in variables]
     warm = heuristics.b_first(inst, table=table)
     if len(warm.accepted_ids) < len(inst.chains) or not warm.solution.feasible:
         return suffix, None, best_bound, children, caps, None
     incumbent = warm.solution
+    # The bounds index their tables by position in RateTable.children.
+    rows, spans = _chain_rows(order, table)
     over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
     bound = _knapsack_bound(rows, caps, over.index(max(over)), max_nodes)
     if bound is not None:

@@ -374,12 +374,42 @@ def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--central-dist", "-100"], "central distance must be non-negative, got -100.0"),
+    (["gen", "--isd", "-500"], "isd must be non-negative, got -500.0"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--axis-d0", "-100"],
+     "central distance must be non-negative, got -100.0"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--isd", "-500"],
+     "isd must be non-negative, got -500.0"),
+], ids=["gen-central-dist", "gen-isd", "sweep-d0", "sweep-isd"])
+def test_negative_distance_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "x"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_zero_distances_stay_valid(tmp_path, capsys):
+    out = tmp_path / "x.yaml"
+    assert main(["gen", "--out", str(out), "--central-dist", "0", "--isd", "0"]) == 0
+    inst = load_instance(out)
+    assert {inst.infra.dist(0, k) for k in inst.infra.cloud_ids()} == {0.0}
+    csv = tmp_path / "x.csv"
+    assert main(["sweep", "--methods", "b-first", "--out", str(csv), "--reps", "1",
+                 "--axis-s", "2", "--axis-d0", "0", "--isd", "0"]) == 0
+    assert [r.d0_m for r in read_csv(csv)] == [0.0]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("bad", [
     ["--mix-profile", "nosuch", "--rings", "-1"],
     ["--central-capacity", "-1"],
     ["--axis-d0", "nan"],
     ["--isd", "nan"],
-], ids=["mix-profile-and-rings", "central-capacity", "d0-nan", "isd-nan"])
+    ["--axis-d0", "-100"],
+    ["--isd", "-500"],
+], ids=["mix-profile-and-rings", "central-capacity", "d0-nan", "isd-nan", "d0-negative",
+        "isd-negative"])
 def test_sweep_rejects_bad_scenario_input_with_zero_reps(tmp_path, capsys, bad):
     out = tmp_path / "x.csv"
     rc = main(["sweep", "--methods", "b-first", "--edge-sites", "center",

@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix
 from util import (
     SWEEP_HIT_OPTIMA,
     assignment_to_binaries,
+    eight_cloud_instance,
     glued_tokens,
     min_completion,
     rand_instance,
@@ -32,7 +33,6 @@ from vnfplan.ilp import (
 )
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, Assignment, RateTable, evaluate
-from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import SearchBudget, solve_optimal
 
 
@@ -405,13 +405,6 @@ def _pairwise_ilp(inst, table):
     return dataclasses.replace(mdl, constraints=tuple(rows))
 
 
-def _eight_cloud_instance(size, edge_capacity):
-    """The 8-cloud capacity-bound scenario (every site an edge cloud, central
-    cloud 45 km out, scenario seed 0) with size chains."""
-    return build_instance(ScenarioConfig(edge_sites="all", seed=0), d0_m=45_000.0,
-                          size=size, edge_capacity=edge_capacity)
-
-
 def _relaxed_objective(mdl):
     res = _solve_via_scipy(mdl, relax=True)
     assert res.status in (0, 2), res.message
@@ -423,7 +416,7 @@ def test_staircase_relaxation_is_never_below_pairwise():
     the staircase LP relaxation can only be tighter."""
     rng = random.Random(7)
     cases = [rand_instance(rng, num_edges=2) for _ in range(8)]
-    cases.append(_eight_cloud_instance(7, 2240.0))
+    cases.append(eight_cloud_instance(7, 2240.0))
     bounds = []
     for inst in cases:
         table = RateTable(inst)
@@ -440,7 +433,7 @@ def test_staircase_rows_one_per_distinct_penalty():
     """Per (VNF, cloud, direction), one row per distinct finite positive
     penalty v, named by its rank from the smallest, that sums every
     neighbour binary whose penalty is at least v."""
-    for inst in (_eight_cloud_instance(3, 3000.0), _small_instance(5, num_edges=2)):
+    for inst in (eight_cloud_instance(3, 3000.0), _small_instance(5, num_edges=2)):
         table = RateTable(inst)
         mdl = build_ilp(inst, table)
         clouds = inst.infra.cloud_ids()
@@ -479,7 +472,7 @@ EIGHT_CLOUD_OPTIMUM = 9209.824151504294
 def test_highs_proves_an_eight_cloud_optimum():
     """HiGHS proves the 8-cloud S=11, Ce 3000 optimum, and the search's
     20k-node incumbent and best bound bracket it."""
-    inst = _eight_cloud_instance(11, 3000.0)
+    inst = eight_cloud_instance(11, 3000.0)
     sci = _solve_via_scipy(build_ilp(inst), time_limit=60.0, mip_rel_gap=0.0)
     assert sci.status == 0, sci.message
     assert math.isclose(sci.fun, EIGHT_CLOUD_OPTIMUM, rel_tol=1e-9)

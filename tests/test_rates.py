@@ -22,7 +22,7 @@ from vnfplan.rates import (
     evaluate,
     first_vnf_rate,
     rate_for_bound,
-    split_penalty,
+    split_penalties,
 )
 from vnfplan.scenario import ScenarioConfig, build_instance
 
@@ -49,6 +49,22 @@ def test_split_feasible_boundary():
     assert not split_feasible(40000.0, 200.0, 0.2)   # closed set: equality fails
     assert not split_feasible(90000.0, 200.0, 0.2)
     assert split_feasible(39000.0, 200.0, 0.2)
+
+
+def split_penalty(gflops, bound_ms, dist_m, fiber_speed, base_rate):
+    """split_penalties over a single link of length dist_m."""
+    [pen] = split_penalties(gflops, bound_ms, [comm_delay_ms(dist_m, fiber_speed)], base_rate)
+    return pen
+
+
+def direct_penalty(gflops, bound_ms, dist_m, fiber_speed, base_rate):
+    """The split penalty written out from the rate formulas, one link."""
+    if base_rate == INFEASIBLE:
+        return INFEASIBLE
+    margin = bound_ms - comm_delay_ms(dist_m, fiber_speed)
+    if margin <= EPS_MS:
+        return INFEASIBLE
+    return max(rate_for_bound(gflops, margin), base_rate) - base_rate
 
 
 def test_split_penalty_worked_example():
@@ -358,10 +374,10 @@ def test_rate_table_penalties_match_direct_formula():
                         base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
                         if n < len(chain.vnfs):
                             assert table.split_penalty_fwd(cid, n, k, j) == \
-                                split_penalty(vnf.gflops, vnf.fwd_ms, d, v, base)
+                                direct_penalty(vnf.gflops, vnf.fwd_ms, d, v, base)
                         if n > 1:
                             assert table.split_penalty_bwd(cid, n, k, j) == \
-                                split_penalty(vnf.gflops, vnf.bwd_ms, d, v, base)
+                                direct_penalty(vnf.gflops, vnf.bwd_ms, d, v, base)
 
 
 def test_children_match_accessors():
@@ -389,6 +405,25 @@ def test_children_match_accessors():
                             expected.append((i, table.colocated(cid, n) + pen_bwd,
                                              pen_bwd, pen_fwd_prev))
                     assert options == expected, (cid, n, j)
+
+
+def test_cheapest_first_sorts_children():
+    rng = random.Random(13)
+    insts = [_shared_signature_instance(), _asymmetric_instance()]
+    insts += [rand_instance(rng, num_edges=rng.choice([1, 2, 3])) for _ in range(20)]
+    for inst in insts:
+        table = RateTable(inst)
+        for chain in inst.chains:
+            for n in range(1, len(chain.vnfs) + 1):
+                by_prev = table.children(chain.id, n)
+                ordered = table.cheapest_first(chain.id, n)
+                assert len(ordered) == len(by_prev)
+                for options, tried in zip(by_prev, ordered):
+                    assert sorted(tried) == sorted(options)
+                    keys = [(rate + pen_fwd_prev, i) for i, rate, _, pen_fwd_prev in tried]
+                    assert keys == sorted(keys)
+                    feasible = [rate != INFEASIBLE for _, rate, _, _ in tried]
+                    assert feasible == sorted(feasible, reverse=True)
 
 
 def test_chain_rates_match_accessors():
@@ -423,20 +458,20 @@ def test_evaluate_with_shared_rows_sums_per_chain_objectives():
     assert sol.rates["a"] == sol.rates["e"]
 
 
-def _count_split_penalty_calls(monkeypatch):
+def _count_split_penalties_calls(monkeypatch):
     counter = {"calls": 0}
-    real = rates.split_penalty
+    real = rates.split_penalties
 
     def counting(*args):
         counter["calls"] += 1
         return real(*args)
 
-    monkeypatch.setattr(rates, "split_penalty", counting)
+    monkeypatch.setattr(rates, "split_penalties", counting)
     return counter
 
 
 def test_rate_table_builds_one_row_per_signature(monkeypatch):
-    counter = _count_split_penalty_calls(monkeypatch)
+    counter = _count_split_penalties_calls(monkeypatch)
     cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=1e12,
                          edge_capacity=1e12)
     inst = build_instance(cfg, d0_m=45000.0, size=800)
@@ -458,7 +493,7 @@ def test_rate_table_builds_one_row_per_signature(monkeypatch):
 
 
 def test_whole_chain_placements_read_no_penalties(monkeypatch):
-    counter = _count_split_penalty_calls(monkeypatch)
+    counter = _count_split_penalties_calls(monkeypatch)
     inst = _shared_signature_instance()
     table = RateTable(inst)
     whole = {c.id: [1] * len(c.vnfs) for c in inst.chains}

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import SWEEP_HIT_OPTIMA, rand_instance, sweep_hit_instance
+from util import SWEEP_HIT_OPTIMA, eight_cloud_instance, rand_instance, sweep_hit_instance
 from vnfplan import heuristics, solver
+from vnfplan.ilp import build_ilp
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import CAP_TOL, INFEASIBLE, RateTable, evaluate
 from vnfplan.scenario import ScenarioConfig, build_instance
@@ -57,8 +58,9 @@ def test_pruning_changes_nothing():
         pruned = solve_optimal(inst)
         full = solve_optimal(inst, use_lower_bound=False)
         assert pruned.status == full.status
-        # The bounded search branches heaviest chains first, so it visits
-        # a subset of the plain search's nodes in that same order.
+        # The bounded search branches heaviest chains first; with the
+        # chains in that order it visits a subset of the plain search's
+        # nodes, whatever order it tries the clouds in.
         assert solve_optimal(_fail_first(inst), use_lower_bound=False).nodes >= pruned.nodes
         if pruned.solution is not None:
             assert pruned.solution.assignment == full.solution.assignment
@@ -666,12 +668,37 @@ def test_deep_instance_does_not_recurse():
 
 
 def test_time_limit_is_read_every_512_nodes():
-    # Capacity binds on the two-cloud layout, so the root proof fails and
-    # the search runs, warm-started from b_first.
-    inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=11)
-    res = solve_optimal(inst, budget=SearchBudget(time_limit=0.0))
+    # Capacity binds on eight clouds, so the root proof fails and the
+    # search runs, warm-started from b_first; it runs out a 20k-node budget.
+    res = solve_optimal(eight_cloud_instance(7, 1500.0), budget=SearchBudget(time_limit=0.0))
     assert res.status == "feasible-incumbent"
     assert res.nodes == 512
+
+
+def test_bounds_read_children_by_cloud_index():
+    """The priced bound indexes its tables by position in
+    RateTable.children; handed the cheapest-first lists it prunes
+    placements it should not, and a larger budget, which runs more price
+    steps, returns a worse placement."""
+    for edge_capacity in (1500.0, 2240.0):
+        inst = eight_cloud_instance(7, edge_capacity, seed=2)
+        small, large = (solve_optimal(inst, budget=SearchBudget(max_nodes=n, time_limit=math.inf))
+                        for n in (20_000, 200_000))
+        assert large.solution.objective <= small.solution.objective, edge_capacity
+
+
+def test_cheapest_first_proves_an_eight_cloud_optimum():
+    """Tried cheapest first, the search proves an 8-cloud instance that
+    capacity binds, within 20k nodes; HiGHS agrees on the optimum."""
+    inst = eight_cloud_instance(7, 2240.0)
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert res.status == "optimal"
+    assert 0 < res.nodes <= 20_000
+    pytest.importorskip("scipy")
+    from test_ilp import _solve_via_scipy
+    sci = _solve_via_scipy(build_ilp(inst), mip_rel_gap=0.0)
+    assert sci.status == 0, sci.message
+    assert math.isclose(res.solution.objective, sci.fun, rel_tol=1e-9)
 
 
 # The golden search corpus pins what the branch and bound visits, not only

@@ -36,6 +36,13 @@ def sweep_hit_instance(rep: int) -> Instance:
                           size=8, edge_capacity=2240.0, seed=11 * 100003 + rep)
 
 
+def eight_cloud_instance(size: int, edge_capacity: float, seed: int = 0) -> Instance:
+    """The 8-cloud capacity-bound scenario (every site an edge cloud, central
+    cloud 45 km out) with size chains, drawn from the scenario seed."""
+    return build_instance(ScenarioConfig(edge_sites="all", seed=seed), d0_m=45_000.0,
+                          size=size, edge_capacity=edge_capacity)
+
+
 def rand_instance(rng: random.Random, max_chains: int = 3, max_vnfs: int = 4,
                   num_edges: Optional[int] = None,
                   space_cap: int = 20000) -> Instance:
