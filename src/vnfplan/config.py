@@ -93,6 +93,8 @@ def _parse_infrastructure(data: dict) -> Infrastructure:
         )
         order = [c.id for c in clouds]
         matrix = data["cloud_distances"]
+        if len(matrix) != len(order) or any(len(row) != len(order) for row in matrix):
+            raise ValueError(f"cloud_distances must be a {len(order)}x{len(order)} matrix")
         cloud_distances = {k: {other: float(matrix[i][j]) for j, other in enumerate(order)}
                            for i, k in enumerate(order)}
         rrh_distances = {

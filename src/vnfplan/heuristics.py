@@ -3,10 +3,10 @@ fixed baselines (static split point, static per-service routing)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import ChainRequest, Instance
-from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate
+from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate, rate_table
 
 
 @dataclass
@@ -47,7 +47,7 @@ class HeuristicResult:
 def packing_order(inst: Instance, table: RateTable) -> list[ChainRequest]:
     """inst's chains in decreasing demand, ties by chain id: the order in
     which b_first packs them and solve_optimal branches on them."""
-    return sorted(inst.chains, key=lambda c: (-table.chain_demand(c.id), c.id))
+    return sorted(inst.chains, key=lambda c: (-table.row(c.id).demand, c.id))
 
 
 def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
@@ -59,8 +59,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     total rate wins; a chain is split at most once.  Rejected chains
     leave all state untouched.
     """
-    if table is None:
-        table = RateTable(inst)
+    table = rate_table(inst, table)
     clouds = list(inst.infra.cloud_ids())
     residual = {k: inst.infra.capacity(k) for k in clouds}
     events: list[PlacementEvent] = []
@@ -70,12 +69,13 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     for chain in packing_order(inst, table):
         cid = chain.id
         n_vnfs = len(chain.vnfs)
-        tail = sum(table.colocated(cid, n) for n in range(2, n_vnfs + 1))
+        row = table.row(cid)
+        tail = sum(row.colo[1:])
         placed = False
         # Best fit: ascending residual capacity, lowest cloud id on ties.
         for k in sorted(clouds, key=lambda c: (residual[c], c)):
             evaluations += 1
-            head = table.first_rate(cid, k)
+            head = row.first[table.position[k]]
             if head == INFEASIBLE:
                 continue
             total = head + tail
@@ -93,7 +93,7 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
         # earliest split point, then the lowest cloud pair.
         best: Optional[tuple[float, int, int, int, float, float]] = None
         for k in clouds:
-            head = table.first_rate(cid, k)
+            head = row.first[table.position[k]]
             for j in clouds:
                 if j == k:
                     continue
@@ -101,14 +101,11 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                     evaluations += 1
                     if head == INFEASIBLE:
                         continue
-                    pen_fwd = table.split_penalty_fwd(cid, p, k, j)
-                    pen_bwd = table.split_penalty_bwd(cid, p + 1, j, k)
+                    pen_fwd, pen_bwd = row.split(p, table.position[k], table.position[j])
                     if pen_fwd == INFEASIBLE or pen_bwd == INFEASIBLE:
                         continue
-                    prefix = head + sum(table.colocated(cid, n)
-                                        for n in range(2, p + 1)) + pen_fwd
-                    suffix = pen_bwd + sum(table.colocated(cid, n)
-                                           for n in range(p + 1, n_vnfs + 1))
+                    prefix = head + sum(row.colo[1:p]) + pen_fwd
+                    suffix = pen_bwd + sum(row.colo[p:])
                     if prefix > residual[k] + CAP_TOL or suffix > residual[j] + CAP_TOL:
                         continue
                     cand = (prefix + suffix, p, k, j, prefix, suffix)
@@ -131,18 +128,20 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                            evaluations=evaluations, accepted_ids=accepted_ids)
 
 
-def _nearest_edges(inst: Instance) -> dict[str, int]:
-    """The nearest edge cloud of each chain's RRH, lowest id on ties, or
-    the central cloud 0 when there is no edge cloud."""
-    edges = [k for k in inst.infra.cloud_ids() if k != 0]
-    dist = inst.infra.rrh_dist
-    return {rrh: min(edges, key=lambda k: (dist(rrh, k), k), default=0)
-            for rrh in {chain.rrh for chain in inst.chains}}
-
-
-def _require_central(inst: Instance) -> None:
+def _fixed(inst: Instance, table: RateTable | None,
+           clouds_of: Callable[[ChainRequest, int], tuple[int, ...]]) -> Solution:
+    """Evaluate the placement clouds_of(chain, edge) of every chain, where
+    edge is the nearest edge cloud of the chain's RRH, lowest id on ties,
+    or the central cloud 0 when there is no edge cloud."""
     if 0 not in inst.infra.cloud_ids():
         raise ValueError("fixed baselines need a central cloud with id 0")
+    table = rate_table(inst, table)
+    edges = [k for k in inst.infra.cloud_ids() if k != 0]
+    dist = inst.infra.rrh_dist
+    nearest = {rrh: min(edges, key=lambda k: (dist(rrh, k), k), default=0)
+               for rrh in {chain.rrh for chain in inst.chains}}
+    vectors = {chain.id: clouds_of(chain, nearest[chain.rrh]) for chain in inst.chains}
+    return evaluate(inst, Assignment(vectors), table)
 
 
 # fixed_split's split point: after the lower-MAC position.
@@ -156,14 +155,10 @@ def fixed_split(inst: Instance, table: RateTable | None = None) -> Solution:
     Chains shorter than the split point stay whole at the edge; with no
     edge clouds everything lands on the central cloud.
     """
-    _require_central(inst)
-    nearest = _nearest_edges(inst)
-    vectors = {}
-    for chain in inst.chains:
-        n_vnfs = len(chain.vnfs)
-        p = min(FIXED_SPLIT_AFTER, n_vnfs)
-        vectors[chain.id] = (nearest[chain.rrh],) * p + (0,) * (n_vnfs - p)
-    return evaluate(inst, Assignment(vectors), table)
+    def clouds_of(chain: ChainRequest, edge: int) -> tuple[int, ...]:
+        p = min(FIXED_SPLIT_AFTER, len(chain.vnfs))
+        return (edge,) * p + (0,) * (len(chain.vnfs) - p)
+    return _fixed(inst, table, clouds_of)
 
 
 def fixed_service(inst: Instance, table: RateTable | None = None) -> Solution:
@@ -172,11 +167,7 @@ def fixed_service(inst: Instance, table: RateTable | None = None) -> Solution:
     Low-latency heavy traffic (URLLC2) goes to its nearest edge cloud,
     every other service to the central cloud.
     """
-    _require_central(inst)
-    nearest = _nearest_edges(inst)
-    vectors = {}
-    for chain in inst.chains:
+    def clouds_of(chain: ChainRequest, edge: int) -> tuple[int, ...]:
         name = chain.service.name.lower() if chain.service else ""
-        target = nearest[chain.rrh] if name == "urllc2" else 0
-        vectors[chain.id] = (target,) * len(chain.vnfs)
-    return evaluate(inst, Assignment(vectors), table)
+        return (edge if name == "urllc2" else 0,) * len(chain.vnfs)
+    return _fixed(inst, table, clouds_of)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 from .model import Instance
-from .rates import INFEASIBLE, RateTable
+from .rates import INFEASIBLE, RateTable, rate_table
 
 
 class LinearConstraint(NamedTuple):
@@ -53,8 +53,7 @@ def _staircase(name: str, r_term: tuple[str, float], x: str, base: float,
 
 def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     """Translate an instance into the placement ILP."""
-    if table is None:
-        table = RateTable(inst)
+    table = rate_table(inst, table)
     clouds = inst.infra.cloud_ids()
     binaries: list[str] = []
     continuous: list[str] = []
@@ -68,7 +67,7 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     cut_rows: list[LinearConstraint] = []
 
     for si, chain in enumerate(inst.chains):
-        cid = chain.id
+        row = table.row(chain.id)
         n_vnfs = len(chain.vnfs)
         # xs[n][i] and rs[n][i] are the unit terms of VNF n at the i-th cloud,
         # bases[n][i] its base rate there; slot 0 is unused.
@@ -78,8 +77,7 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
         for n in range(1, n_vnfs + 1):
             x_row = [(x_name(si, n, k), 1.0) for k in clouds]
             r_row = [(r_name(si, n, k), 1.0) for k in clouds]
-            base_row = [table.first_rate(cid, k) for k in clouds] if n == 1 \
-                else [table.colocated(cid, n)] * len(clouds)
+            base_row = row.first if n == 1 else [row.colo[n - 1]] * len(clouds)
             xs.append(x_row)
             rs.append(r_row)
             bases.append(base_row)
@@ -97,13 +95,13 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                     f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
 
         # The split penalties come from the branch and bound's child lists:
-        # entry [p][i] of table.children(cid, n + 1) holds, for VNF n at the
+        # entry [p][i] of row.children[n + 1] holds, for VNF n at the
         # p-th cloud and VNF n+1 at the i-th, the backward penalty on n+1 and
         # the forward penalty on n, both INFEASIBLE when either link breaks
         # its bound, and both 0.0 when i == p.
         for n in range(1, n_vnfs + 1):
-            nxt = table.children(cid, n + 1) if n < n_vnfs else [()] * len(clouds)
-            prev = table.children(cid, n) if n > 1 else ()
+            nxt = row.children[n + 1] if n < n_vnfs else [()] * len(clouds)
+            prev = row.children[n] if n > 1 else ()
             for p, k in enumerate(clouds):
                 base = bases[n][p]
                 if n == 1 and base == INFEASIBLE:

@@ -241,3 +241,12 @@ def validate_instance(inst: Instance) -> list[str]:
                 problems.append(f"service {svc.name}: latency profile entries must be positive")
 
     return problems
+
+
+def check_instance(inst: Instance) -> Instance:
+    """inst, when validate_instance finds no problem; otherwise ValueError
+    joining every problem with "; "."""
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return inst

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .model import ChainRequest, Infrastructure, Instance
+from .model import ChainRequest, Infrastructure, Instance, check_instance
 
 INFEASIBLE = math.inf
 
@@ -102,21 +102,35 @@ class Solution:
     violations: tuple[str, ...]
 
 
-class _ChainRow:
-    """Rate data of one distinct (RRH, VNF list) chain signature.
+class ChainRow:
+    """Rate data of one distinct (RRH, VNF list) chain signature, shared by
+    every chain of that signature (see RateTable.row).  Callers read these
+    fields as read-only; p and i are cloud positions in RateTable.cloud_ids.
 
-    The co-located rates and the head rate at each cloud position are
-    computed at once.  The split penalties are computed the first time
-    they are read, because placements that keep every chain on one cloud
-    never read them.  A penalty depends on its link only through the
-    link's length, so fwd[n][p][c] (bwd[n][p][c]) is the penalty on VNF n
-    at the p-th cloud when VNF n+1 (n-1) sits across a link of the c-th
-    length (see RateTable); the lists are indexed by VNF position, so
-    their slots below the first valid n are empty.  Only the head's
-    forward penalties vary with p; every other VNF shares one list across
-    positions.  children[n] is the branch and bound's view of VNF n, and
-    cheapest_first[n] the same choices in the order it tries them, both
-    built on first read; see RateTable.children.
+    - id: the row's number, 0, 1, ... in first-seen order.
+    - colo[n - 1]: the co-located rate of VNF n.
+    - first[p]: the head's base rate at the p-th cloud, INFEASIBLE where
+      the RRH link breaks its backward bound.
+    - demand: the sum of the co-located rates; the packing order key.
+    - children[n]: the branch and bound's choices for VNF n.  Entry [p]
+      lists, for VNF n-1 at the p-th cloud, one (i, self rate, backward
+      penalty, forward penalty on VNF n-1) tuple per cloud in ascending id
+      order.  The self rate is the co-located rate plus the backward
+      penalty, INFEASIBLE where the split breaks a latency bound.  The
+      head's entries do not depend on p: (i, first[i], 0, 0).
+    - cheapest_first[n]: children[n] with each list [p] sorted by the cost
+      of a choice, its self rate plus its forward penalty on VNF n-1, then
+      by i; INFEASIBLE choices come last.  Bounds that index a list by
+      cloud read children instead.
+
+    The head and co-located rates are computed at once, the split
+    penalties (see split), children and cheapest_first on first read:
+    placements that keep every chain on one cloud never read them.  A
+    penalty depends on its link only through the link's length, so
+    fwd[n][p][c] (bwd[n][p][c]) is the penalty on VNF n at the p-th cloud
+    when VNF n+1 (n-1) sits across a link of the c-th length (see
+    RateTable); slots below the first valid n are empty.  Only the head's
+    forward penalties vary with p.
     """
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
@@ -154,6 +168,13 @@ class _ChainRow:
             [self._penalties(n, self._vnfs[n - 1].bwd_ms, self.colo[n - 1])] * len(self.first)
             for n in range(2, len(self._vnfs) + 1)]
 
+    def split(self, n: int, p: int, i: int) -> tuple[float, float]:
+        """The split after VNF n, with VNF n at the p-th cloud and VNF n+1
+        at the i-th, p != i: (forward penalty on VNF n, backward penalty on
+        VNF n+1)."""
+        length_of = self._length_of
+        return self.fwd[n][p][length_of[p][i]], self.bwd[n + 1][i][length_of[i][p]]
+
     @cached_property
     def children(self) -> list[list[list[tuple[int, float, float, float]]]]:
         length_of = self._length_of
@@ -188,86 +209,45 @@ class _ChainRow:
 class RateTable:
     """Precomputed per-instance rate data, shared read-only by all solvers.
 
-    Holds one row per distinct chain signature (RRH, VNF list): the
-    co-located rate of each VNF, the base rate of VNF 1 at each cloud, and
-    the forward/backward split penalties for every distinct link length (a
-    row computes its penalties on their first read).  A cloud is read by
-    its position p in cloud_ids.  length_of[p][i] is the index, among
-    those lengths, of the length of the link from the p-th cloud to the
-    i-th, infra.dist(cloud_ids[p], cloud_ids[i]); it is None where p == i,
-    as no link is crossed.  Chains with equal signatures share a row;
-    chain ids map to rows (see row_id).
+    One ChainRow per distinct chain signature (RRH, VNF list); row(chain
+    id) returns it, and split reads its penalties by cloud id.  cloud_ids
+    lists the clouds by position, and position[k] is the position of cloud
+    id k; both are read-only.  The rows share length_of: length_of[p][i]
+    is the index, among the distinct link lengths, of
+    infra.dist(cloud_ids[p], cloud_ids[i]), None where p == i, as no link
+    is crossed.
     """
 
     def __init__(self, inst: Instance):
         infra = inst.infra
         self.cloud_ids = infra.cloud_ids()
-        self._position = {k: p for p, k in enumerate(self.cloud_ids)}
+        self.position = {k: p for p, k in enumerate(self.cloud_ids)}
         index: dict[float, int] = {}    # link length -> its index
-        self._length_of = [[None if k == j else index.setdefault(infra.dist(k, j), len(index))
-                            for j in self.cloud_ids] for k in self.cloud_ids]
+        length_of = [[None if k == j else index.setdefault(infra.dist(k, j), len(index))
+                      for j in self.cloud_ids] for k in self.cloud_ids]
         # One-way delay of each link length, in the order of its index.
         delays = [comm_delay_ms(d, infra.fiber_speed) for d in index]
-        rows: dict[tuple, _ChainRow] = {}
-        self._rows: dict[str, _ChainRow] = {}
+        rows: dict[tuple, ChainRow] = {}
+        self._rows: dict[str, ChainRow] = {}
         for chain in inst.chains:
             signature = (chain.rrh, chain.vnfs)
             row = rows.get(signature)
             if row is None:
-                row = _ChainRow(infra, self.cloud_ids, delays, self._length_of, chain, len(rows))
+                row = ChainRow(infra, self.cloud_ids, delays, length_of, chain, len(rows))
                 rows[signature] = row
             self._rows[chain.id] = row
 
-    def row_id(self, chain_id: str) -> int:
-        """The chain's row: 0, 1, ... in first-seen order, one per signature."""
-        return self._rows[chain_id].id
+    def row(self, chain_id: str) -> ChainRow:
+        """The chain's row, shared with every chain of the same signature."""
+        return self._rows[chain_id]
 
-    def colocated(self, chain_id: str, n: int) -> float:
-        return self._rows[chain_id].colo[n - 1]
-
-    def first_rate(self, chain_id: str, k: int) -> float:
-        return self._rows[chain_id].first[self._position[k]]
-
-    def split_penalty_fwd(self, chain_id: str, n: int, k: int, j: int) -> float:
-        """Penalty on VNF n at cloud k when VNF n+1 sits at cloud j."""
+    def split(self, chain_id: str, n: int, k: int, j: int) -> tuple[float, float]:
+        """The split after VNF n, with VNF n at cloud k and VNF n+1 at cloud
+        j: (forward penalty on VNF n, backward penalty on VNF n+1), both 0.0
+        when k == j."""
         if k == j:
-            return 0.0
-        p, i = self._position[k], self._position[j]
-        return self._rows[chain_id].fwd[n][p][self._length_of[p][i]]
-
-    def split_penalty_bwd(self, chain_id: str, n: int, k: int, j: int) -> float:
-        """Penalty on VNF n at cloud k when VNF n-1 sits at cloud j."""
-        if k == j:
-            return 0.0
-        p, i = self._position[k], self._position[j]
-        return self._rows[chain_id].bwd[n][p][self._length_of[p][i]]
-
-    def children(self, chain_id: str, n: int) -> list[list[tuple[int, float, float, float]]]:
-        """The branch and bound's choices for VNF n, by cloud index.
-
-        Entry [p] lists, for VNF n-1 at the p-th cloud of cloud_ids, one
-        (cloud index, self rate, backward penalty, forward penalty on VNF
-        n-1) tuple per cloud in ascending id order; the self rate is the
-        co-located rate plus the backward penalty.  Splits that break a
-        latency bound have an INFEASIBLE self rate.  The chain head does
-        not depend on p: its entries are (cloud index, head rate, 0, 0),
-        with INFEASIBLE where the RRH link breaks the backward bound.
-        cheapest_first holds the same entries in another order.
-        """
-        return self._rows[chain_id].children[n]
-
-    def cheapest_first(self, chain_id: str,
-                       n: int) -> list[list[tuple[int, float, float, float]]]:
-        """children(chain_id, n), each list [p] sorted by the cost of the
-        choice, its self rate plus its forward penalty on VNF n-1, then by
-        cloud index; INFEASIBLE choices come last.  Bounds that index a
-        list by cloud read children instead.
-        """
-        return self._rows[chain_id].cheapest_first[n]
-
-    def chain_demand(self, chain_id: str) -> float:
-        """Sum of co-located rates; the packing order key for heuristics."""
-        return self._rows[chain_id].demand
+            return 0.0, 0.0
+        return self._rows[chain_id].split(n, self.position[k], self.position[j])
 
     def chain_rates(self, chain_id: str, clouds: Sequence[int]) -> list[float]:
         """Rate of every VNF of a chain placed on clouds[0], clouds[1], ...
@@ -278,16 +258,21 @@ class RateTable:
         meet its bound.
         """
         row = self._rows[chain_id]
-        at = [self._position[k] for k in clouds]
+        at = [self.position[k] for k in clouds]
         pens = [0.0] * len(at)
-        # The split after VNF n: forward penalty on n, backward on n+1.
         for n in range(1, len(at)):
             p, i = at[n - 1], at[n]
             if p != i:
-                pens[n - 1] = max(pens[n - 1], row.fwd[n][p][self._length_of[p][i]])
-                pens[n] = row.bwd[n + 1][i][self._length_of[i][p]]
+                fwd, pens[n] = row.split(n, p, i)
+                pens[n - 1] = max(pens[n - 1], fwd)
         bases = [row.first[at[0]], *row.colo[1:]]
         return [base + pen for base, pen in zip(bases, pens)]
+
+
+def rate_table(inst: Instance, table: RateTable | None = None) -> RateTable:
+    """table, or else the RateTable of inst once check_instance passes it:
+    ValueError listing every validate_instance problem otherwise."""
+    return RateTable(check_instance(inst)) if table is None else table
 
 
 def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> Solution:
@@ -299,8 +284,7 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
     vector, a vector of the wrong length or a cloud not in inst; vectors
     of chains not in inst are ignored.
     """
-    if table is None:
-        table = RateTable(inst)
+    table = rate_table(inst, table)
     violations: list[str] = []
     rates: dict[str, tuple[float, ...]] = {}
     loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
@@ -319,18 +303,18 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
             loads[k] += rate
             if rate != INFEASIBLE:
                 continue
-            if n == 1 and table.first_rate(cid, k) == INFEASIBLE:
+            if n == 1 and table.row(cid).first[table.position[k]] == INFEASIBLE:
                 violations.append(
                     f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
             if n < len(clouds):
                 j = clouds[n]
-                if table.split_penalty_fwd(cid, n, k, j) == INFEASIBLE:
+                if table.split(cid, n, k, j)[0] == INFEASIBLE:
                     violations.append(
                         f"chain {cid} split ({n},{n + 1}) across clouds ({k},{j}) "
                         f"exceeds the forward bound")
             if n > 1:
                 j = clouds[n - 2]
-                if table.split_penalty_bwd(cid, n, k, j) == INFEASIBLE:
+                if table.split(cid, n - 1, j, k)[1] == INFEASIBLE:
                     violations.append(
                         f"chain {cid} split ({n - 1},{n}) across clouds ({j},{k}) "
                         f"exceeds the backward bound")

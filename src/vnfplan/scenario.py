@@ -9,7 +9,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .config import default_model, default_services
@@ -20,9 +20,9 @@ from .model import (
     Instance,
     ServiceClass,
     build_chain,
-    validate_instance,
+    check_instance,
 )
-from .rates import RateTable
+from .rates import RateTable, rate_table
 from .solver import METHODS, SearchBudget, max_accepted_chains, method_name, run_method
 
 METHOD_ORDER = (*METHODS, "cran_only")
@@ -157,27 +157,34 @@ def gen_mix(size: int, rrhs: Sequence[str], rng: random.Random,
     return out
 
 
+def _whole(what: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number >= 0."""
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
                    size: Optional[int] = None,
                    edge_capacity: Optional[float] = None,
                    seed: Optional[int] = None, cran: bool = False) -> Instance:
     """Materialize one scenario point into a solvable instance.
 
-    Raises ValueError on a negative chain count, rings, d0 or isd.
+    Raises ValueError on a negative d0 or isd, and on a chain count or
+    rings that is negative or not a whole number.
     """
     model, services = default_model(), default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
-    n_chains = cfg.mix_size if size is None else size
-    if n_chains < 0:
-        raise ValueError(f"chain count must be non-negative, got {n_chains}")
-    if cfg.rings < 0:
-        raise ValueError(f"rings must be non-negative, got {cfg.rings}")
+    n_chains = _whole("chain count", cfg.mix_size if size is None else size)
+    rings = _whole("rings", cfg.rings)
     if d0 < 0:
         raise ValueError(f"central distance must be non-negative, got {d0}")
     if cfg.isd < 0:
         raise ValueError(f"isd must be non-negative, got {cfg.isd}")
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity
-    infra, rrhs = gen_hex_layout(cfg.rings, cfg.isd, d0, cfg.central_capacity,
+    infra, rrhs = gen_hex_layout(rings, cfg.isd, d0, cfg.central_capacity,
                                  ce, edge_sites=cfg.edge_sites, cran=cran)
     rng = random.Random(cfg.seed if seed is None else seed)
     if cfg.mix_profile == "standard":
@@ -195,16 +202,6 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     return Instance(infra=infra, chains=chains)
 
 
-def _checked_instance(cfg: ScenarioConfig, size: int, d0: float, ce: float,
-                      seed: int, cran: bool) -> Instance:
-    """build_instance, raising ValueError with every validate_instance problem."""
-    inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce, seed=seed, cran=cran)
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return inst
-
-
 def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
                  d0: float, ce: float, rep: int, budget: SearchBudget,
                  measure_runtime: bool) -> list[SweepRecord]:
@@ -219,8 +216,9 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
     for method in methods:
         cran = method == "cran_only"
         if cran not in shared:
-            inst = _checked_instance(cfg, size, d0, ce, cfg.seed * 100003 + rep, cran)
-            shared[cran] = inst, RateTable(inst)
+            inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce,
+                                  seed=cfg.seed * 100003 + rep, cran=cran)
+            shared[cran] = inst, rate_table(inst)
         inst, table = shared[cran]
         kind = "optimal" if cran else method
         try:
@@ -257,17 +255,17 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     methods.  Records come back in canonical order (method, then axis
     point, then repetition) regardless of jobs, and runtimes are reported
     as 0.0 unless measure_runtime is set, keeping the default output
-    reproducible byte for byte.  A point's clouds that fail build_instance
-    or validate_instance raise ValueError before the first point runs,
-    even with reps 0.  A method's ValueError is raised again as the same
-    type, prefixed with the point's scenario label and method.
+    reproducible byte for byte.  Chain counts, rings and reps must be
+    whole numbers (3.0 counts as 3).  A point's clouds that fail
+    build_instance or validate_instance raise ValueError before the first
+    point runs, even with reps 0.  A method's ValueError is raised again as
+    the same type, prefixed with the point's scenario label and method.
     """
     if not methods:
         raise ValueError("no methods given")
     normalized = [method_name(m, METHOD_ORDER) for m in methods]
     ordered = [m for m in METHOD_ORDER if m in normalized]
-    if reps < 0:
-        raise ValueError(f"reps must be non-negative, got {reps}")
+    reps = _whole("reps", reps)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget is None:
@@ -276,9 +274,8 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     unknown = set(axes) - {"S", "d0", "Ce"}
     if unknown:
         raise ValueError(f"unknown sweep axes {sorted(unknown)}")
-    sizes = [int(v) for v in axes.get("S", [cfg.mix_size])]
-    if any(size < 0 for size in sizes):
-        raise ValueError(f"chain counts must be non-negative, got {sizes}")
+    sizes = [_whole("chain counts", v) for v in axes.get("S", [cfg.mix_size])]
+    cfg = replace(cfg, rings=_whole("rings", cfg.rings))
     dists = [float(v) for v in axes.get("d0", [cfg.central_dist])]
     edge_caps = [float(v) for v in axes.get("Ce", [cfg.edge_capacity])]
     # cran_only folds Ce into the central cloud, where no check sees it.
@@ -287,7 +284,8 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     # Bad scenario input fails before the first point, even with reps 0.
     variants = dict.fromkeys(m == "cran_only" for m in ordered)
     for d0, ce, cran in itertools.product(dists, edge_caps, variants):
-        _checked_instance(cfg, 0, d0, ce, cfg.seed, cran)
+        check_instance(build_instance(cfg, d0_m=d0, size=0, edge_capacity=ce,
+                                      seed=cfg.seed, cran=cran))
     tasks = [(cfg, ordered, size, d0, ce, rep, budget, measure_runtime)
              for size in sizes for d0 in dists for ce in edge_caps
              for rep in range(reps)]

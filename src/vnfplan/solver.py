@@ -9,7 +9,7 @@ from typing import Callable, Collection, Optional
 
 from . import heuristics
 from .model import Instance
-from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate
+from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate, rate_table
 
 
 class BruteForceCapError(ValueError):
@@ -56,7 +56,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     fits nowhere is found near the root; VNFs keep their order within a
     chain.  The bounded search tries the cheapest child first, by its self
     rate plus its forward penalty on the previous VNF, then by cloud index
-    (RateTable.cheapest_first).  The plain search tries clouds in
+    (ChainRow.cheapest_first).  The plain search tries clouds in
     ascending id order, so only it returns the lexicographically smallest
     optimum in its variable order.  A child goes when its committed cost
     plus the completion estimate, or its priced committed cost plus the
@@ -72,13 +72,12 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     """
     if budget is None:
         budget = SearchBudget()
-    if table is None:
-        table = RateTable(inst)
+    table = rate_table(inst, table)
     # Fail first: the bounded search branches the heaviest chains first,
     # so a chain that fits no cloud is rejected near the root.  The plain
     # search keeps input order.
     order = heuristics.packing_order(inst, table) if use_lower_bound else inst.chains
-    variables = [(chain.id, n) for chain in order
+    variables = [(table.row(chain.id), n) for chain in order
                  for n in range(1, len(chain.vnfs) + 1)]
     root = _root(inst, table, order, variables, budget.max_nodes, use_lower_bound)
     if isinstance(root, SolveResult):
@@ -205,15 +204,14 @@ def _root(inst, table, order, variables, max_nodes, bounded):
     bound that ran: capacity-free, knapsack or priced.  children[t][p]
     lists variable t's choices when variable t-1 sits at cloud index p,
     cheapest first for the bounded search and by cloud index for the plain
-    one (see RateTable.cheapest_first); caps[p] is the capacity of cloud
+    one (see ChainRow.cheapest_first); caps[p] is the capacity of cloud
     index p plus CAP_TOL.
     """
     clouds = table.cloud_ids
     suffix = [0.0] * (len(variables) + 1)
     for t in range(len(variables) - 1, -1, -1):
-        cid, n = variables[t]
-        least = table.colocated(cid, n) if n > 1 else min(
-            (table.first_rate(cid, k) for k in clouds), default=INFEASIBLE)
+        row, n = variables[t]
+        least = row.colo[n - 1] if n > 1 else min(row.first, default=INFEASIBLE)
         if n == 1 and least == INFEASIBLE:
             return SolveResult(None, "infeasible", 0, infeasible_reason="first-vnf-placement")
         suffix[t] = suffix[t + 1] + least
@@ -224,14 +222,14 @@ def _root(inst, table, order, variables, max_nodes, bounded):
             return SolveResult(root, "optimal", 0, best_bound=root.objective)
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
     if not bounded:
-        children = [table.children(cid, n) for cid, n in variables]
+        children = [row.children[n] for row, n in variables]
         return [-math.inf] * len(suffix), None, best_bound, children, caps, None
-    children = [table.cheapest_first(cid, n) for cid, n in variables]
+    children = [row.cheapest_first[n] for row, n in variables]
     warm = heuristics.b_first(inst, table=table)
     if len(warm.accepted_ids) < len(inst.chains) or not warm.solution.feasible:
         return suffix, None, best_bound, children, caps, None
     incumbent = warm.solution
-    # The bounds index their tables by position in RateTable.children.
+    # The bounds index their tables by position in ChainRow.children.
     rows, spans = _chain_rows(order, table)
     over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
     bound = _knapsack_bound(rows, caps, over.index(max(over)), max_nodes)
@@ -249,20 +247,20 @@ def _chain_rows(order, table):
     """The distinct chain rows of order, for the root bounds.
 
     Returns (rows, spans): rows[r] is [kids, count], where kids[n - 1] is
-    RateTable.children of VNF n and count is how many chains of order
-    share the row of table (RateTable.row_id); rows come in first-seen
-    order.  spans[i] is (row number, VNF count) of order[i].
+    ChainRow.children of VNF n and count is how many chains of order
+    share the row of table (ChainRow.id); rows come in first-seen order.
+    spans[i] is (row number, VNF count) of order[i].
     """
     index: dict[int, int] = {}      # table row id -> row number
     rows: list[list] = []
     spans = []
     for chain in order:
-        n_vnfs = len(chain.vnfs)
-        r = index.setdefault(table.row_id(chain.id), len(rows))
+        row = table.row(chain.id)
+        r = index.setdefault(row.id, len(rows))
         if r == len(rows):
-            rows.append([[table.children(chain.id, n) for n in range(1, n_vnfs + 1)], 0])
+            rows.append([row.children[1:], 0])
         rows[r][1] += 1
-        spans.append((r, n_vnfs))
+        spans.append((r, len(chain.vnfs)))
     return rows, spans
 
 
@@ -419,7 +417,7 @@ def _priced_bound(rows, spans, caps, target, max_nodes):
 def _priced_row(kids, mult, loads, count):
     """The priced pair-state DP of one chain row.
 
-    kids[n - 1] is RateTable.children of VNF n, and a rate at cloud index
+    kids[n - 1] is ChainRow.children of VNF n, and a rate at cloud index
     k costs mult[k].  Rate n is the co-located rate plus the larger of the
     forward and backward penalty, so the state is the clouds of VNFs n-1
     and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
@@ -479,20 +477,19 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
     chain reaches its capacity-free optimum (its share of the root bound)
     exactly when its head sits at a cloud of least head rate and no split
     pays a penalty.  Staying on the same cloud costs nothing, so the
-    greedy walk below always finds a next cloud.  It reads the keyed
-    split penalties rather than RateTable.children, so a root proof builds
-    no child tables.
+    greedy walk below always finds a next cloud.  It reads the split
+    penalties (RateTable.split) rather than ChainRow.children, so a root
+    proof builds no child tables.
     """
     clouds = table.cloud_ids
     vectors = {}
     for chain in inst.chains:
         cid = chain.id
-        k = min(clouds, key=lambda c: table.first_rate(cid, c))
+        first = table.row(cid).first
+        k = clouds[first.index(min(first))]
         path = [k]
         for n in range(1, len(chain.vnfs)):
-            k = next(j for j in clouds if j == k or (
-                table.split_penalty_fwd(cid, n, k, j) == 0.0
-                and table.split_penalty_bwd(cid, n + 1, j, k) == 0.0))
+            k = next(j for j in clouds if table.split(cid, n, k, j) == (0.0, 0.0))
             path.append(k)
         vectors[cid] = tuple(path)
     return Assignment(vectors)
@@ -509,15 +506,13 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
     call time.  Per-chain cost and load vectors are enumerated first; the
     cross product only has to add them up and check capacities.
     """
-    if table is None:
-        table = RateTable(inst)
-    clouds = list(inst.infra.cloud_ids())
+    table = rate_table(inst, table)
+    clouds = table.cloud_ids
     space = 1
     for chain in inst.chains:
         space *= max(1, len(clouds)) ** len(chain.vnfs)
         if space > BRUTE_FORCE_CAP:
             raise BruteForceCapError(f"enumeration space exceeds cap {BRUTE_FORCE_CAP}")
-    cloud_index = {k: i for i, k in enumerate(clouds)}
 
     per_chain: list[list[tuple[tuple[int, ...], float, tuple[float, ...]]]] = []
     for chain in inst.chains:
@@ -528,7 +523,7 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
                 continue
             loads = [0.0] * len(clouds)
             for n, k in enumerate(combo):
-                loads[cloud_index[k]] += rates[n]
+                loads[table.position[k]] += rates[n]
             options.append((combo, sum(rates), tuple(loads)))
         if not options:
             return SolveResult(None, "infeasible", 0, infeasible_reason="latency")
@@ -631,8 +626,7 @@ def method_name(token: str, names: Collection[str] = METHODS) -> str:
 def run_method(method: str, inst: Instance, table: RateTable | None = None,
                budget: SearchBudget | None = None) -> Outcome:
     """Run one METHODS entry (any spelling method_name accepts) on inst."""
-    return METHODS[method_name(method)](
-        inst, RateTable(inst) if table is None else table, budget)
+    return METHODS[method_name(method)](inst, rate_table(inst, table), budget)
 
 
 def max_accepted_chains(inst: Instance, method: str = "optimal",
@@ -644,8 +638,7 @@ def max_accepted_chains(inst: Instance, method: str = "optimal",
     table is a rate table that covers inst's chains, built when not given.
     """
     run = METHODS[method_name(method)]
-    if table is None:
-        table = RateTable(inst)
+    table = rate_table(inst, table)
     ids = [c.id for c in inst.chains]
     best, kept = 0, None
     for m in range(1, len(ids) + 1):

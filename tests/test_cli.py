@@ -132,6 +132,10 @@ MALFORMED = {
     "vnf-demand-nan": [(("chains", 0, "vnfs", 0, "gflops"), float("nan"))],
     "model-row-short": [(("model", "coeffs", 1, "dl"), [1.0]), _SERVICE_CHAIN],
     "model-cpu-zero": [(("model", "ref_cpu_ghz"), 0), _SERVICE_CHAIN],
+    "cloud-distances-too-wide": [(("infrastructure", "cloud_distances"),
+                                  [[0.0, 1000.0, 5.0], [1000.0, 0.0, 5.0]])],
+    "cloud-distances-too-tall": [(("infrastructure", "cloud_distances"),
+                                  [[0.0, 1000.0], [1000.0, 0.0], [5.0, 5.0]])],
     "unclosed-flow-list": "chains: [1, 2\n",
     "top-level-list": "[1, 2]\n",
 }

@@ -40,7 +40,7 @@ def test_chains_packed_in_decreasing_demand_order():
     res = b_first(inst)
     seen = [e.chain_id for e in res.events]
     expected = [c.id for c in sorted(inst.chains,
-                                     key=lambda c: (-table.chain_demand(c.id), c.id))]
+                                     key=lambda c: (-table.row(c.id).demand, c.id))]
     assert seen == expected
 
 
@@ -95,24 +95,22 @@ def test_split_picks_globally_cheapest_candidate():
         chain = inst.chains[0]
         cid = chain.id
         n = len(chain.vnfs)
+        row = table.row(cid)
         caps = {k: inst.infra.capacity(k) for k in inst.infra.cloud_ids()}
         candidates = []
         for k in inst.infra.cloud_ids():
-            head = table.first_rate(cid, k)
+            head = row.first[table.position[k]]
             if head == INFEASIBLE:
                 continue
             for j in inst.infra.cloud_ids():
                 if j == k:
                     continue
                 for p in range(1, n):
-                    pf = table.split_penalty_fwd(cid, p, k, j)
-                    pb = table.split_penalty_bwd(cid, p + 1, j, k)
+                    pf, pb = table.split(cid, p, k, j)
                     if INFEASIBLE in (pf, pb):
                         continue
-                    prefix = head + sum(table.colocated(cid, m)
-                                        for m in range(2, p + 1)) + pf
-                    suffix = pb + sum(table.colocated(cid, m)
-                                      for m in range(p + 1, n + 1))
+                    prefix = head + sum(row.colo[m - 1] for m in range(2, p + 1)) + pf
+                    suffix = pb + sum(row.colo[m - 1] for m in range(p + 1, n + 1))
                     if prefix <= caps[k] + CAP_TOL and suffix <= caps[j] + CAP_TOL:
                         candidates.append((prefix + suffix, p, k, j))
         assert candidates

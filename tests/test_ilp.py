@@ -269,7 +269,9 @@ def test_signed_variable_names_raise_instead_of_parsing_another_model():
         cloud_distances={0: {0: 0.0, -1: 5000.0}, -1: {0: 5000.0, -1: 0.0}},
     )
     chain = ChainRequest(id="c0", service=None, rrh="r0", vnfs=(VnfSpec(1.0, 1.0, 1.0),))
-    text = emit_lp_text(build_ilp(Instance(infra=infra, chains=(chain,))))
+    inst = Instance(infra=infra, chains=(chain,))
+    # A prebuilt table skips the validation that would reject the instance.
+    text = emit_lp_text(build_ilp(inst, RateTable(inst)))
     assert "x_s0_n1_k-1" in text
     with pytest.raises(ValueError, match="objective line with a glued sign or exponent "
                                          "in 'r_s0_n1_k-1': ' obj: r_s0_n1_k-1 "):
@@ -388,11 +390,12 @@ def _pairwise_ilp(inst, table):
     rows = [c for c in mdl.constraints if not c.name.startswith("pen")]
     for si, chain in enumerate(inst.chains):
         n_vnfs = len(chain.vnfs)
+        row = table.row(chain.id)
         for n in range(1, n_vnfs + 1):
-            nxt = table.children(chain.id, n + 1) if n < n_vnfs else [()] * len(clouds)
-            prev = table.children(chain.id, n) if n > 1 else ()
+            nxt = row.children[n + 1] if n < n_vnfs else [()] * len(clouds)
+            prev = row.children[n] if n > 1 else ()
             for p, k in enumerate(clouds):
-                base = table.first_rate(chain.id, k) if n == 1 else table.colocated(chain.id, n)
+                base = row.first[table.position[k]] if n == 1 else row.colo[n - 1]
                 if n == 1 and base == INFEASIBLE:
                     continue
                 splits = [(x_name(si, n + 1, clouds[i]), pen) for i, _, _, pen in nxt[p]]
@@ -442,13 +445,14 @@ def test_staircase_rows_one_per_distinct_penalty():
         most = 0
         for si, chain in enumerate(inst.chains):
             n_vnfs = len(chain.vnfs)
+            row = table.row(chain.id)
             for n in range(1, n_vnfs + 1):
                 for p, k in enumerate(clouds):
-                    base = table.first_rate(chain.id, k) if n == 1 else table.colocated(chain.id, n)
+                    base = row.first[table.position[k]] if n == 1 else row.colo[n - 1]
                     if base == INFEASIBLE:
                         continue
-                    nxt = table.children(chain.id, n + 1)[p] if n < n_vnfs else ()
-                    prev = table.children(chain.id, n) if n > 1 else ()
+                    nxt = row.children[n + 1][p] if n < n_vnfs else ()
+                    prev = row.children[n] if n > 1 else ()
                     for family, m, pens in (
                             ("penf", n + 1, [(clouds[i], pen) for i, _, _, pen in nxt]),
                             ("penb", n - 1, [(j, by_prev[p][2]) for j, by_prev in zip(clouds, prev)])):

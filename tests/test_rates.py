@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import chain_hop_distances, rand_instance, split_feasible, two_cloud_oracle
-from vnfplan import rates
+from vnfplan import heuristics, rates, solver
 from vnfplan.heuristics import b_first
+from vnfplan.ilp import build_ilp
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import (
     EPS_MS,
@@ -208,12 +209,13 @@ def test_rate_table_matches_direct_formulas():
     inst = _line_instance()
     table = RateTable(inst)
     chain = inst.chains[0]
-    assert table.colocated("c0", 2) == colocated_rate(2.0, 1.0, 1.0)
-    assert table.first_rate("c0", 1) == first_vnf_rate(4.0, 1.0, 1.0, 1000.0, 200.0)
-    assert table.first_rate("c0", 0) != INFEASIBLE
-    assert table.chain_demand("c0") == pytest.approx(7000.0)
-    assert table.split_penalty_fwd("c0", 1, 1, 1) == 0.0
-    pen = table.split_penalty_fwd("c0", 2, 0, 1)
+    row = table.row("c0")
+    assert row.colo[1] == colocated_rate(2.0, 1.0, 1.0)
+    assert row.first[table.position[1]] == first_vnf_rate(4.0, 1.0, 1.0, 1000.0, 200.0)
+    assert row.first[table.position[0]] != INFEASIBLE
+    assert row.demand == pytest.approx(7000.0)
+    assert table.split("c0", 1, 1, 1) == (0.0, 0.0)
+    pen = table.split("c0", 2, 0, 1)[0]
     assert pen == pytest.approx(2000.0 / 0.85 - 2000.0)
     assert len(chain.vnfs) == 3
 
@@ -273,10 +275,10 @@ def test_required_rate_never_below_base(seed):
         n = len(chain.vnfs)
         vec = [rng.choice(clouds) for _ in range(n)]
         per_vnf = table.chain_rates(chain.id, vec)
+        row = table.row(chain.id)
         for pos in range(1, n + 1):
             rate = per_vnf[pos - 1]
-            base = table.first_rate(chain.id, vec[0]) if pos == 1 \
-                else table.colocated(chain.id, pos)
+            base = row.first[table.position[vec[0]]] if pos == 1 else row.colo[pos - 1]
             assert rate >= base or rate == INFEASIBLE
 
 
@@ -326,14 +328,12 @@ def _accessor_values(table, chain):
     n_vnfs = len(chain.vnfs)
     clouds = table.cloud_ids
     pairs = [(k, j) for k in clouds for j in clouds]
+    row = table.row(cid)
     return {
-        "colocated": [table.colocated(cid, n) for n in range(1, n_vnfs + 1)],
-        "first_rate": [table.first_rate(cid, k) for k in clouds],
-        "split_fwd": [table.split_penalty_fwd(cid, n, k, j)
-                      for n in range(1, n_vnfs) for k, j in pairs],
-        "split_bwd": [table.split_penalty_bwd(cid, n, k, j)
-                      for n in range(2, n_vnfs + 1) for k, j in pairs],
-        "chain_demand": table.chain_demand(cid),
+        "colo": row.colo,
+        "first": [row.first[table.position[k]] for k in clouds],
+        "split": [table.split(cid, n, k, j) for n in range(1, n_vnfs) for k, j in pairs],
+        "demand": row.demand,
         "chain_rates": [table.chain_rates(cid, combo)
                         for combo in itertools.product(clouds, repeat=n_vnfs)],
     }
@@ -348,8 +348,8 @@ def test_shared_rows_match_single_chain_tables():
     # Ids of one signature answer alike; another RRH or VNF list does not.
     a, e = inst.chains[0], inst.chains[4]
     assert _accessor_values(table, a) == _accessor_values(table, e)
-    assert table.first_rate("a", 0) != table.first_rate("b", 0)
-    assert table.chain_demand("a") != table.chain_demand("d")
+    assert table.row("a").first[table.position[0]] != table.row("b").first[table.position[0]]
+    assert table.row("a").demand != table.row("d").demand
 
 
 def test_rate_table_penalties_match_direct_formula():
@@ -365,18 +365,20 @@ def test_rate_table_penalties_match_direct_formula():
         clouds = inst.infra.cloud_ids()
         for chain in inst.chains:
             cid = chain.id
+            row = table.row(cid)
             for k in clouds:
                 for j in clouds:
                     if k == j:
                         continue
                     d = inst.infra.dist(k, j)
                     for n, vnf in enumerate(chain.vnfs, start=1):
-                        base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
+                        base = row.first[table.position[k]] if n == 1 else row.colo[n - 1]
+                        # VNF n at k: the split after n to j, and the split after n-1 from j.
                         if n < len(chain.vnfs):
-                            assert table.split_penalty_fwd(cid, n, k, j) == \
+                            assert table.split(cid, n, k, j)[0] == \
                                 direct_penalty(vnf.gflops, vnf.fwd_ms, d, v, base)
                         if n > 1:
-                            assert table.split_penalty_bwd(cid, n, k, j) == \
+                            assert table.split(cid, n - 1, j, k)[1] == \
                                 direct_penalty(vnf.gflops, vnf.bwd_ms, d, v, base)
 
 
@@ -389,20 +391,20 @@ def test_children_match_accessors():
         clouds = inst.infra.cloud_ids()
         for chain in inst.chains:
             cid = chain.id
-            head = [(i, table.first_rate(cid, k), 0.0, 0.0) for i, k in enumerate(clouds)]
-            assert table.children(cid, 1) == [head] * len(clouds)
+            row = table.row(cid)
+            head = [(i, row.first[table.position[k]], 0.0, 0.0) for i, k in enumerate(clouds)]
+            assert row.children[1] == [head] * len(clouds)
             for n in range(2, len(chain.vnfs) + 1):
-                by_prev = table.children(cid, n)
+                by_prev = row.children[n]
                 assert len(by_prev) == len(clouds)
                 for j, options in zip(clouds, by_prev):
                     expected = []
                     for i, k in enumerate(clouds):
-                        pen_bwd = table.split_penalty_bwd(cid, n, k, j)
-                        pen_fwd_prev = table.split_penalty_fwd(cid, n - 1, j, k)
+                        pen_fwd_prev, pen_bwd = table.split(cid, n - 1, j, k)
                         if INFEASIBLE in (pen_bwd, pen_fwd_prev):
                             expected.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
                         else:
-                            expected.append((i, table.colocated(cid, n) + pen_bwd,
+                            expected.append((i, row.colo[n - 1] + pen_bwd,
                                              pen_bwd, pen_fwd_prev))
                     assert options == expected, (cid, n, j)
 
@@ -414,9 +416,10 @@ def test_cheapest_first_sorts_children():
     for inst in insts:
         table = RateTable(inst)
         for chain in inst.chains:
+            row = table.row(chain.id)
             for n in range(1, len(chain.vnfs) + 1):
-                by_prev = table.children(chain.id, n)
-                ordered = table.cheapest_first(chain.id, n)
+                by_prev = row.children[n]
+                ordered = row.cheapest_first[n]
                 assert len(ordered) == len(by_prev)
                 for options, tried in zip(by_prev, ordered):
                     assert sorted(tried) == sorted(options)
@@ -431,12 +434,13 @@ def test_chain_rates_match_accessors():
         table = RateTable(inst)
         for chain in inst.chains:
             cid, n_vnfs = chain.id, len(chain.vnfs)
+            row = table.row(cid)
             for vec in itertools.product(table.cloud_ids, repeat=n_vnfs):
                 expected = []
                 for n, k in enumerate(vec, start=1):
-                    base = table.first_rate(cid, k) if n == 1 else table.colocated(cid, n)
-                    pen_fwd = table.split_penalty_fwd(cid, n, k, vec[n]) if n < n_vnfs else 0.0
-                    pen_bwd = table.split_penalty_bwd(cid, n, k, vec[n - 2]) if n > 1 else 0.0
+                    base = row.first[table.position[k]] if n == 1 else row.colo[n - 1]
+                    pen_fwd = table.split(cid, n, k, vec[n])[0] if n < n_vnfs else 0.0
+                    pen_bwd = table.split(cid, n - 1, vec[n - 2], k)[1] if n > 1 else 0.0
                     expected.append(base + max(pen_fwd, pen_bwd))
                 assert table.chain_rates(cid, vec) == expected, (cid, vec)
 
@@ -485,8 +489,7 @@ def test_rate_table_builds_one_row_per_signature(monkeypatch):
         table = RateTable(Instance(inst.infra, tuple(chains)))
         k, j = table.cloud_ids[:2]
         for chain in chains:
-            table.split_penalty_fwd(chain.id, 1, k, j)
-            table.split_penalty_bwd(chain.id, 2, k, j)
+            table.split(chain.id, 1, k, j)
         return counter["calls"]
 
     assert 0 < build_and_read(inst.chains) <= build_and_read(distinct.values())
@@ -522,3 +525,56 @@ def test_dropped_table_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Every library entry point that builds its own rate table.
+ENTRY_POINTS = {
+    "solve_optimal": solver.solve_optimal,
+    "brute_force": solver.brute_force,
+    "run_method": lambda inst: solver.run_method("optimal", inst),
+    "max_accepted_chains": solver.max_accepted_chains,
+    "b_first": heuristics.b_first,
+    "fixed_split": heuristics.fixed_split,
+    "fixed_service": heuristics.fixed_service,
+    "evaluate": lambda inst: evaluate(inst, Assignment({})),
+    "build_ilp": build_ilp,
+}
+
+_VNF = VnfSpec(1.0, 1.0, 1.0)
+
+# Instances that validate_instance rejects, with the problem it names.
+INVALID = {
+    "unknown-rrh": ((ChainRequest("c0", None, "zz", (_VNF,)),),
+                    "chain c0 references unknown RRH zz"),
+    "no-vnfs": ((ChainRequest("c0", None, "r0", ()),), "chain c0 has no VNFs"),
+    "zero-bound": ((ChainRequest("c0", None, "r0", (_VNF, VnfSpec(1.0, 0.0, 1.0))),),
+                   "chain c0 VNF 2 forward bound must be positive"),
+    "duplicate-id": ((ChainRequest("c0", None, "r0", (_VNF,)),) * 2,
+                     "duplicate chain id c0"),
+    "negative-demand": ((ChainRequest("c0", None, "r0", (VnfSpec(-1.0, 1.0, 1.0),)),),
+                        "chain c0 VNF 1 demand is negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_invalid_instances(entry, case):
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 1e6)),
+        rrh_distances={"r0": {0: 1000.0, 1: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: 1000.0}, 1: {0: 1000.0, 1: 0.0}},
+    )
+    chains, problem = INVALID[case]
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        ENTRY_POINTS[entry](Instance(infra=infra, chains=chains))
+
+
+def test_rate_table_joins_every_problem_and_keeps_a_given_table():
+    infra = Infrastructure(clouds=(CloudNode(0, 1e6),), rrh_distances={"r0": {0: 0.0}},
+                           cloud_distances={0: {0: 0.0}})
+    inst = Instance(infra, (ChainRequest("c0", None, "zz", ()),))
+    with pytest.raises(ValueError, match="^chain c0 has no VNFs; chain c0 references unknown "
+                                         "RRH zz$"):
+        rates.rate_table(inst)
+    table = RateTable(Instance(infra, ()))
+    assert rates.rate_table(inst, table) is table

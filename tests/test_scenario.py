@@ -3,7 +3,7 @@ import math
 import pytest
 
 from util import efficiency_improvement
-from vnfplan import scenario, solver
+from vnfplan import model, scenario, solver
 from vnfplan.config import default_model
 from vnfplan.model import build_chain, validate_instance
 from vnfplan.rates import RateTable
@@ -120,10 +120,19 @@ def test_build_instance_profiles():
 def test_build_instance_rejects_negative_chain_count_and_rings():
     for cfg, size, message in ((ScenarioConfig(mix_size=-3), None, "got -3"),
                                (ScenarioConfig(), -1, "got -1"),
-                               (ScenarioConfig(rings=-2), None, "rings")):
+                               (ScenarioConfig(rings=-2), None, "rings"),
+                               (ScenarioConfig(mix_size=2.5), None,
+                                "chain count must be a whole number, got 2.5"),
+                               (ScenarioConfig(), 2.7, "chain count must be a whole number"),
+                               (ScenarioConfig(), math.nan, "chain count must be a whole number"),
+                               (ScenarioConfig(rings=1.5), None,
+                                "rings must be a whole number, got 1.5")):
         with pytest.raises(ValueError, match=message):
             build_instance(cfg, size=size)
     assert build_instance(ScenarioConfig(mix_size=0)).chains == ()
+    # Whole floats count as their integers.
+    assert build_instance(ScenarioConfig(mix_size=3.0, rings=1.0)) == \
+        build_instance(ScenarioConfig(mix_size=3, rings=1))
 
 
 def test_efficiency_improvement():
@@ -164,10 +173,16 @@ def test_run_sweep_rejects_bad_input():
         assert [r.method for r in records] == ["b_first", "cran_only"]
     with pytest.raises(ValueError):
         run_sweep(cfg, ["b_first"], axes={"temperature": [1]})
-    for bad in ({"axes": {"S": [2, -2]}}, {"reps": -1}, {"jobs": 0},
-                {"jobs": -3}):
+    for bad in ({"axes": {"S": [2, -2]}}, {"axes": {"S": [2.7]}}, {"reps": -1},
+                {"reps": 2.5}, {"jobs": 0}, {"jobs": -3}):
         with pytest.raises(ValueError):
             run_sweep(cfg, ["b_first"], **bad)
+    with pytest.raises(ValueError, match="rings must be a whole number, got 1.5"):
+        run_sweep(ScenarioConfig(edge_sites="center", rings=1.5), ["b_first"], reps=1)
+    whole = run_sweep(ScenarioConfig(edge_sites="center", rings=1.0), ["b_first"],
+                      axes={"S": [3.0]}, reps=1)
+    assert whole == run_sweep(cfg, ["b_first"], axes={"S": [3]}, reps=1)
+    assert type(whole[0].size) is int
     for method in ("b_first", "cran_only"):
         with pytest.raises(ValueError, match="edge capacities must be positive"):
             run_sweep(cfg, [method], axes={"Ce": [4480.0, -5.0]}, reps=1)
@@ -254,8 +269,9 @@ def test_sweep_point_builds_each_instance_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("build_instance", "validate_instance"):
-        monkeypatch.setattr(scenario, name, counted(name, getattr(scenario, name)))
+    # validate_instance runs through model.check_instance.
+    for module, name in ((scenario, "build_instance"), (model, "validate_instance")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     # Counts tables built anywhere, not only in scenario.
     monkeypatch.setattr(RateTable, "__init__", counted("RateTable", RateTable.__init__))
     cfg = ScenarioConfig(edge_sites="center", seed=11)

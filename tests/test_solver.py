@@ -117,8 +117,9 @@ def test_only_an_infeasible_head_reports_first_vnf_placement():
     chain = ChainRequest(id="c0", service=None, rrh="r0",
                          vnfs=(VnfSpec(1.0, 1.0, 1.0), VnfSpec(math.inf, 1.0, 1.0)))
     inst = Instance(infra=infra, chains=(chain,))
-    bounded = solve_optimal(inst)
-    plain = solve_optimal(inst, use_lower_bound=False)
+    # A prebuilt table skips the validation that would reject the instance.
+    bounded = solve_optimal(inst, table=RateTable(inst))
+    plain = solve_optimal(inst, use_lower_bound=False, table=RateTable(inst))
     assert (bounded.status, bounded.nodes, bounded.infeasible_reason) == ("infeasible", 2, None)
     assert (plain.status, plain.nodes, plain.infeasible_reason) == \
         ("infeasible", 6, "split-latency")
@@ -138,10 +139,10 @@ def test_chain_rows_group_by_the_rate_table_row():
     chains = (ChainRequest("c0", None, "r0", first), ChainRequest("c1", None, "r1", first),
               ChainRequest("c2", None, "r0", second))
     table = RateTable(Instance(infra=infra, chains=chains))
-    assert [table.row_id(c.id) for c in chains] == [0, 1, 0]
+    assert [table.row(c.id).id for c in chains] == [0, 1, 0]
     rows, spans = solver._chain_rows(chains[::-1], table)
     assert [count for _, count in rows] == [2, 1]
-    assert rows[0][0] == [table.children("c2", n) for n in (1, 2)]
+    assert rows[0][0] == [table.row("c2").children[n] for n in (1, 2)]
     assert spans == [(0, 2), (1, 2), (0, 2)]
 
 
@@ -677,7 +678,7 @@ def test_time_limit_is_read_every_512_nodes():
 
 def test_bounds_read_children_by_cloud_index():
     """The priced bound indexes its tables by position in
-    RateTable.children; handed the cheapest-first lists it prunes
+    ChainRow.children; handed the cheapest-first lists it prunes
     placements it should not, and a larger budget, which runs more price
     steps, returns a worse placement."""
     for edge_capacity in (1500.0, 2240.0):
