@@ -17,6 +17,7 @@ from .model import (
     ServiceClass,
     VnfSpec,
     build_chain,
+    whole,
 )
 
 # libyaml's parser and emitter when PyYAML was built with it.  The Python
@@ -39,7 +40,8 @@ def parse_model_section(data: dict) -> ComputeModel:
     try:
         coeffs = {}
         for pos, row in data["coeffs"].items():
-            coeffs[int(pos)] = {"dl": _quadratic(row["dl"]), "ul": _quadratic(row["ul"])}
+            coeffs[whole("coefficient position", pos)] = {
+                "dl": _quadratic(row["dl"]), "ul": _quadratic(row["ul"])}
         ref_cpu_ghz = float(data["ref_cpu_ghz"])
         if not ref_cpu_ghz > 0.0:
             raise ValueError(f"ref_cpu_ghz must be positive, got {ref_cpu_ghz}")
@@ -58,9 +60,9 @@ def parse_services_section(data: dict) -> dict[str, ServiceClass]:
         for name, row in data.items():
             services[str(name)] = ServiceClass(
                 name=str(name),
-                rb=int(row["rb"]),
-                mcs_dl=int(row["mcs_dl"]),
-                mcs_ul=int(row["mcs_ul"]),
+                rb=whole("rb", row["rb"]),
+                mcs_dl=whole("mcs_dl", row["mcs_dl"]),
+                mcs_ul=whole("mcs_ul", row["mcs_ul"]),
                 latency_profile=tuple(float(v) for v in row["latency_profile"]),
             )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -88,7 +90,7 @@ def default_services() -> dict[str, ServiceClass]:
 def _parse_infrastructure(data: dict) -> Infrastructure:
     try:
         clouds = tuple(
-            CloudNode(id=int(c["id"]), capacity=float(c["capacity"]))
+            CloudNode(id=whole("cloud id", c["id"]), capacity=float(c["capacity"]))
             for c in data["clouds"]
         )
         order = [c.id for c in clouds]
@@ -98,7 +100,7 @@ def _parse_infrastructure(data: dict) -> Infrastructure:
         cloud_distances = {k: {other: float(matrix[i][j]) for j, other in enumerate(order)}
                            for i, k in enumerate(order)}
         rrh_distances = {
-            str(rrh): {int(k): float(d) for k, d in row.items()}
+            str(rrh): {whole("RRH distance cloud id", k): float(d) for k, d in row.items()}
             for rrh, row in data["rrh_distances"].items()
         }
         return Infrastructure(
@@ -116,8 +118,9 @@ def _parse_chain(row: dict, model: ComputeModel,
                  services: dict[str, ServiceClass]) -> ChainRequest:
     if not isinstance(row, dict):
         raise ConfigError(f"chain entry {row!r} is not a mapping")
-    chain_id = str(row.get("id"))
-    rrh = str(row.get("rrh"))
+    if row.get("id") is None or row.get("rrh") is None:
+        raise ConfigError(f"chain entry {row!r} needs an id and an rrh")
+    chain_id, rrh = str(row["id"]), str(row["rrh"])
     service: Optional[ServiceClass] = None
     if "service" in row:
         name = str(row["service"])

@@ -10,6 +10,13 @@ class ConfigError(ValueError):
     """Raised when a compute model or instance file is malformed."""
 
 
+def whole(what: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number (3.0 is)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ServiceClass:
     """A 5G service type and its radio/latency parameters.
@@ -199,8 +206,7 @@ def validate_instance(inst: Instance) -> list[str]:
             if d_kj != d_jk and not math.isnan(d_jk):
                 problems.append(f"cloud distances ({k},{j}) and ({j},{k}) differ")
     for k in ids:
-        raw = infra.cloud_distances.get(k, {})
-        if raw.get(k, 0.0) != 0.0:
+        if infra.cloud_distances.get(k, {}).get(k, 0.0) != 0.0:
             problems.append(f"cloud distance ({k},{k}) must be zero")
 
     for rrh, row in infra.rrh_distances.items():
@@ -211,6 +217,8 @@ def validate_instance(inst: Instance) -> list[str]:
                 problems.append(f"RRH {rrh} distance to cloud {k} is negative")
             elif math.isnan(row[k]):
                 problems.append(f"RRH {rrh} distance to cloud {k} is NaN")
+        for k in sorted(set(row) - seen_ids):
+            problems.append(f"RRH {rrh} has a distance to unknown cloud {k}")
 
     seen_chain_ids: set[str] = set()
     for chain in inst.chains:

@@ -21,6 +21,7 @@ from .model import (
     ServiceClass,
     build_chain,
     check_instance,
+    whole,
 )
 from .rates import RateTable, rate_table
 from .solver import METHODS, SearchBudget, max_accepted_chains, method_name, run_method
@@ -161,9 +162,7 @@ def _whole(what: str, value) -> int:
     """value as an int; ValueError unless it is a whole number >= 0."""
     if value < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    return int(value)
+    return whole(what, value)
 
 
 def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Optional
 
@@ -79,7 +80,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     order = heuristics.packing_order(inst, table) if use_lower_bound else inst.chains
     variables = [(table.row(chain.id), n) for chain in order
                  for n in range(1, len(chain.vnfs) + 1)]
-    root = _root(inst, table, order, variables, budget.max_nodes, use_lower_bound)
+    root = _root(inst, table, variables, budget.max_nodes, use_lower_bound)
     if isinstance(root, SolveResult):
         return root
     suffix, incumbent, best_bound, children, caps, priced = root
@@ -181,7 +182,7 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     return SolveResult(None, "budget-exhausted", nodes, best_bound=best_bound)
 
 
-def _root(inst, table, order, variables, max_nodes, bounded):
+def _root(inst, table, variables, max_nodes, bounded):
     """The root phase of solve_optimal: a SolveResult that settles inst
     with nodes == 0, or the record (suffix, incumbent, best_bound,
     children, caps, priced) that the search starts from.
@@ -198,14 +199,14 @@ def _root(inst, table, order, variables, max_nodes, bounded):
     incumbent, and the second proof keeps exact the capacity of the cloud
     that the zero-slack placement overloads most (see _knapsack_bound);
     when that bound reaches the incumbent, the incumbent is optimal.
-    Else priced is what _priced_bound returns, None included.  The
-    knapsack and the priced bound each give up past a quarter of
-    max_nodes, counted without a clock.  best_bound is the largest root
-    bound that ran: capacity-free, knapsack or priced.  children[t][p]
-    lists variable t's choices when variable t-1 sits at cloud index p,
-    cheapest first for the bounded search and by cloud index for the plain
-    one (see ChainRow.cheapest_first); caps[p] is the capacity of cloud
-    index p plus CAP_TOL.
+    Else priced is what _priced_bound returns, None included.  Both
+    bounds read rows, each ChainRow with its chain count, and give up past
+    a quarter of max_nodes, counted without a clock.  best_bound is the
+    largest root bound that ran: capacity-free, knapsack or priced.
+    children[t][p] lists variable t's choices when variable t-1 sits at
+    cloud index p, cheapest first for the bounded search and by cloud
+    index for the plain one (see ChainRow.cheapest_first); caps[p] is the
+    capacity of cloud index p plus CAP_TOL.
     """
     clouds = table.cloud_ids
     suffix = [0.0] * (len(variables) + 1)
@@ -229,39 +230,17 @@ def _root(inst, table, order, variables, max_nodes, bounded):
     if len(warm.accepted_ids) < len(inst.chains) or not warm.solution.feasible:
         return suffix, None, best_bound, children, caps, None
     incumbent = warm.solution
-    # The bounds index their tables by position in ChainRow.children.
-    rows, spans = _chain_rows(order, table)
+    rows = Counter(row for row, n in variables if n == 1)
     over = [root.loads[k] - cap for k, cap in zip(clouds, caps)]
     bound = _knapsack_bound(rows, caps, over.index(max(over)), max_nodes)
     if bound is not None:
         if bound >= incumbent.objective * (1 - 1e-9):
             return SolveResult(incumbent, "optimal", 0, best_bound=incumbent.objective)
         best_bound = max(best_bound, bound)
-    priced = _priced_bound(rows, spans, caps, incumbent.objective, max_nodes)
+    priced = _priced_bound(rows, variables, caps, incumbent.objective, max_nodes)
     if priced is not None:
         best_bound = max(best_bound, priced[3])
     return suffix, incumbent, best_bound, children, caps, priced
-
-
-def _chain_rows(order, table):
-    """The distinct chain rows of order, for the root bounds.
-
-    Returns (rows, spans): rows[r] is [kids, count], where kids[n - 1] is
-    ChainRow.children of VNF n and count is how many chains of order
-    share the row of table (ChainRow.id); rows come in first-seen order.
-    spans[i] is (row number, VNF count) of order[i].
-    """
-    index: dict[int, int] = {}      # table row id -> row number
-    rows: list[list] = []
-    spans = []
-    for chain in order:
-        row = table.row(chain.id)
-        r = index.setdefault(row.id, len(rows))
-        if r == len(rows):
-            rows.append([row.children[1:], 0])
-        rows[r][1] += 1
-        spans.append((r, len(chain.vnfs)))
-    return rows, spans
 
 
 # The knapsack bound counts the binding cloud's capacity in these units.
@@ -274,17 +253,18 @@ def _knapsack_bound(rows, caps, c, max_nodes):
     budget cannot pay for it.
 
     Lagrangean decomposition with a multiple-choice knapsack (Guignard &
-    Kim 1987; Pisinger 1995), without prices.  Per row, a pair-state DP
-    over the VNFs keeps, for each state (cloud of the last VNF placed, its
-    backward penalty), the Pareto list of (exact load on c, cost) over the
-    chain's placements so far, with the search's penalty arithmetic.  Each
-    chain's final load is floored to units of caps[c] / _UNITS, so a
-    placement that fits spends at most _UNITS units: the floors never add
-    up to more than the floor of the sum.  The chains are then combined by
-    min-plus convolution, and the bound is the least total cost within
-    _UNITS units.  Every (load, cost) entry the DP makes and every pair
-    the convolution tries counts as one node; past a quarter of
-    max_nodes, the share _priced_bound takes, the bound gives up.
+    Kim 1987; Pisinger 1995), without prices.  Per ChainRow of rows, a
+    pair-state DP over row.children keeps for each state (cloud of the
+    last VNF placed, its backward penalty) the Pareto list of (exact load
+    on c, cost) over the chain's placements so far, with the search's
+    penalty arithmetic.  Each chain's final load is floored to units of
+    caps[c] / _UNITS, so a placement that fits spends at most _UNITS
+    units: the floors never add up to more than the floor of the sum.
+    The chains, as many of each row as its count in rows, are then
+    combined by min-plus convolution, and the bound is the least total
+    cost within _UNITS units.  Every (load, cost) entry the DP makes and
+    every pair the convolution tries counts as one node; past a quarter
+    of max_nodes, the share _priced_bound takes, the bound gives up.
     """
     cap = caps[c]
     unit = cap / _UNITS
@@ -292,17 +272,17 @@ def _knapsack_bound(rows, caps, c, max_nodes):
     # With one entry in each of its K**2 pair states, the DP would make
     # K**3 entries per VNF past the head.  When even that passes the
     # limit, as on 8 clouds at a 20k-node budget, it does not start.
-    if sum(len(kids) - 1 for kids, _ in rows) * len(caps) ** 3 > limit:
+    if sum(len(row.children) - 2 for row in rows) * len(caps) ** 3 > limit:
         return None
     entries = 0
     total = [(0, 0.0)]      # (units, least cost) of the chains so far
-    for kids, count in rows:
+    for row, count in rows.items():
         front = {}
-        for k, rate, _, _ in kids[0][0]:
+        for k, rate, _, _ in row.children[1][0]:
             load = rate if k == c else 0.0
             if rate != INFEASIBLE and load <= cap:
                 front[k, 0.0] = [(load, rate)]
-        for by_prev in kids[1:]:
+        for by_prev in row.children[2:]:
             grown: dict[tuple, list] = {}
             for (j, b), pairs in front.items():
                 for k, rate, pen_bwd, pen_fwd_prev in by_prev[j]:
@@ -355,7 +335,7 @@ def _falling(pairs):
 _PRICE_STEPS = 8
 
 
-def _priced_bound(rows, spans, caps, target, max_nodes):
+def _priced_bound(rows, variables, caps, target, max_nodes):
     """The capacity-priced look-ahead of solve_optimal, or None when the
     node budget cannot pay for it.
 
@@ -363,12 +343,12 @@ def _priced_bound(rows, spans, caps, target, max_nodes):
     (1 + lam_k) and credits sum(lam_k * caps[k]); for any prices, the
     cheapest priced placement without capacity limits, less that credit,
     bounds every placement that fits from below (weak duality).  Its value
-    L(lam) is the sum of per-chain priced minima, each one pair-state DP
-    per distinct chain row (see _chain_rows and _priced_row).  A few Polyak
-    subgradient steps aimed at target, the incumbent's objective, tune lam
-    from 0.  Returns (mult, rest, later, bound) for the best step: mult[k]
-    is 1 + lam_k; rest[t][j][k] is _priced_row's table for variable t;
-    later[t] sums the priced minima of the chains after t's, less the
+    L(lam) sums one pair-state DP per ChainRow of rows (see _priced_row),
+    times its chain count.  A few Polyak subgradient steps aimed at
+    target, the incumbent's objective, tune lam from 0.  Returns (mult,
+    rest, later, bound) for the best step: mult[k] is 1 + lam_k;
+    rest[t][j][k] is _priced_row's table of VNF n for variables[t] = (row,
+    n); later[t] sums the priced minima of the chains after t's, less the
     credit and a relative float margin; bound is L(lam).
     """
     K = len(caps)
@@ -376,7 +356,7 @@ def _priced_bound(rows, spans, caps, target, max_nodes):
     # row.  All steps together get at most a quarter of the node budget, so
     # a search that spends its whole budget pays at most 25% more; a
     # single step, at lam = 0, would not price capacity at all.
-    work = sum(len(kids) for kids, _ in rows) * (K ** 3 + 100) // 10
+    work = sum(len(row.children) - 1 for row in rows) * (K ** 3 + 100) // 10
     steps = min(_PRICE_STEPS, max_nodes // (4 * work))
     if steps < 2:
         return None
@@ -386,8 +366,8 @@ def _priced_bound(rows, spans, caps, target, max_nodes):
     for _ in range(steps):
         mult = [1.0 + x for x in lam]
         loads = [0.0] * K
-        tables = [_priced_row(kids, mult, loads, count) for kids, count in rows]
-        total = sum(count * least for (_, count), (_, least) in zip(rows, tables))
+        tables = {row: _priced_row(row, mult, loads, count) for row, count in rows.items()}
+        total = sum(count * tables[row][1] for row, count in rows.items())
         credit = sum(x * c for x, c in zip(lam, caps) if x)
         bound = total - credit
         if best is None or bound > best[0]:
@@ -403,22 +383,21 @@ def _priced_bound(rows, spans, caps, target, max_nodes):
         step = theta * (target - bound) / norm
         lam = [max(0.0, x + step * s) for x, s in zip(lam, grad)]
     bound, mult, tables, margin = best
-    tail = bound - margin
-    rest: list = []
-    later: list[float] = []
-    for r, n_vnfs in spans:
-        table, least = tables[r]
-        tail -= least
-        rest += table[1:]
-        later += [tail] * n_vnfs
+    tail, rest, later = bound - margin, [], []
+    for row, n in variables:
+        table, least = tables[row]
+        if n == 1:
+            tail -= least
+        rest.append(table[n])
+        later.append(tail)
     return mult, rest, later, bound
 
 
-def _priced_row(kids, mult, loads, count):
-    """The priced pair-state DP of one chain row.
+def _priced_row(row, mult, loads, count):
+    """The priced pair-state DP of one ChainRow.
 
-    kids[n - 1] is ChainRow.children of VNF n, and a rate at cloud index
-    k costs mult[k].  Rate n is the co-located rate plus the larger of the
+    VNF n's choices are row.children[n], and a rate at cloud index k
+    costs mult[k].  Rate n is the co-located rate plus the larger of the
     forward and backward penalty, so the state is the clouds of VNFs n-1
     and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
     still to come when VNF n-1 sits at j and VNF n at k, beyond VNF n's
@@ -426,11 +405,12 @@ def _priced_row(kids, mult, loads, count):
     least is the chain's priced minimum.  count times the loads of a
     placement that attains least are added to loads.
     """
-    K, N = len(mult), len(kids)
+    children = row.children
+    K, N = len(mult), len(children) - 1
     rest: list = [None] * (N + 1)
     rest[N] = [[0.0] * K] * K
     for n in range(N - 1, 0, -1):
-        after, nxt = rest[n + 1], kids[n]
+        after, nxt = rest[n + 1], children[n + 1]
         # opts[k]: VNF n+1's choices when VNF n sits at k, as (forward
         # penalty on VNF n, priced cost of VNF n+1 onward).
         opts = [[(f, mult[l] * rate + tail[l])
@@ -438,8 +418,8 @@ def _priced_row(kids, mult, loads, count):
                 for k, tail in enumerate(after)]
         table = []
         # The head's choices do not depend on a previous cloud.
-        for by_prev in kids[n - 1][:1 if n == 1 else K]:
-            row = []
+        for by_prev in children[n][:1 if n == 1 else K]:
+            costs = []
             for k, rate, b, _ in by_prev:
                 least = INFEASIBLE
                 if rate != INFEASIBLE:
@@ -449,18 +429,18 @@ def _priced_row(kids, mult, loads, count):
                             c += m * (f - b)
                         if c < least:
                             least = c
-                row.append(least)
-            table.append(row)
+                costs.append(least)
+            table.append(costs)
         rest[n] = table * K if n == 1 else table
     least, k, b = INFEASIBLE, 0, 0.0
-    for i, rate, _, _ in kids[0][0]:
+    for i, rate, _, _ in children[1][0]:
         if mult[i] * rate + rest[1][0][i] < least:
             least, k, rate_k = mult[i] * rate + rest[1][0][i], i, rate
     loads[k] += count * rate_k
     # Walk a placement that attains least, for the subgradient.
     for n in range(1, N):
         m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
-        for i, rate, pen_bwd, f in kids[n][k]:
+        for i, rate, pen_bwd, f in children[n + 1][k]:
             c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
             if c < best:
                 best, l, rate_l, b_l, inc = c, i, rate, pen_bwd, max(f - b, 0.0)

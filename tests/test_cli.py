@@ -136,6 +136,15 @@ MALFORMED = {
                                   [[0.0, 1000.0, 5.0], [1000.0, 0.0, 5.0]])],
     "cloud-distances-too-tall": [(("infrastructure", "cloud_distances"),
                                   [[0.0, 1000.0], [1000.0, 0.0], [5.0, 5.0]])],
+    "chain-without-id": [(("chains", 0), {"rrh": "r00", "service": "eMBB"})],
+    "cloud-id-fraction": [(("infrastructure", "clouds", 1, "id"), 1.5)],
+    "service-rb-fraction": [(("services", "eMBB", "rb"), 250.7)],
+    "service-mcs-fraction": [(("services", "mMTC", "mcs_dl"), 27.9)],
+    "model-position-fraction": [(("model", "coeffs"),
+                                 {1.5: {"dl": [0.0, 0.0, 0.0], "ul": [0.0, 0.0, 0.0]}})],
+    "rrh-distance-cloud-fraction": [(("infrastructure", "rrh_distances", "r00"),
+                                     {0: 30000.0, 1.5: 0.0})],
+    "rrh-distance-unknown-cloud": [(("infrastructure", "rrh_distances", "r00", 7), 5000.0)],
     "unclosed-flow-list": "chains: [1, 2\n",
     "top-level-list": "[1, 2]\n",
 }

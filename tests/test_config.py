@@ -97,3 +97,32 @@ def test_missing_sections_raise_config_error(tmp_path):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     with pytest.raises(ConfigError, match="chain bare needs either a service or a vnfs list"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("entry", [{"rrh": "r00", "service": "eMBB"},
+                                   {"id": None, "rrh": "r00", "service": "eMBB"},
+                                   {"id": "s1", "service": "eMBB"},
+                                   {"id": "s1", "rrh": None, "service": "eMBB"}])
+def test_chain_entry_needs_an_id_and_an_rrh(tmp_path, entry):
+    data = copy.deepcopy(_BASE)
+    data["chains"].append(entry)
+    path = tmp_path / "inst.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"chain entry \{.*\} needs an id and an rrh"):
+        load_instance(path)
+
+
+def test_integer_fields_take_whole_numbers(tmp_path):
+    """3.0 and "3" read as 3; 250.7 is an error, never 250."""
+    path = tmp_path / "inst.yaml"
+    data = copy.deepcopy(_BASE)
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    expected = load_instance(path)
+    data["services"]["eMBB"].update(rb=250.0, mcs_dl="27")
+    data["infrastructure"]["clouds"][1]["id"] = 1.0
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert load_instance(path) == expected
+    data["services"]["eMBB"]["rb"] = 250.7
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="rb must be a whole number, got 250.7"):
+        load_instance(path)

@@ -18,9 +18,11 @@ from vnfplan.model import (
     ServiceClass,
     VnfSpec,
     build_chain,
+    check_instance,
     validate_instance,
     vnf_demand,
 )
+from vnfplan.solver import solve_optimal
 
 
 def make_model(coeffs, ref_gflops=1.0, ref_cpu_ghz=1.0):
@@ -166,6 +168,22 @@ def test_validate_reports_each_rrh_once():
         "RRH r1 distance to cloud 1 is NaN",
         "RRH r2 distance to cloud 1 is negative",
     ]
+
+
+def test_validate_rejects_distances_to_unknown_clouds():
+    """An RRH row may not name a cloud the infrastructure does not hold;
+    each extra cloud is reported once, in sorted order, and every library
+    entry point raises ValueError."""
+    tiny = _tiny_instance()
+    row = {7: 5000.0, 0: 30000.0, 1: 1000.0, 3: 5000.0}
+    infra = dataclasses.replace(tiny.infra, rrh_distances={"r0": row})
+    inst = Instance(infra=infra, chains=tiny.chains)
+    assert validate_instance(inst) == ["RRH r0 has a distance to unknown cloud 3",
+                                       "RRH r0 has a distance to unknown cloud 7"]
+    with pytest.raises(ValueError, match="RRH r0 has a distance to unknown cloud 3; "):
+        check_instance(inst)
+    with pytest.raises(ValueError, match="unknown cloud 7"):
+        solve_optimal(inst)
 
 
 def test_validate_rejects_nan_and_infinite_values():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -125,10 +126,10 @@ def test_only_an_infeasible_head_reports_first_vnf_placement():
         ("infeasible", 6, "split-latency")
 
 
-def test_chain_rows_group_by_the_rate_table_row():
-    """Chains of equal signature share one RateTable row even when their VNF
-    tuples are distinct objects, and the root bounds group chains by that
-    row, in first-seen order."""
+def test_chains_of_equal_signature_share_one_row():
+    """Chains of equal signature share one RateTable row, the object the
+    root bounds group chains by, even when their VNF tuples are distinct
+    objects."""
     infra = Infrastructure(
         clouds=(CloudNode(0, 1e6), CloudNode(1, 1e6)),
         rrh_distances={"r0": {0: 0.0, 1: 1000.0}, "r1": {0: 1000.0, 1: 0.0}},
@@ -140,10 +141,7 @@ def test_chain_rows_group_by_the_rate_table_row():
               ChainRequest("c2", None, "r0", second))
     table = RateTable(Instance(infra=infra, chains=chains))
     assert [table.row(c.id).id for c in chains] == [0, 1, 0]
-    rows, spans = solver._chain_rows(chains[::-1], table)
-    assert [count for _, count in rows] == [2, 1]
-    assert rows[0][0] == [table.row("c2").children[n] for n in (1, 2)]
-    assert spans == [(0, 2), (1, 2), (0, 2)]
+    assert table.row("c0") is table.row("c2")
 
 
 def test_infeasible_by_capacity():
@@ -288,7 +286,7 @@ def test_priced_bound_proves_two_cloud_ladder(size):
 def _knapsack_inputs(inst: Instance):
     """The rows and capacities that solve_optimal hands _knapsack_bound."""
     table = RateTable(inst)
-    rows, _ = solver._chain_rows(heuristics.packing_order(inst, table), table)
+    rows = Counter(table.row(chain.id) for chain in heuristics.packing_order(inst, table))
     return rows, [inst.infra.capacity(k) + CAP_TOL for k in inst.infra.cloud_ids()]
 
 
@@ -347,10 +345,12 @@ def test_priced_bound_stops_on_a_zero_subgradient():
     cfg = ScenarioConfig(edge_sites="center", seed=0, central_capacity=UNCAPPED)
     inst = build_instance(cfg, d0_m=45_000.0, size=5, edge_capacity=UNCAPPED)
     table = RateTable(inst)
-    rows, spans = solver._chain_rows(heuristics.packing_order(inst, table), table)
+    variables = [(table.row(chain.id), n) for chain in heuristics.packing_order(inst, table)
+                 for n in range(1, len(chain.vnfs) + 1)]
+    rows = Counter(row for row, n in variables if n == 1)
     caps = [UNCAPPED + CAP_TOL] * 2
     opt = solve_optimal(inst, table=table).solution.objective
-    mult, _, _, bound = solver._priced_bound(rows, spans, caps, 2 * opt, 10**7)
+    mult, _, _, bound = solver._priced_bound(rows, variables, caps, 2 * opt, 10**7)
     assert mult == [1.0, 1.0]
     assert math.isclose(bound, opt, rel_tol=1e-9)
 
@@ -703,10 +703,10 @@ def test_cheapest_first_proves_an_eight_cloud_optimum():
 
 
 # The golden search corpus pins what the branch and bound visits, not only
-# what it returns: status, node count, infeasible reason, objective and the
-# full placement of every case.  Cases are seeded scenario instances (both
-# edge layouts, uncapacitated and capacity-bound) plus random instances,
-# each at several node budgets with and without the bound.
+# what it returns: status, node count, infeasible reason, objective, best
+# bound and the full placement of every case.  Cases are seeded scenario
+# instances (both edge layouts, uncapacitated and capacity-bound) plus
+# random instances, each at several node budgets with and without the bound.
 GOLDEN_SEARCH = Path(__file__).resolve().parent / "data" / "golden_search.json"
 SEARCH_BUDGETS = (1, 513, 20_000)
 
@@ -748,7 +748,7 @@ def _search_record(res) -> dict:
     return {"status": res.status, "nodes": res.nodes,
             "infeasible_reason": res.infeasible_reason,
             "objective": sol.objective if sol is not None else None,
-            "placement": placement}
+            "placement": placement, "best_bound": res.best_bound}
 
 
 def golden_search_results() -> dict:
