@@ -283,27 +283,40 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
     Raises ValueError naming the chain when a chain of inst has no
     vector, a vector of the wrong length or a cloud not in inst; vectors
     of chains not in inst are ignored.
+
+    One call costs each distinct (row, placement) once: chains that share
+    a RateTable row and a cloud vector share one rate tuple.  Rates are
+    added to the objective and loads in chain order, then VNF order.
     """
     table = rate_table(inst, table)
     violations: list[str] = []
     rates: dict[str, tuple[float, ...]] = {}
     loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
     objective = 0.0
+    costed: dict[tuple[ChainRow, tuple[int, ...]], tuple[float, ...]] = {}
     for chain in inst.chains:
         cid = chain.id
         clouds = a.vectors.get(cid)
         if clouds is None or len(clouds) != len(chain.vnfs):
             raise ValueError(f"chain {cid}: cloud vector {clouds!r} for {len(chain.vnfs)} VNFs")
         try:
-            per_vnf = rates[cid] = tuple(table.chain_rates(cid, clouds))
+            row = table.row(cid)
+            key = (row, tuple(clouds))
+            per_vnf = costed.get(key)
+            if per_vnf is None:
+                per_vnf = costed[key] = tuple(table.chain_rates(cid, clouds))
         except KeyError as exc:
             raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
-        for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
+        rates[cid] = per_vnf
+        for k, rate in zip(clouds, per_vnf):
             objective += rate
             loads[k] += rate
+        if INFEASIBLE not in per_vnf:
+            continue
+        for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
             if rate != INFEASIBLE:
                 continue
-            if n == 1 and table.row(cid).first[table.position[k]] == INFEASIBLE:
+            if n == 1 and row.first[table.position[k]] == INFEASIBLE:
                 violations.append(
                     f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
             if n < len(clouds):

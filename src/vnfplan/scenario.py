@@ -171,15 +171,19 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
                    seed: Optional[int] = None, cran: bool = False) -> Instance:
     """Materialize one scenario point into a solvable instance.
 
-    Raises ValueError on a negative d0 or isd, and on a chain count or
-    rings that is negative or not a whole number.
+    Raises ValueError on a d0 or isd that is negative or not finite, and
+    on a chain count or rings that is negative or not a whole number.
     """
     model, services = default_model(), default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
     n_chains = _whole("chain count", cfg.mix_size if size is None else size)
     rings = _whole("rings", cfg.rings)
+    if not math.isfinite(d0):
+        raise ValueError(f"central distance must be finite, got {d0}")
     if d0 < 0:
         raise ValueError(f"central distance must be non-negative, got {d0}")
+    if not math.isfinite(cfg.isd):
+        raise ValueError(f"isd must be finite, got {cfg.isd}")
     if cfg.isd < 0:
         raise ValueError(f"isd must be non-negative, got {cfg.isd}")
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity

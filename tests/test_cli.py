@@ -394,7 +394,16 @@ def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
      "central distance must be non-negative, got -100.0"),
     (["sweep", "--methods", "b-first", "--reps", "1", "--isd", "-500"],
      "isd must be non-negative, got -500.0"),
-], ids=["gen-central-dist", "gen-isd", "sweep-d0", "sweep-isd"])
+    (["gen", "--central-dist", "inf"], "central distance must be finite, got inf"),
+    (["gen", "--central-dist", "nan"], "central distance must be finite, got nan"),
+    (["gen", "--isd", "inf"], "isd must be finite, got inf"),
+    (["gen", "--isd", "nan"], "isd must be finite, got nan"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--axis-d0", "nan"],
+     "central distance must be finite, got nan"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--isd", "inf"],
+     "isd must be finite, got inf"),
+], ids=["gen-central-dist", "gen-isd", "sweep-d0", "sweep-isd", "gen-central-dist-inf",
+        "gen-central-dist-nan", "gen-isd-inf", "gen-isd-nan", "sweep-d0-nan", "sweep-isd-inf"])
 def test_negative_distance_exits_2(tmp_path, capsys, args, message):
     out = tmp_path / "x"
     assert main([*args, "--out", str(out)]) == 2

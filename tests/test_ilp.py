@@ -33,6 +33,7 @@ from vnfplan.ilp import (
 )
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
 from vnfplan.rates import INFEASIBLE, Assignment, RateTable, evaluate
+from vnfplan.scenario import ScenarioConfig, build_instance
 from vnfplan.solver import SearchBudget, solve_optimal
 
 
@@ -535,3 +536,39 @@ def test_emit_is_deterministic():
     inst = _small_instance(21)
     mdl = build_ilp(inst)
     assert emit_lp_text(mdl) == emit_lp_text(build_ilp(inst))
+
+
+# HiGHS's own LP-file reader, bundled by scipy as a private module.
+LP_READER_CASES = [
+    # (edge sites, S, read status, optimum of the search to match or None)
+    ("center", 4, "kOk", True),
+    ("center", 6, "kOk", True),
+    # HiGHS warns and drops the 1.7e-10 to 4.6e-10 split penalties of
+    # low-demand VNFs: real coefficients, too small for its reader.
+    ("all", 7, "kWarning", False),
+]
+
+
+@pytest.mark.parametrize("sites, size, status, solve", LP_READER_CASES,
+                         ids=[f"{c[0]}-S{c[1]}" for c in LP_READER_CASES])
+def test_highs_reads_the_emitted_lp_text(tmp_path, sites, size, status, solve):
+    try:
+        from scipy.optimize._highspy._core import _Highs
+    except ImportError:
+        pytest.skip("scipy's bundled HiGHS reader is not importable")
+    inst = build_instance(ScenarioConfig(edge_sites=sites, seed=0), d0_m=45_000.0, size=size)
+    mdl = build_ilp(inst)
+    path = tmp_path / "model.lp"
+    path.write_text(emit_lp_text(mdl))
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)).name == status
+    assert highs.getNumRow() == len(mdl.constraints)
+    assert highs.getNumCol() == len(mdl.binaries) + len(mdl.continuous)
+    if solve:
+        highs.setOptionValue("mip_rel_gap", 0.0)
+        assert highs.run().name == "kOk"
+        assert highs.modelStatusToString(highs.getModelStatus()) == "Optimal"
+        result = solve_optimal(inst)
+        assert result.status == "optimal"
+        assert highs.getObjectiveValue() == pytest.approx(result.solution.objective, rel=1e-9)

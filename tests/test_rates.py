@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import chain_hop_distances, rand_instance, split_feasible, two_cloud_oracle
+from util import (
+    chain_hop_distances,
+    rand_instance,
+    reference_evaluate,
+    solution_bits,
+    split_feasible,
+    two_cloud_oracle,
+)
 from vnfplan import heuristics, rates, solver
 from vnfplan.heuristics import b_first
 from vnfplan.ilp import build_ilp
@@ -454,12 +462,100 @@ def test_evaluate_with_shared_rows_sums_per_chain_objectives():
                           Assignment.from_vectors({chain.id: vectors[chain.id]}))
                  for chain in inst.chains]
     # Same additions in the same order: exact.  Per-chain subtotals: rounding.
-    assert sol.objective == sum(rate for s in per_chain for r in s.rates.values() for rate in r)
+    # sum() of floats is compensated since Python 3.12, so add left to right.
+    total = 0.0
+    for s in per_chain:
+        for r in s.rates.values():
+            for rate in r:
+                total += rate
+    assert sol.objective == total
     assert sol.objective == pytest.approx(sum(s.objective for s in per_chain), rel=1e-12)
     for s in per_chain:
         for cid, value in s.rates.items():
             assert sol.rates[cid] == value
     assert sol.rates["a"] == sol.rates["e"]
+
+
+def _random_placements(inst, table, rng):
+    """One cloud vector per chain: a third spread at random over the clouds
+    (latency-infeasible splits among them), the rest drawn from three
+    vectors per row, so chains of a row repeat placements."""
+    clouds = inst.infra.cloud_ids()
+    pools = {}
+    vectors = {}
+    for chain in inst.chains:
+        size = len(chain.vnfs)
+        if rng.random() < 1 / 3:
+            vectors[chain.id] = tuple(rng.choice(clouds) for _ in range(size))
+            continue
+        pool = pools.setdefault(table.row(chain.id).id, [
+            tuple(rng.choice(clouds) for _ in range(size)),
+            (rng.choice(clouds),) * size,
+            (rng.choice(clouds),) * (size // 2) + (rng.choice(clouds),) * (size - size // 2)])
+        vectors[chain.id] = rng.choice(pool)
+    return Assignment(vectors)
+
+
+# The kinds of violation evaluate reports, by a phrase of their message.
+KINDS = ("over capacity", "RRH link", "forward bound", "backward bound")
+
+
+def test_evaluate_is_bit_identical_to_the_per_chain_reference():
+    kinds = set()
+    for sites in ("center", "all"):
+        for size in (200, 800):
+            inst = build_instance(ScenarioConfig(edge_sites=sites, seed=0), d0_m=45_000.0,
+                                  size=size)
+            table = RateTable(inst)
+            rng = random.Random(size)
+            for _ in range(4):
+                a = _random_placements(inst, table, rng)
+                sol = evaluate(inst, a, table)
+                assert solution_bits(sol) == solution_bits(reference_evaluate(inst, a, table))
+                kinds.update(kind for v in sol.violations for kind in KINDS if kind in v)
+    rng = random.Random(7)
+    for _ in range(300):
+        inst = rand_instance(rng, max_chains=5)
+        table = RateTable(inst)
+        clouds = inst.infra.cloud_ids()
+        a = Assignment({chain.id: tuple(rng.choice(clouds) for _ in chain.vnfs)
+                        for chain in inst.chains})
+        assert solution_bits(evaluate(inst, a, table)) == \
+            solution_bits(reference_evaluate(inst, a, table))
+    assert kinds == set(KINDS)
+
+
+def test_evaluate_costs_each_distinct_row_and_placement_once(monkeypatch):
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=0), d0_m=45_000.0, size=200)
+    table = RateTable(inst)
+    a = _random_placements(inst, table, random.Random(3))
+    calls = []
+    real = RateTable.chain_rates
+    monkeypatch.setattr(RateTable, "chain_rates",
+                        lambda self, cid, clouds: calls.append(cid) or real(self, cid, clouds))
+    evaluate(inst, a, table)
+    distinct = {(table.row(c.id).id, a.vectors[c.id]) for c in inst.chains}
+    assert len(calls) == len(distinct) < len(inst.chains)
+
+
+def test_evaluate_takes_list_vectors_like_tuples():
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=0), d0_m=45_000.0, size=200)
+    table = RateTable(inst)
+    as_tuples = _random_placements(inst, table, random.Random(1))
+    as_lists = Assignment({cid: list(clouds) for cid, clouds in as_tuples.vectors.items()})
+    sol = evaluate(inst, as_lists, table)
+    assert sol.assignment is as_lists
+    assert dataclasses.replace(sol, assignment=as_tuples) == evaluate(inst, as_tuples, table)
+    assert solution_bits(sol) == solution_bits(reference_evaluate(inst, as_lists, table))
+
+
+def test_evaluate_names_the_chain_with_an_unknown_cloud_behind_a_shared_row():
+    inst = _shared_signature_instance()
+    table = RateTable(inst)
+    assert table.row("a") is table.row("e")
+    vectors = {"a": (1, 1, 2), "b": (2, 0, 0), "c": (1, 1, 2), "d": (0, 1), "e": (1, 1, 9)}
+    with pytest.raises(ValueError, match="^chain e: no cloud 9 in the instance$"):
+        evaluate(inst, Assignment(vectors), table)
 
 
 def _count_split_penalties_calls(monkeypatch):

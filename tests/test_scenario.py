@@ -126,7 +126,15 @@ def test_build_instance_rejects_negative_chain_count_and_rings():
                                (ScenarioConfig(), 2.7, "chain count must be a whole number"),
                                (ScenarioConfig(), math.nan, "chain count must be a whole number"),
                                (ScenarioConfig(rings=1.5), None,
-                                "rings must be a whole number, got 1.5")):
+                                "rings must be a whole number, got 1.5"),
+                               (ScenarioConfig(central_dist=math.inf), None,
+                                "central distance must be finite, got inf"),
+                               (ScenarioConfig(central_dist=math.nan), None,
+                                "central distance must be finite, got nan"),
+                               (ScenarioConfig(isd=-math.inf), None,
+                                "isd must be finite, got -inf"),
+                               (ScenarioConfig(isd=math.nan), None,
+                                "isd must be finite, got nan")):
         with pytest.raises(ValueError, match=message):
             build_instance(cfg, size=size)
     assert build_instance(ScenarioConfig(mix_size=0)).chains == ()

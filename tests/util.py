@@ -2,7 +2,8 @@
 independent two-cloud oracle for the per-VNF rate formulas, and small
 oracles the library itself does not need (link feasibility, hop
 distances, percent savings, the ILP's rate completion of a fixed
-binary vector, and a plain LP expression tokenizer).
+binary vector, a plain LP expression tokenizer, and evaluate's
+per-chain loop without its memo).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -19,7 +20,15 @@ from typing import Mapping, Optional, Sequence
 
 from vnfplan.ilp import IlpModel, x_name
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
-from vnfplan.rates import CAP_TOL, EPS_MS, INFEASIBLE, Assignment, comm_delay_ms
+from vnfplan.rates import (
+    CAP_TOL,
+    EPS_MS,
+    INFEASIBLE,
+    Assignment,
+    RateTable,
+    Solution,
+    comm_delay_ms,
+)
 from vnfplan.scenario import ScenarioConfig, build_instance
 
 KM = 1000.0
@@ -286,3 +295,58 @@ def reference_parse_terms(text: str) -> tuple[tuple[tuple[str, float], ...], flo
     if coef is not None:
         constant += sign * coef
     return tuple(terms), constant
+
+
+def reference_evaluate(inst: Instance, a: Assignment, table: RateTable) -> Solution:
+    """vnfplan.rates.evaluate as one chain_rates call per chain, with the
+    violation walk on every VNF: the loop that evaluate's per-call memo
+    must reproduce bit for bit."""
+    violations: list[str] = []
+    rates: dict[str, tuple[float, ...]] = {}
+    loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
+    objective = 0.0
+    for chain in inst.chains:
+        cid = chain.id
+        clouds = a.vectors.get(cid)
+        if clouds is None or len(clouds) != len(chain.vnfs):
+            raise ValueError(f"chain {cid}: cloud vector {clouds!r} for {len(chain.vnfs)} VNFs")
+        try:
+            per_vnf = rates[cid] = tuple(table.chain_rates(cid, clouds))
+        except KeyError as exc:
+            raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
+        for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
+            objective += rate
+            loads[k] += rate
+            if rate != INFEASIBLE:
+                continue
+            if n == 1 and table.row(cid).first[table.position[k]] == INFEASIBLE:
+                violations.append(
+                    f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
+            if n < len(clouds):
+                j = clouds[n]
+                if table.split(cid, n, k, j)[0] == INFEASIBLE:
+                    violations.append(
+                        f"chain {cid} split ({n},{n + 1}) across clouds ({k},{j}) "
+                        f"exceeds the forward bound")
+            if n > 1:
+                j = clouds[n - 2]
+                if table.split(cid, n - 1, j, k)[1] == INFEASIBLE:
+                    violations.append(
+                        f"chain {cid} split ({n - 1},{n}) across clouds ({j},{k}) "
+                        f"exceeds the backward bound")
+    for k in sorted(loads):
+        cap = inst.infra.capacity(k)
+        if loads[k] > cap + CAP_TOL:
+            violations.append(
+                f"cloud {k} over capacity: load {loads[k]} exceeds {cap}")
+    return Solution(assignment=a, rates=rates, objective=objective, loads=loads,
+                    feasible=not violations, violations=tuple(violations))
+
+
+def solution_bits(sol: Solution) -> tuple:
+    """A Solution's numbers as float.hex, with its verdict and violations in
+    order: equal tuples mean bit-identical evaluations."""
+    return (sol.objective.hex(),
+            tuple((k, load.hex()) for k, load in sol.loads.items()),
+            tuple((cid, tuple(r.hex() for r in per_vnf)) for cid, per_vnf in sol.rates.items()),
+            sol.feasible, sol.violations)
