@@ -94,7 +94,7 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                 base_rows.append(LinearConstraint(
                     f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
 
-        # The split penalties come from the branch and bound's child lists:
+        # The split penalties come from the row's child lists, by position:
         # entry [p][i] of row.children[n + 1] holds, for VNF n at the
         # p-th cloud and VNF n+1 at the i-th, the backward penalty on n+1 and
         # the forward penalty on n, both INFEASIBLE when either link breaks

@@ -112,16 +112,16 @@ class ChainRow:
     - first[p]: the head's base rate at the p-th cloud, INFEASIBLE where
       the RRH link breaks its backward bound.
     - demand: the sum of the co-located rates; the packing order key.
-    - children[n]: the branch and bound's choices for VNF n.  Entry [p]
-      lists, for VNF n-1 at the p-th cloud, one (i, self rate, backward
-      penalty, forward penalty on VNF n-1) tuple per cloud in ascending id
-      order.  The self rate is the co-located rate plus the backward
-      penalty, INFEASIBLE where the split breaks a latency bound.  The
-      head's entries do not depend on p: (i, first[i], 0, 0).
-    - cheapest_first[n]: children[n] with each list [p] sorted by the cost
-      of a choice, its self rate plus its forward penalty on VNF n-1, then
-      by i; INFEASIBLE choices come last.  Bounds that index a list by
-      cloud read children instead.
+    - children[n]: the choices for VNF n that the root bounds and
+      build_ilp read, by cloud position.  Entry [p] lists, for VNF n-1 at
+      the p-th cloud, one (i, self rate, backward penalty, forward penalty
+      on VNF n-1) tuple per cloud in ascending id order.  The self rate is
+      the co-located rate plus the backward penalty, INFEASIBLE where the
+      split breaks a latency bound.  The head's entries do not depend on
+      p: (i, first[i], 0, 0).
+    - cheapest_first[n]: the search's choices for VNF n: children[n] with
+      each list [p] sorted by the cost of a choice, its self rate plus its
+      forward penalty on VNF n-1, then by i; INFEASIBLE choices come last.
 
     The head and co-located rates are computed at once, the split
     penalties (see split), children and cheapest_first on first read:

@@ -171,8 +171,9 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
                    seed: Optional[int] = None, cran: bool = False) -> Instance:
     """Materialize one scenario point into a solvable instance.
 
-    Raises ValueError on a d0 or isd that is negative or not finite, and
-    on a chain count or rings that is negative or not a whole number.
+    Raises ValueError on a d0 or isd that is negative or not finite, on
+    an edge capacity that is not positive, and on a chain count or rings
+    that is negative or not a whole number.
     """
     model, services = default_model(), default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
@@ -187,6 +188,8 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     if cfg.isd < 0:
         raise ValueError(f"isd must be non-negative, got {cfg.isd}")
     ce = cfg.edge_capacity if edge_capacity is None else edge_capacity
+    if not ce > 0:      # also rejects NaN
+        raise ValueError(f"edge capacity must be positive, got {ce}")
     infra, rrhs = gen_hex_layout(rings, cfg.isd, d0, cfg.central_capacity,
                                  ce, edge_sites=cfg.edge_sites, cran=cran)
     rng = random.Random(cfg.seed if seed is None else seed)
@@ -281,9 +284,6 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     cfg = replace(cfg, rings=_whole("rings", cfg.rings))
     dists = [float(v) for v in axes.get("d0", [cfg.central_dist])]
     edge_caps = [float(v) for v in axes.get("Ce", [cfg.edge_capacity])]
-    # cran_only folds Ce into the central cloud, where no check sees it.
-    if any(ce <= 0 for ce in edge_caps):
-        raise ValueError(f"edge capacities must be positive, got {edge_caps}")
     # Bad scenario input fails before the first point, even with reps 0.
     variants = dict.fromkeys(m == "cran_only" for m in ordered)
     for d0, ce, cran in itertools.product(dists, edge_caps, variants):

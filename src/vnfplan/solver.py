@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ class _BudgetHit(Exception):
 
 
 def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
-                  use_lower_bound: bool = True,
                   table: RateTable | None = None) -> SolveResult:
     """Depth-first branch and bound over per-VNF cloud choices.
 
@@ -55,32 +53,28 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     Solution, when none is.  Chains are branched heaviest first, in
     b_first's packing order (heuristics.packing_order), so a chain that
     fits nowhere is found near the root; VNFs keep their order within a
-    chain.  The bounded search tries the cheapest child first, by its self
-    rate plus its forward penalty on the previous VNF, then by cloud index
-    (ChainRow.cheapest_first).  The plain search tries clouds in
-    ascending id order, so only it returns the lexicographically smallest
-    optimum in its variable order.  A child goes when its committed cost
+    chain.  The search tries the cheapest child first, by its self rate
+    plus its forward penalty on the previous VNF, then by cloud index
+    (ChainRow.cheapest_first).  A child goes when its committed cost
     plus the completion estimate, or its priced committed cost plus the
     priced cost still to come, cannot beat the incumbent; the first test
     is cheaper and, near the root, the tighter.  best_bound is the
-    objective when optimal and _root's bound on a budget stop.
-    use_lower_bound=False is the plain exhaustive search in input chain
-    order: no root proof, no warm start and no pruning.  nodes counts
-    every child tried, rejected ones included, and infeasible_reason names
-    the most frequent rejection cause, so it depends on the visit order.
-    Results are deterministic unless the budget binds.  The search keeps
-    its own stack, so instance size is not bounded by the recursion limit.
+    objective when optimal and _root's bound on a budget stop.  nodes
+    counts every child tried, rejected ones included, and
+    infeasible_reason names the most frequent rejection cause, so it
+    depends on the visit order.  Results are deterministic unless the
+    budget binds.  The search keeps its own stack, so instance size is not
+    bounded by the recursion limit.
     """
     if budget is None:
         budget = SearchBudget()
     table = rate_table(inst, table)
-    # Fail first: the bounded search branches the heaviest chains first,
-    # so a chain that fits no cloud is rejected near the root.  The plain
-    # search keeps input order.
-    order = heuristics.packing_order(inst, table) if use_lower_bound else inst.chains
+    # Fail first: the search branches the heaviest chains first, so a
+    # chain that fits no cloud is rejected near the root.
+    order = heuristics.packing_order(inst, table)
     variables = [(table.row(chain.id), n) for chain in order
                  for n in range(1, len(chain.vnfs) + 1)]
-    root = _root(inst, table, variables, budget.max_nodes, use_lower_bound)
+    root = _root(inst, table, variables, budget.max_nodes)
     if isinstance(root, SolveResult):
         return root
     suffix, incumbent, best_bound, children, caps, priced = root
@@ -182,19 +176,18 @@ def solve_optimal(inst: Instance, budget: SearchBudget | None = None,
     return SolveResult(None, "budget-exhausted", nodes, best_bound=best_bound)
 
 
-def _root(inst, table, variables, max_nodes, bounded):
+def _root(inst, table, variables, max_nodes):
     """The root phase of solve_optimal: a SolveResult that settles inst
     with nodes == 0, or the record (suffix, incumbent, best_bound,
     children, caps, priced) that the search starts from.
 
     A chain head that fits no cloud gives first-vnf-placement.  suffix[t]
     is the least cost of variables t onward, each VNF at its cheapest
-    feasible cloud with no split penalty to come; the plain search
-    (bounded false) gets -inf, which prunes nothing, and no incumbent.
-    The first root proof tries each chain's lexicographically smallest
-    zero-slack path (see _zero_slack), which meets the bound suffix[0]:
-    when it fits every capacity it is the lexicographically smallest
-    optimum.  It also settles a chainless instance in both modes.
+    feasible cloud with no split penalty to come.  The first root proof
+    tries each chain's lexicographically smallest zero-slack path (see
+    _zero_slack), which meets the bound suffix[0]: when it fits every
+    capacity it is the lexicographically smallest optimum.  It also
+    settles a chainless instance, whose empty placement is feasible.
     Otherwise, when b_first places every chain, its Solution is the
     incumbent, and the second proof keeps exact the capacity of the cloud
     that the zero-slack placement overloads most (see _knapsack_bound);
@@ -204,9 +197,8 @@ def _root(inst, table, variables, max_nodes, bounded):
     a quarter of max_nodes, counted without a clock.  best_bound is the
     largest root bound that ran: capacity-free, knapsack or priced.
     children[t][p] lists variable t's choices when variable t-1 sits at
-    cloud index p, cheapest first for the bounded search and by cloud
-    index for the plain one (see ChainRow.cheapest_first); caps[p] is the
-    capacity of cloud index p plus CAP_TOL.
+    cloud index p, cheapest first (see ChainRow.cheapest_first); caps[p]
+    is the capacity of cloud index p plus CAP_TOL.
     """
     clouds = table.cloud_ids
     suffix = [0.0] * (len(variables) + 1)
@@ -217,14 +209,10 @@ def _root(inst, table, variables, max_nodes, bounded):
             return SolveResult(None, "infeasible", 0, infeasible_reason="first-vnf-placement")
         suffix[t] = suffix[t + 1] + least
     best_bound = suffix[0]
-    if bounded or not variables:
-        root = evaluate(inst, _zero_slack(inst, table), table)
-        if root.feasible or not variables:
-            return SolveResult(root, "optimal", 0, best_bound=root.objective)
+    root = evaluate(inst, _zero_slack(inst, table), table)
+    if root.feasible:
+        return SolveResult(root, "optimal", 0, best_bound=root.objective)
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
-    if not bounded:
-        children = [row.children[n] for row, n in variables]
-        return [-math.inf] * len(suffix), None, best_bound, children, caps, None
     children = [row.cheapest_first[n] for row, n in variables]
     warm = heuristics.b_first(inst, table=table)
     if len(warm.accepted_ids) < len(inst.chains) or not warm.solution.feasible:

@@ -402,8 +402,12 @@ def test_negative_chain_count_or_rings_exits_2(tmp_path, capsys, args, message):
      "central distance must be finite, got nan"),
     (["sweep", "--methods", "b-first", "--reps", "1", "--isd", "inf"],
      "isd must be finite, got inf"),
+    (["gen", "--edge-capacity", "nan"], "edge capacity must be positive, got nan"),
+    (["sweep", "--methods", "b-first", "--reps", "1", "--axis-ce", "nan"],
+     "edge capacity must be positive, got nan"),
 ], ids=["gen-central-dist", "gen-isd", "sweep-d0", "sweep-isd", "gen-central-dist-inf",
-        "gen-central-dist-nan", "gen-isd-inf", "gen-isd-nan", "sweep-d0-nan", "sweep-isd-inf"])
+        "gen-central-dist-nan", "gen-isd-inf", "gen-isd-nan", "sweep-d0-nan", "sweep-isd-inf",
+        "gen-edge-capacity-nan", "sweep-ce-nan"])
 def test_negative_distance_exits_2(tmp_path, capsys, args, message):
     out = tmp_path / "x"
     assert main([*args, "--out", str(out)]) == 2
@@ -479,7 +483,7 @@ def test_sweep_unknown_method(tmp_path, capsys):
     rc = main(["sweep", "--methods", "magic", "--out", str(out)])
     assert rc == 2
     assert "unknown method" in capsys.readouterr().err
-    for bad, message in ((["--axis-ce", "-5"], "edge capacities must be positive"),
+    for bad, message in ((["--axis-ce", "-5"], "edge capacity must be positive, got -5.0"),
                          (["--central-capacity", "-5"], "cloud 0 capacity must be positive"),
                          (["--axis-s", "-2"], "chain counts must be non-negative"),
                          (["--jobs", "0"], "jobs must be at least 1")):

@@ -192,7 +192,7 @@ def test_run_sweep_rejects_bad_input():
     assert whole == run_sweep(cfg, ["b_first"], axes={"S": [3]}, reps=1)
     assert type(whole[0].size) is int
     for method in ("b_first", "cran_only"):
-        with pytest.raises(ValueError, match="edge capacities must be positive"):
+        with pytest.raises(ValueError, match="edge capacity must be positive, got -5.0"):
             run_sweep(cfg, [method], axes={"Ce": [4480.0, -5.0]}, reps=1)
     with pytest.raises(ValueError, match="cloud 0 capacity must be positive"):
         run_sweep(ScenarioConfig(edge_sites="center", central_capacity=-1.0),

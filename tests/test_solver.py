@@ -46,25 +46,16 @@ def test_agrees_with_brute_force_sample():
             assert exact.status == "infeasible"
 
 
-def _fail_first(inst: Instance) -> Instance:
-    """inst with its chains in the bounded search's branching order."""
-    return dataclasses.replace(
-        inst, chains=tuple(heuristics.packing_order(inst, RateTable(inst))))
-
-
 def test_pruning_changes_nothing():
     rng = random.Random(77)
     for _ in range(8):
         inst = rand_instance(rng, max_chains=2, max_vnfs=3)
         pruned = solve_optimal(inst)
-        full = solve_optimal(inst, use_lower_bound=False)
-        assert pruned.status == full.status
-        # The bounded search branches heaviest chains first; with the
-        # chains in that order it visits a subset of the plain search's
-        # nodes, whatever order it tries the clouds in.
-        assert solve_optimal(_fail_first(inst), use_lower_bound=False).nodes >= pruned.nodes
+        oracle = brute_force(inst)
+        assert pruned.status == oracle.status
         if pruned.solution is not None:
-            assert pruned.solution.assignment == full.solution.assignment
+            assert pruned.solution.assignment == oracle.solution.assignment
+            assert pruned.solution.objective == oracle.solution.objective
 
 
 def test_deterministic_and_lex_smallest():
@@ -109,7 +100,8 @@ def test_infeasible_head_everywhere():
 def test_only_an_infeasible_head_reports_first_vnf_placement():
     """The head check reads the chain heads' rates alone: an infinite rate
     further down the chain of an unvalidated instance is rejected by the
-    search, not reported as a head that fits nowhere."""
+    search, not reported as a head that fits nowhere, and enumeration
+    finds no placement either."""
     infra = Infrastructure(
         clouds=(CloudNode(0, 1e6), CloudNode(1, 1e6)),
         rrh_distances={"r0": {0: 0.0, 1: 1000.0}},
@@ -119,11 +111,12 @@ def test_only_an_infeasible_head_reports_first_vnf_placement():
                          vnfs=(VnfSpec(1.0, 1.0, 1.0), VnfSpec(math.inf, 1.0, 1.0)))
     inst = Instance(infra=infra, chains=(chain,))
     # A prebuilt table skips the validation that would reject the instance.
-    bounded = solve_optimal(inst, table=RateTable(inst))
-    plain = solve_optimal(inst, use_lower_bound=False, table=RateTable(inst))
-    assert (bounded.status, bounded.nodes, bounded.infeasible_reason) == ("infeasible", 2, None)
-    assert (plain.status, plain.nodes, plain.infeasible_reason) == \
-        ("infeasible", 6, "split-latency")
+    table = RateTable(inst)
+    res = solve_optimal(inst, table=table)
+    oracle = brute_force(inst, table=table)
+    assert (res.status, res.nodes, res.infeasible_reason) == ("infeasible", 2, None)
+    assert (oracle.status, oracle.solution, oracle.infeasible_reason) == \
+        ("infeasible", None, "latency")
 
 
 def test_chains_of_equal_signature_share_one_row():
@@ -185,8 +178,7 @@ def test_search_budget_accepts_zero_and_infinite_limits():
 
 def test_root_proof_is_lex_smallest_optimum():
     """A result proven by a feasible zero-slack placement is the placement
-    the plain exhaustive search returns: the lexicographically smallest
-    optimum."""
+    brute_force returns: the lexicographically smallest optimum."""
     proven = 0
     for seed in (31, 32, 33):
         rng = random.Random(seed)
@@ -200,10 +192,10 @@ def test_root_proof_is_lex_smallest_optimum():
             res = solve_optimal(inst)
             assert (res.status, res.nodes) == ("optimal", 0)
             proven += 1
-            full = solve_optimal(inst, use_lower_bound=False)
-            assert full.status == "optimal"
-            assert res.solution.assignment == full.solution.assignment
-            assert res.solution.objective == full.solution.objective
+            oracle = brute_force(inst)
+            assert oracle.status == "optimal"
+            assert res.solution.assignment == oracle.solution.assignment
+            assert res.solution.objective == oracle.solution.objective
     assert proven >= 20
 
 
@@ -655,17 +647,17 @@ def test_table_reuse_gives_same_answer():
 
 
 def test_deep_instance_does_not_recurse():
-    # 200 chains are 1600 search variables, one per VNF.
-    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=UNCAPPED,
-                         edge_capacity=UNCAPPED)
+    # 200 chains are 1600 search variables, one per VNF.  Capacity binds,
+    # so the root proof fails, and b_first places every chain, so the
+    # search starts from its placement.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=40_000.0,
+                         edge_capacity=30_000.0)
     inst = build_instance(cfg, size=200)
-    # The root proof settles this instance at 0 nodes; the plain search
-    # still walks the 1600-variable stack.
-    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf),
-                        use_lower_bound=False)
-    assert res.status == "feasible-incumbent"
-    assert res.nodes == 20_001
+    res = solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+    assert (res.status, res.nodes) == ("feasible-incumbent", 20_001)
     assert res.solution.feasible
+    # Only a leaf, 1600 variables deep, can beat the warm start.
+    assert res.solution.objective < heuristics.b_first(inst).solution.objective
 
 
 def test_time_limit_is_read_every_512_nodes():
@@ -706,7 +698,7 @@ def test_cheapest_first_proves_an_eight_cloud_optimum():
 # what it returns: status, node count, infeasible reason, objective, best
 # bound and the full placement of every case.  Cases are seeded scenario
 # instances (both edge layouts, uncapacitated and capacity-bound) plus
-# random instances, each at several node budgets with and without the bound.
+# random instances, each at several node budgets.
 GOLDEN_SEARCH = Path(__file__).resolve().parent / "data" / "golden_search.json"
 SEARCH_BUDGETS = (1, 513, 20_000)
 
@@ -755,11 +747,9 @@ def golden_search_results() -> dict:
     results = {}
     for name, inst in golden_search_instances().items():
         for max_nodes in SEARCH_BUDGETS:
-            budget = SearchBudget(max_nodes=max_nodes, time_limit=math.inf)
-            for bound in (True, False):
-                res = solve_optimal(inst, budget=budget, use_lower_bound=bound)
-                results[f"{name}/n{max_nodes}/{'lb' if bound else 'nolb'}"] = \
-                    _search_record(res)
+            res = solve_optimal(inst, budget=SearchBudget(max_nodes=max_nodes,
+                                                          time_limit=math.inf))
+            results[f"{name}/n{max_nodes}/lb"] = _search_record(res)
     return results
 
 
