@@ -122,10 +122,15 @@ class ChainRow:
     - cheapest_first[n]: the search's choices for VNF n: children[n] with
       each list [p] sorted by the cost of a choice, its self rate plus its
       forward penalty on VNF n-1, then by i; INFEASIBLE choices come last.
+    - zero_slack: the positions of the row's lexicographically smallest
+      zero-slack path.  The head sits at the first least entry of first;
+      after VNF n at the p-th cloud, VNF n+1 goes to the first position i,
+      ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
     The head and co-located rates are computed at once, the split
-    penalties (see split), children and cheapest_first on first read:
-    placements that keep every chain on one cloud never read them.  A
+    penalties (see split), children, cheapest_first and zero_slack on
+    first read: placements that keep every chain on one cloud never read
+    the penalties.  zero_slack builds no penalty lists (see _free_split).  A
     penalty depends on its link only through the link's length, so
     fwd[n][p][c] (bwd[n][p][c]) is the penalty on VNF n at the p-th cloud
     when VNF n+1 (n-1) sits across a link of the c-th length (see
@@ -150,6 +155,38 @@ class ChainRow:
     def _penalties(self, n: int, bound_ms: float, base_rate: float) -> list[float]:
         """split_penalties of VNF n over each link length."""
         return split_penalties(self._vnfs[n - 1].gflops, bound_ms, self._delays, base_rate)
+
+    def _free_split(self, n: int, p: int, i: int) -> bool:
+        """Whether split(n, p, i) == (0.0, 0.0), computed over the split's
+        own link length: the backward penalty only when the forward one
+        is 0.0."""
+        vnf, after = self._vnfs[n - 1], self._vnfs[n]
+        delays, length_of = self._delays, self._length_of
+        base = self.first[p] if n == 1 else self.colo[n - 1]
+        return (split_penalties(vnf.gflops, vnf.fwd_ms, [delays[length_of[p][i]]], base) == [0.0]
+                and split_penalties(after.gflops, after.bwd_ms, [delays[length_of[i][p]]],
+                                    self.colo[n]) == [0.0])
+
+    @cached_property
+    def zero_slack(self) -> tuple[int, ...]:
+        length_of = self._length_of
+        p = self.first.index(min(self.first))
+        path = [p]
+        for n in range(1, len(self._vnfs)):
+            # The penalties depend on the link only through its lengths, so
+            # one verdict serves every cloud at the same pair of lengths.
+            free: dict[tuple[int, int], bool] = {}
+            for i in range(len(length_of)):
+                if i == p:
+                    break
+                lengths = length_of[p][i], length_of[i][p]
+                if lengths not in free:
+                    free[lengths] = self._free_split(n, p, i)
+                if free[lengths]:
+                    break
+            path.append(i)
+            p = i
+        return tuple(path)
 
     @cached_property
     def fwd(self) -> list[list[list[float]]]:
@@ -228,13 +265,20 @@ class RateTable:
         # One-way delay of each link length, in the order of its index.
         delays = [comm_delay_ms(d, infra.fiber_speed) for d in index]
         rows: dict[tuple, ChainRow] = {}
+        # Chains that hold one VNF tuple share its row without hashing every
+        # VnfSpec in it; equal tuples still meet in rows.
+        by_tuple: dict[tuple[str, int], ChainRow] = {}
         self._rows: dict[str, ChainRow] = {}
         for chain in inst.chains:
-            signature = (chain.rrh, chain.vnfs)
-            row = rows.get(signature)
+            key = (chain.rrh, id(chain.vnfs))
+            row = by_tuple.get(key)
             if row is None:
-                row = ChainRow(infra, self.cloud_ids, delays, length_of, chain, len(rows))
-                rows[signature] = row
+                signature = (chain.rrh, chain.vnfs)
+                row = rows.get(signature)
+                if row is None:
+                    row = ChainRow(infra, self.cloud_ids, delays, length_of, chain, len(rows))
+                    rows[signature] = row
+                by_tuple[key] = row
             self._rows[chain.id] = row
 
     def row(self, chain_id: str) -> ChainRow:

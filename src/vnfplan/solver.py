@@ -185,8 +185,9 @@ def _root(inst, table, variables, max_nodes):
     is the least cost of variables t onward, each VNF at its cheapest
     feasible cloud with no split penalty to come.  The first root proof
     tries each chain's lexicographically smallest zero-slack path (see
-    _zero_slack), which meets the bound suffix[0]: when it fits every
-    capacity it is the lexicographically smallest optimum.  It also
+    _zero_slack, which builds no penalty lists), which meets the bound
+    suffix[0]: when it fits every capacity it is the lexicographically
+    smallest optimum.  It also
     settles a chainless instance, whose empty placement is feasible.
     Otherwise, when b_first places every chain, its Solution is the
     incumbent, and the second proof keeps exact the capacity of the cloud
@@ -444,23 +445,12 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
     Split penalties are >= 0 and no head rate is below its minimum, so a
     chain reaches its capacity-free optimum (its share of the root bound)
     exactly when its head sits at a cloud of least head rate and no split
-    pays a penalty.  Staying on the same cloud costs nothing, so the
-    greedy walk below always finds a next cloud.  It reads the split
-    penalties (RateTable.split) rather than ChainRow.children, so a root
-    proof builds no child tables.
+    pays a penalty.  The path is ChainRow.zero_slack, shared by the
+    chains of a row; it builds no penalty lists.
     """
     clouds = table.cloud_ids
-    vectors = {}
-    for chain in inst.chains:
-        cid = chain.id
-        first = table.row(cid).first
-        k = clouds[first.index(min(first))]
-        path = [k]
-        for n in range(1, len(chain.vnfs)):
-            k = next(j for j in clouds if table.split(cid, n, k, j) == (0.0, 0.0))
-            path.append(k)
-        vectors[cid] = tuple(path)
-    return Assignment(vectors)
+    return Assignment({chain.id: tuple(clouds[p] for p in table.row(chain.id).zero_slack)
+                       for chain in inst.chains})
 
 
 # brute_force refuses instances with more placements than this.

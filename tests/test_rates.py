@@ -18,6 +18,7 @@ from util import (
     two_cloud_oracle,
 )
 from vnfplan import heuristics, rates, solver
+from vnfplan.config import load_instance, save_instance
 from vnfplan.heuristics import b_first
 from vnfplan.ilp import build_ilp
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
@@ -559,11 +560,13 @@ def test_evaluate_names_the_chain_with_an_unknown_cloud_behind_a_shared_row():
 
 
 def _count_split_penalties_calls(monkeypatch):
-    counter = {"calls": 0}
+    """Counts split_penalties calls and lists the delays each one got."""
+    counter = {"calls": 0, "delays": []}
     real = rates.split_penalties
 
     def counting(*args):
         counter["calls"] += 1
+        counter["delays"].append(len(args[2]))
         return real(*args)
 
     monkeypatch.setattr(rates, "split_penalties", counting)
@@ -601,6 +604,52 @@ def test_whole_chain_placements_read_no_penalties(monkeypatch):
     whole["a"] = [1, 1, 2]
     evaluate(inst, Assignment.from_vectors(whole), table)
     assert counter["calls"] > 0
+
+
+def test_root_settled_solve_builds_no_penalty_lists(monkeypatch):
+    # Every eMBB path stays on its head's cloud, so evaluate reads no split
+    # either; a path that crosses a link would build that row's fwd and bwd.
+    cfg = ScenarioConfig(edge_sites="all", seed=0, mix_profile="eMBB")
+    inst = build_instance(cfg, d0_m=45000.0, size=7)
+    table = RateTable(inst)
+    counter = _count_split_penalties_calls(monkeypatch)
+    res = solver.solve_optimal(inst, table=table)
+    assert (res.status, res.nodes) == ("optimal", 0)
+    for chain in inst.chains:
+        built = vars(table.row(chain.id)).keys() & {"fwd", "bwd", "children", "cheapest_first"}
+        assert not built
+    assert counter["delays"] and set(counter["delays"]) == {1}
+
+
+def test_rate_table_finds_rows_without_hashing_every_vnf(monkeypatch):
+    cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=1e12,
+                         edge_capacity=1e12)
+    inst = build_instance(cfg, d0_m=45000.0, size=800)
+    calls = [0]
+    real = VnfSpec.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(VnfSpec, "__hash__", counting)
+    table = RateTable(inst)
+    monkeypatch.undo()
+    rows = {table.row(chain.id) for chain in inst.chains}
+    assert 0 < calls[0] <= 2 * sum(len(row.colo) for row in rows)
+
+
+def test_loaded_chains_keep_their_row_ids(tmp_path):
+    cfg = ScenarioConfig(edge_sites="all", seed=0)
+    inst = build_instance(cfg, d0_m=45000.0, size=60)
+    save_instance(tmp_path / "inst.yaml", inst)
+    loaded = load_instance(tmp_path / "inst.yaml")
+    # Loaded chains hold a VNF tuple each, so they share rows by equality.
+    assert len({id(chain.vnfs) for chain in loaded.chains}) == len(loaded.chains)
+    built, read = RateTable(inst), RateTable(loaded)
+    ids = {chain.id: built.row(chain.id).id for chain in inst.chains}
+    assert {chain.id: read.row(chain.id).id for chain in loaded.chains} == ids
+    assert len(set(ids.values())) < len(ids)
 
 
 def test_dropped_table_leaves_no_cycle():

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import SWEEP_HIT_OPTIMA, eight_cloud_instance, rand_instance, sweep_hit_instance
+from util import (
+    SWEEP_HIT_OPTIMA,
+    eight_cloud_instance,
+    rand_instance,
+    reference_zero_slack,
+    sweep_hit_instance,
+)
 from vnfplan import heuristics, solver
 from vnfplan.ilp import build_ilp
 from vnfplan.model import ChainRequest, CloudNode, Infrastructure, Instance, VnfSpec
@@ -197,6 +203,24 @@ def test_root_proof_is_lex_smallest_optimum():
             assert res.solution.assignment == oracle.solution.assignment
             assert res.solution.objective == oracle.solution.objective
     assert proven >= 20
+
+
+def test_zero_slack_matches_the_walk_over_split():
+    """The root proof's paths, computed one tested penalty at a time, are
+    the paths of the walk over RateTable.split."""
+    rng = random.Random(2801)
+    instances = [rand_instance(rng, num_edges=rng.choice([1, 2, 3])) for _ in range(320)]
+    for sites, size, d0, ce in itertools.product(("center", "all"), (4, 7, 11),
+                                                 (30_000.0, 45_000.0, 90_000.0),
+                                                 (1500.0, 4480.0)):
+        instances.append(build_instance(ScenarioConfig(edge_sites=sites), d0_m=d0, size=size,
+                                        edge_capacity=ce))
+    moved = 0
+    for inst in instances:
+        path = solver._zero_slack(inst, RateTable(inst))
+        assert path == reference_zero_slack(inst, RateTable(inst))
+        moved += any(len(set(clouds)) > 1 for clouds in path.vectors.values())
+    assert moved >= 100
 
 
 def test_warm_start_from_b_first():

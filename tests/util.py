@@ -2,8 +2,8 @@
 independent two-cloud oracle for the per-VNF rate formulas, and small
 oracles the library itself does not need (link feasibility, hop
 distances, percent savings, the ILP's rate completion of a fixed
-binary vector, a plain LP expression tokenizer, and evaluate's
-per-chain loop without its memo).
+binary vector, a plain LP expression tokenizer, evaluate's per-chain
+loop without its memo, and the zero-slack walk over RateTable.split).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -350,3 +350,22 @@ def solution_bits(sol: Solution) -> tuple:
             tuple((k, load.hex()) for k, load in sol.loads.items()),
             tuple((cid, tuple(r.hex() for r in per_vnf)) for cid, per_vnf in sol.rates.items()),
             sol.feasible, sol.violations)
+
+
+def reference_zero_slack(inst: Instance, table: RateTable) -> Assignment:
+    """Every chain's lexicographically smallest zero-slack path, walked over
+    RateTable.split: the head at the first cloud of least head rate, then
+    each next VNF at the first cloud, ascending, whose split pays no
+    penalty in either direction (staying put pays none)."""
+    clouds = table.cloud_ids
+    vectors = {}
+    for chain in inst.chains:
+        cid = chain.id
+        first = table.row(cid).first
+        k = clouds[first.index(min(first))]
+        path = [k]
+        for n in range(1, len(chain.vnfs)):
+            k = next(j for j in clouds if table.split(cid, n, k, j) == (0.0, 0.0))
+            path.append(k)
+        vectors[cid] = tuple(path)
+    return Assignment(vectors)
