@@ -41,26 +41,18 @@ def colocated_rate(gflops: float, fwd_ms: float, bwd_ms: float) -> float:
     return rate_for_bound(gflops, min(fwd_ms, bwd_ms))
 
 
-def split_penalties(gflops: float, bound_ms: float, delays_ms: Sequence[float],
-                    base_rate: float) -> list[float]:
-    """Extra rate a VNF needs because one neighbor sits across a link, for
-    each link's one-way delay (see comm_delay_ms).
-
-    An entry is 0 when its link adds nothing over the co-located
-    requirement, INFEASIBLE when the delay eats the entire bound.
-    """
+def split_penalty(gflops: float, bound_ms: float, delay_ms: float, base_rate: float) -> float:
+    """Extra rate a VNF needs because one neighbor sits across a link of
+    the given one-way delay (see comm_delay_ms): 0 when the link adds
+    nothing over the co-located requirement, INFEASIBLE when the delay
+    eats the entire bound."""
     if base_rate == INFEASIBLE:
-        return [INFEASIBLE] * len(delays_ms)
-    work = 1000.0 * gflops      # rate_for_bound(gflops, margin) is work / margin
-    pens = []
-    for delay in delays_ms:
-        margin = bound_ms - delay
-        if margin <= EPS_MS:
-            pens.append(INFEASIBLE)
-        else:
-            rate = work / margin
-            pens.append(rate - base_rate if rate > base_rate else 0.0)
-    return pens
+        return INFEASIBLE
+    margin = bound_ms - delay_ms
+    if margin <= EPS_MS:
+        return INFEASIBLE
+    rate = rate_for_bound(gflops, margin)
+    return rate - base_rate if rate > base_rate else 0.0
 
 
 def first_vnf_rate(gflops: float, fwd_ms: float, bwd_ms: float,
@@ -127,15 +119,11 @@ class ChainRow:
       after VNF n at the p-th cloud, VNF n+1 goes to the first position i,
       ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
-    The head and co-located rates are computed at once, the split
-    penalties (see split), children, cheapest_first and zero_slack on
-    first read: placements that keep every chain on one cloud never read
-    the penalties.  zero_slack builds no penalty lists (see _free_split).  A
-    penalty depends on its link only through the link's length, so
-    fwd[n][p][c] (bwd[n][p][c]) is the penalty on VNF n at the p-th cloud
-    when VNF n+1 (n-1) sits across a link of the c-th length (see
-    RateTable); slots below the first valid n are empty.  Only the head's
-    forward penalties vary with p.
+    The head and co-located rates are computed at once; children,
+    cheapest_first, zero_slack and each split penalty (see split) on first
+    read.  A penalty is computed once per (VNF, direction, head cloud, link
+    length): it depends on its link only through the link's length (see
+    RateTable), and only the head's forward penalty on the cloud.
     """
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
@@ -145,6 +133,7 @@ class ChainRow:
         self._delays = delays
         self._length_of = length_of
         self._vnfs = chain.vnfs
+        self._pens: dict[tuple[int, bool, int, int], float] = {}
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
         head = chain.vnfs[0]
         self.first = [first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
@@ -152,74 +141,55 @@ class ChainRow:
                       for k in cloud_ids]
         self.demand = sum(self.colo)
 
-    def _penalties(self, n: int, bound_ms: float, base_rate: float) -> list[float]:
-        """split_penalties of VNF n over each link length."""
-        return split_penalties(self._vnfs[n - 1].gflops, bound_ms, self._delays, base_rate)
-
-    def _free_split(self, n: int, p: int, i: int) -> bool:
-        """Whether split(n, p, i) == (0.0, 0.0), computed over the split's
-        own link length: the backward penalty only when the forward one
-        is 0.0."""
-        vnf, after = self._vnfs[n - 1], self._vnfs[n]
-        delays, length_of = self._delays, self._length_of
-        base = self.first[p] if n == 1 else self.colo[n - 1]
-        return (split_penalties(vnf.gflops, vnf.fwd_ms, [delays[length_of[p][i]]], base) == [0.0]
-                and split_penalties(after.gflops, after.bwd_ms, [delays[length_of[i][p]]],
-                                    self.colo[n]) == [0.0])
+    def _penalty(self, n: int, forward: bool, p: int, c: int) -> float:
+        """The penalty on VNF n at the p-th cloud when VNF n+1 (forward) or
+        VNF n-1 (backward) sits across a link of the c-th length."""
+        head = forward and n == 1
+        key = (n, forward, p if head else 0, c)
+        pen = self._pens.get(key)
+        if pen is None:
+            vnf = self._vnfs[n - 1]
+            pen = self._pens[key] = split_penalty(
+                vnf.gflops, vnf.fwd_ms if forward else vnf.bwd_ms, self._delays[c],
+                self.first[p] if head else self.colo[n - 1])
+        return pen
 
     @cached_property
     def zero_slack(self) -> tuple[int, ...]:
-        length_of = self._length_of
+        length_of, penalty = self._length_of, self._penalty
         p = self.first.index(min(self.first))
         path = [p]
         for n in range(1, len(self._vnfs)):
-            # The penalties depend on the link only through its lengths, so
-            # one verdict serves every cloud at the same pair of lengths.
-            free: dict[tuple[int, int], bool] = {}
             for i in range(len(length_of)):
-                if i == p:
-                    break
-                lengths = length_of[p][i], length_of[i][p]
-                if lengths not in free:
-                    free[lengths] = self._free_split(n, p, i)
-                if free[lengths]:
+                if i == p or (penalty(n, True, p, length_of[p][i]) == 0.0
+                              and penalty(n + 1, False, i, length_of[i][p]) == 0.0):
                     break
             path.append(i)
             p = i
         return tuple(path)
-
-    @cached_property
-    def fwd(self) -> list[list[list[float]]]:
-        fwd: list[list[list[float]]] = [[]]
-        for n in range(1, len(self._vnfs)):
-            bound = self._vnfs[n - 1].fwd_ms
-            if n == 1:
-                fwd.append([self._penalties(1, bound, first) for first in self.first])
-            else:
-                fwd.append([self._penalties(n, bound, self.colo[n - 1])] * len(self.first))
-        return fwd
-
-    @cached_property
-    def bwd(self) -> list[list[list[float]]]:
-        return [[], []] + [
-            [self._penalties(n, self._vnfs[n - 1].bwd_ms, self.colo[n - 1])] * len(self.first)
-            for n in range(2, len(self._vnfs) + 1)]
 
     def split(self, n: int, p: int, i: int) -> tuple[float, float]:
         """The split after VNF n, with VNF n at the p-th cloud and VNF n+1
         at the i-th, p != i: (forward penalty on VNF n, backward penalty on
         VNF n+1)."""
         length_of = self._length_of
-        return self.fwd[n][p][length_of[p][i]], self.bwd[n + 1][i][length_of[i][p]]
+        return (self._penalty(n, True, p, length_of[p][i]),
+                self._penalty(n + 1, False, i, length_of[i][p]))
 
     @cached_property
     def children(self) -> list[list[list[tuple[int, float, float, float]]]]:
         length_of = self._length_of
         positions = range(len(length_of))
+
+        def per_length(n: int, forward: bool, p: int = 0) -> list[float]:
+            return [self._penalty(n, forward, p, c) for c in range(len(self._delays))]
+
         head = [(i, first, 0.0, 0.0) for i, first in enumerate(self.first)]
         children = [[], [head] * len(length_of)]
         for n in range(2, len(self._vnfs) + 1):
-            colo, fwd, bwd = self.colo[n - 1], self.fwd[n - 1], self.bwd[n]
+            colo, bwd = self.colo[n - 1], per_length(n, False)
+            fwd = ([per_length(1, True, p) for p in positions] if n == 2
+                   else [per_length(n - 1, True)] * len(length_of))
             by_prev = []
             for p in positions:
                 options = []
@@ -227,7 +197,7 @@ class ChainRow:
                     if i == p:
                         options.append((i, colo, 0.0, 0.0))
                         continue
-                    pen_bwd = bwd[i][length_of[i][p]]
+                    pen_bwd = bwd[length_of[i][p]]
                     pen_fwd_prev = fwd[p][length_of[p][i]]
                     if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
                         options.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))

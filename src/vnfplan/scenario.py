@@ -327,6 +327,7 @@ def read_csv(path) -> list[SweepRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        runtime_col = header.index("runtime_s")
         load_cols = [(i, int(name[len("load_k"):]))
                      for i, name in enumerate(header) if name.startswith("load_k")]
         return [SweepRecord(
@@ -337,5 +338,5 @@ def read_csv(path) -> list[SweepRecord]:
             objective_gflops_s=float(row[4]),
             accepted=int(row[5]),
             loads={k: float(row[i]) for i, k in load_cols},
-            runtime_s=float(row[header.index("runtime_s")]),
+            runtime_s=float(row[runtime_col]),
         ) for row in reader]

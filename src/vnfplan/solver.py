@@ -185,9 +185,8 @@ def _root(inst, table, variables, max_nodes):
     is the least cost of variables t onward, each VNF at its cheapest
     feasible cloud with no split penalty to come.  The first root proof
     tries each chain's lexicographically smallest zero-slack path (see
-    _zero_slack, which builds no penalty lists), which meets the bound
-    suffix[0]: when it fits every capacity it is the lexicographically
-    smallest optimum.  It also
+    _zero_slack), which meets the bound suffix[0]: when it fits every
+    capacity it is the lexicographically smallest optimum.  It also
     settles a chainless instance, whose empty placement is feasible.
     Otherwise, when b_first places every chain, its Solution is the
     incumbent, and the second proof keeps exact the capacity of the cloud
@@ -446,7 +445,7 @@ def _zero_slack(inst: Instance, table: RateTable) -> Assignment:
     chain reaches its capacity-free optimum (its share of the root bound)
     exactly when its head sits at a cloud of least head rate and no split
     pays a penalty.  The path is ChainRow.zero_slack, shared by the
-    chains of a row; it builds no penalty lists.
+    chains of a row; it computes only the penalties it tests.
     """
     clouds = table.cloud_ids
     return Assignment({chain.id: tuple(clouds[p] for p in table.row(chain.id).zero_slack)

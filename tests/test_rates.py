@@ -32,7 +32,6 @@ from vnfplan.rates import (
     evaluate,
     first_vnf_rate,
     rate_for_bound,
-    split_penalties,
 )
 from vnfplan.scenario import ScenarioConfig, build_instance
 
@@ -62,9 +61,8 @@ def test_split_feasible_boundary():
 
 
 def split_penalty(gflops, bound_ms, dist_m, fiber_speed, base_rate):
-    """split_penalties over a single link of length dist_m."""
-    [pen] = split_penalties(gflops, bound_ms, [comm_delay_ms(dist_m, fiber_speed)], base_rate)
-    return pen
+    """rates.split_penalty over a link of length dist_m."""
+    return rates.split_penalty(gflops, bound_ms, comm_delay_ms(dist_m, fiber_speed), base_rate)
 
 
 def direct_penalty(gflops, bound_ms, dist_m, fiber_speed, base_rate):
@@ -559,22 +557,21 @@ def test_evaluate_names_the_chain_with_an_unknown_cloud_behind_a_shared_row():
         evaluate(inst, Assignment(vectors), table)
 
 
-def _count_split_penalties_calls(monkeypatch):
-    """Counts split_penalties calls and lists the delays each one got."""
-    counter = {"calls": 0, "delays": []}
-    real = rates.split_penalties
+def _count_split_penalty_calls(monkeypatch):
+    """Counts split_penalty calls."""
+    counter = {"calls": 0}
+    real = rates.split_penalty
 
     def counting(*args):
         counter["calls"] += 1
-        counter["delays"].append(len(args[2]))
         return real(*args)
 
-    monkeypatch.setattr(rates, "split_penalties", counting)
+    monkeypatch.setattr(rates, "split_penalty", counting)
     return counter
 
 
 def test_rate_table_builds_one_row_per_signature(monkeypatch):
-    counter = _count_split_penalties_calls(monkeypatch)
+    counter = _count_split_penalty_calls(monkeypatch)
     cfg = ScenarioConfig(edge_sites="all", seed=0, central_capacity=1e12,
                          edge_capacity=1e12)
     inst = build_instance(cfg, d0_m=45000.0, size=800)
@@ -595,7 +592,7 @@ def test_rate_table_builds_one_row_per_signature(monkeypatch):
 
 
 def test_whole_chain_placements_read_no_penalties(monkeypatch):
-    counter = _count_split_penalties_calls(monkeypatch)
+    counter = _count_split_penalty_calls(monkeypatch)
     inst = _shared_signature_instance()
     table = RateTable(inst)
     whole = {c.id: [1] * len(c.vnfs) for c in inst.chains}
@@ -607,18 +604,30 @@ def test_whole_chain_placements_read_no_penalties(monkeypatch):
 
 
 def test_root_settled_solve_builds_no_penalty_lists(monkeypatch):
-    # Every eMBB path stays on its head's cloud, so evaluate reads no split
-    # either; a path that crosses a link would build that row's fwd and bwd.
+    # The zero-slack walk and evaluate share each row's penalties, so no
+    # penalty is computed twice, and the proof builds no child lists.
     cfg = ScenarioConfig(edge_sites="all", seed=0, mix_profile="eMBB")
     inst = build_instance(cfg, d0_m=45000.0, size=7)
     table = RateTable(inst)
-    counter = _count_split_penalties_calls(monkeypatch)
+    counter = _count_split_penalty_calls(monkeypatch)
     res = solver.solve_optimal(inst, table=table)
     assert (res.status, res.nodes) == ("optimal", 0)
-    for chain in inst.chains:
-        built = vars(table.row(chain.id)).keys() & {"fwd", "bwd", "children", "cheapest_first"}
-        assert not built
-    assert counter["delays"] and set(counter["delays"]) == {1}
+    rows = {table.row(chain.id) for chain in inst.chains}
+    for row in rows:
+        assert not vars(row).keys() & {"children", "cheapest_first"}
+    assert counter["calls"] == sum(len(row._pens) for row in rows) > 0
+
+
+def test_evaluate_of_a_zero_slack_path_computes_no_penalty(monkeypatch):
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=0), d0_m=45000.0, size=5)
+    res = solver.solve_optimal(inst)
+    assert (res.status, res.nodes) == ("optimal", 0)
+    table = RateTable(inst)
+    path = solver._zero_slack(inst, table)
+    assert len(set(path.vectors["c000"])) > 1
+    counter = _count_split_penalty_calls(monkeypatch)
+    assert evaluate(inst, path, table).objective == res.solution.objective
+    assert counter["calls"] == 0
 
 
 def test_rate_table_finds_rows_without_hashing_every_vnf(monkeypatch):

@@ -405,6 +405,17 @@ def test_csv_round_trip(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == text
 
 
+def test_read_csv_needs_a_runtime_column_even_without_rows(tmp_path):
+    header = "scenario,method,S,d0_m,objective_gflops_s,accepted,load_k0"
+    path = tmp_path / "sweep.csv"
+    path.write_text(header + ",runtime_s\n", encoding="utf-8")
+    assert read_csv(path) == []
+    for body in ("", "a,b_first,1,30000.0,1.5,1,1.5\n"):
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match="runtime_s"):
+            read_csv(path)
+
+
 def test_csv_handles_padded_loads(tmp_path):
     records = [
         SweepRecord(scenario="a", method="b_first", size=1, d0_m=30000.0,
