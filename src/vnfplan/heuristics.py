@@ -54,9 +54,11 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     """Best-fit packing of chains in decreasing demand order.
 
     Each chain first tries to fit whole into the fullest cloud that still
-    holds it.  If none does, every (prefix cloud, suffix cloud, split
-    point) combination is costed and the feasible one needing the least
-    total rate wins; a chain is split at most once.  Rejected chains
+    holds it.  If none does, every (split point, prefix cloud, suffix
+    cloud) combination is priced by RateTable.chain_rates and the feasible
+    one needing the least total rate wins; a chain is split at most once.
+    Totals within a relative 1e-12 tie, and ties go to the earliest split
+    point, then the lowest (prefix, suffix) cloud pair.  Rejected chains
     leave all state untouched.
     """
     table = rate_table(inst, table)
@@ -88,37 +90,33 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                 break
         if placed:
             continue
-        # Split trial: smallest combined rate over all feasible
-        # (prefix cloud, suffix cloud, split point); ties prefer the
-        # earliest split point, then the lowest cloud pair.
+        # Split trial over (split point, prefix cloud, suffix cloud) in tie
+        # order, priced by table.chain_rates: a candidate replaces the best
+        # only when its total is lower by more than a relative 1e-12.
         best: Optional[tuple[float, int, int, int, float, float]] = None
-        for k in clouds:
-            head = row.first[table.position[k]]
-            for j in clouds:
-                if j == k:
-                    continue
-                for p in range(1, n_vnfs):
+        for p in range(1, n_vnfs):
+            for k in clouds:
+                for j in clouds:
+                    if j == k:
+                        continue
                     evaluations += 1
-                    if head == INFEASIBLE:
+                    rates = table.chain_rates(cid, (k,) * p + (j,) * (n_vnfs - p))
+                    if INFEASIBLE in rates:
                         continue
-                    pen_fwd, pen_bwd = row.split(p, table.position[k], table.position[j])
-                    if pen_fwd == INFEASIBLE or pen_bwd == INFEASIBLE:
-                        continue
-                    prefix = head + sum(row.colo[1:p]) + pen_fwd
-                    suffix = pen_bwd + sum(row.colo[p:])
+                    prefix, suffix = sum(rates[:p]), sum(rates[p:])
                     if prefix > residual[k] + CAP_TOL or suffix > residual[j] + CAP_TOL:
                         continue
-                    cand = (prefix + suffix, p, k, j, prefix, suffix)
-                    if best is None or cand[:4] < best[:4]:
-                        best = cand
+                    total = prefix + suffix
+                    if best is None or total < best[0] * (1 - 1e-12):
+                        best = (total, p, k, j, prefix, suffix)
         if best is not None:
-            _, p, k, j, prefix, suffix = best
+            total, p, k, j, prefix, suffix = best
             vectors[cid] = (k,) * p + (j,) * (n_vnfs - p)
             residual[k] -= prefix
             residual[j] -= suffix
             events.append(PlacementEvent(cid, True, "split", cloud=k,
                                          suffix_cloud=j, split_after=p,
-                                         added_rate=prefix + suffix))
+                                         added_rate=total))
         else:
             events.append(PlacementEvent(cid, False, "rejected"))
 

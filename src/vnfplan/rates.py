@@ -295,8 +295,8 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
     Collects every violated constraint instead of stopping at the first,
     so an infeasible deployment reports all of its problems at once.
     Raises ValueError naming the chain when a chain of inst has no
-    vector, a vector of the wrong length or a cloud not in inst; vectors
-    of chains not in inst are ignored.
+    vector, a vector of the wrong length, a cloud not in inst or no row in
+    table; vectors of chains not in inst are ignored.
 
     One call costs each distinct (row, placement) once: chains that share
     a RateTable row and a cloud vector share one rate tuple.  Rates are
@@ -315,12 +315,15 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
             raise ValueError(f"chain {cid}: cloud vector {clouds!r} for {len(chain.vnfs)} VNFs")
         try:
             row = table.row(cid)
-            key = (row, tuple(clouds))
-            per_vnf = costed.get(key)
-            if per_vnf is None:
+        except KeyError:
+            raise ValueError(f"chain {cid}: not in the rate table") from None
+        key = (row, tuple(clouds))
+        per_vnf = costed.get(key)
+        if per_vnf is None:
+            try:
                 per_vnf = costed[key] = tuple(table.chain_rates(cid, clouds))
-        except KeyError as exc:
-            raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
+            except KeyError as exc:
+                raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
         rates[cid] = per_vnf
         for k, rate in zip(clouds, per_vnf):
             objective += rate

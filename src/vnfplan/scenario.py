@@ -323,10 +323,14 @@ def export_csv(records: Sequence[SweepRecord], path) -> None:
 
 
 def read_csv(path) -> list[SweepRecord]:
-    """Parse a sweep CSV back into records (exact float round trip)."""
+    """Parse a sweep CSV back into records (exact float round trip).
+
+    ValueError when the file is empty or its header has no runtime_s."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no CSV header")
         runtime_col = header.index("runtime_s")
         load_cols = [(i, int(name[len("load_k"):]))
                      for i, name in enumerate(header) if name.startswith("load_k")]

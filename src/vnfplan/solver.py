@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Optional
 
 from . import heuristics
-from .model import Instance
+from .model import Instance, whole
 from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate, rate_table
 
 
@@ -22,6 +22,8 @@ class SearchBudget:
     time_limit: float = 600.0       # seconds
 
     def __post_init__(self):
+        # Also rejects NaN, infinities and fractions; 3.0 is stored as 3.
+        object.__setattr__(self, "max_nodes", whole("max_nodes", self.max_nodes))
         if self.max_nodes < 0:
             raise ValueError(f"max_nodes must be non-negative, got {self.max_nodes}")
         if not self.time_limit >= 0.0:      # also rejects NaN

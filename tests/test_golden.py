@@ -4,8 +4,8 @@ Every case runs the CLI in process and compares stdout, stderr and the
 exit code (and, for sweeps, the CSV bytes) with the files recorded in
 tests/data.  The cases cover all five solve methods and their aliases on
 an uncapacitated and on capacity-bound instances, with partial,
-infeasible, over-capacity and budget-exhausted results, plus a sweep of
-all six methods with partial acceptance.  The instance files that
+infeasible, over-capacity and budget-exhausted results and a b-first
+split, plus a sweep of all six methods with partial acceptance.  The instance files that
 `vnfplan gen` writes and the LP files of `solve --emit-lp` are pinned by
 length and sha256.
 """
@@ -33,6 +33,9 @@ INSTANCES = {
     # Small and too tight for the eMBB chain anywhere.
     "tight": ["--mix", "2", "--seed", "1", "--edge-sites", "center",
               "--edge-capacity", "150", "--central-capacity", "150"],
+    # Eight clouds, edges too small for the eMBB chain: b-first splits it.
+    "split": ["--mix", "3", "--seed", "1", "--edge-capacity", "300",
+              "--central-capacity", "150"],
 }
 
 METHODS = ("optimal", "brute", "b-first", "fixed-split", "fixed-service")
@@ -47,6 +50,7 @@ SOLVE_CASES = {
     **{f"cap-{m}": ("cap", ["--method", m]) for m in METHODS[1:]},
     **{f"small-{m}": ("small", ["--method", m]) for m in METHODS},
     **{f"tight-{m}": ("tight", ["--method", m]) for m in METHODS},
+    **{f"split-{m}": ("split", ["--method", m]) for m in ("b-first", "optimal")},
 }
 
 SWEEP_ARGS = ["--methods", "optimal,brute,b-first,fixed-split,fixed-service,cran-only",

@@ -120,6 +120,21 @@ def test_split_picks_globally_cheapest_candidate():
         assert math.isclose(event.added_rate, best[0], rel_tol=1e-12)
 
 
+# Draws where two split candidates tie exactly in rational arithmetic on
+# the instance's floats, but their float totals differ in the last bit.
+@pytest.mark.parametrize("seed, num_edges, chain_id, expected", [
+    (2343, None, "c2", (1, 0, 1)),
+    (2045, 2, "c0", (0, 2, 1)),
+    (5076, 3, "c0", (0, 1, 1)),
+    (5571, 3, "c1", (0, 1, 1)),
+])
+def test_split_ties_go_to_the_earliest_split(seed, num_edges, chain_id, expected):
+    inst = rand_instance(random.Random(seed), max_chains=3, num_edges=num_edges)
+    splits = {e.chain_id: e for e in b_first(inst).events if e.mode == "split"}
+    event = splits[chain_id]
+    assert (event.cloud, event.suffix_cloud, event.split_after) == expected
+
+
 def test_rejection_leaves_rest_untouched():
     # Middle chain can never fit; the others must still land.
     inst = Instance(infra=_two_cloud((3000.0, 3000.0), d_c=0.0),

@@ -557,6 +557,14 @@ def test_evaluate_names_the_chain_with_an_unknown_cloud_behind_a_shared_row():
         evaluate(inst, Assignment(vectors), table)
 
 
+def test_evaluate_names_a_chain_missing_from_the_table():
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=3)
+    vectors = {c.id: (0,) * len(c.vnfs) for c in inst.chains}
+    table = RateTable(inst.subset(["c000"]))
+    with pytest.raises(ValueError, match="^chain c001: not in the rate table$"):
+        evaluate(inst, Assignment(vectors), table)
+
+
 def _count_split_penalty_calls(monkeypatch):
     """Counts split_penalty calls."""
     counter = {"calls": 0}

@@ -416,6 +416,13 @@ def test_read_csv_needs_a_runtime_column_even_without_rows(tmp_path):
             read_csv(path)
 
 
+def test_read_csv_of_an_empty_file_names_it(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="sweep.csv: empty file"):
+        read_csv(path)
+
+
 def test_csv_handles_padded_loads(tmp_path):
     records = [
         SweepRecord(scenario="a", method="b_first", size=1, d0_m=30000.0,

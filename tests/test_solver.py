@@ -168,9 +168,13 @@ def test_budget_node_limit():
     assert res.solution is None or res.solution.feasible
 
 
-@pytest.mark.parametrize("kwargs", [{"max_nodes": -5}, {"time_limit": -1.0},
+@pytest.mark.parametrize("kwargs", [{"max_nodes": -5}, {"max_nodes": math.nan},
+                                    {"max_nodes": math.inf}, {"max_nodes": -math.inf},
+                                    {"max_nodes": 2.5}, {"time_limit": -1.0},
                                     {"time_limit": math.nan}],
-                         ids=["max-nodes-negative", "time-limit-negative", "time-limit-nan"])
+                         ids=["max-nodes-negative", "max-nodes-nan", "max-nodes-inf",
+                              "max-nodes-minus-inf", "max-nodes-fraction",
+                              "time-limit-negative", "time-limit-nan"])
 def test_search_budget_rejects_bad_limits(kwargs):
     with pytest.raises(ValueError):
         SearchBudget(**kwargs)
@@ -180,6 +184,7 @@ def test_search_budget_accepts_zero_and_infinite_limits():
     for kwargs in ({"max_nodes": 0}, {"time_limit": 0}, {"time_limit": 0.0},
                    {"time_limit": math.inf}):
         SearchBudget(**kwargs)
+    assert type(SearchBudget(max_nodes=3.0).max_nodes) is int
 
 
 def test_root_proof_is_lex_smallest_optimum():
