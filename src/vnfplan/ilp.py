@@ -54,11 +54,10 @@ def _staircase(name: str, r_term: tuple[str, float], x: str, base: float,
 def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     """Translate an instance into the placement ILP."""
     table = rate_table(inst, table)
-    clouds = inst.infra.cloud_ids()
+    clouds = table.cloud_ids
     binaries: list[str] = []
-    continuous: list[str] = []
+    objective: list[tuple[str, float]] = []   # each rate's unit term, shared with its rows
     fixed_zero: list[str] = []
-    objective: list[tuple[str, float]] = []
     cap_terms: list[list[tuple[str, float]]] = [[] for _ in clouds]
     onehot_rows: list[LinearConstraint] = []
     base_rows: list[LinearConstraint] = []
@@ -69,47 +68,31 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     for si, chain in enumerate(inst.chains):
         row = table.row(chain.id)
         n_vnfs = len(chain.vnfs)
-        # xs[n][i] and rs[n][i] are the unit terms of VNF n at the i-th cloud,
-        # bases[n][i] its base rate there; slot 0 is unused.
-        xs: list = [None]
-        rs: list = [None]
-        bases: list = [None]
+        # xs[n][p]: the unit term of VNF n's binary at the p-th cloud; slot 0 unused.
+        xs = [None] + [[(x_name(si, n, k), 1.0) for k in clouds] for n in range(1, n_vnfs + 1)]
         for n in range(1, n_vnfs + 1):
-            x_row = [(x_name(si, n, k), 1.0) for k in clouds]
-            r_row = [(r_name(si, n, k), 1.0) for k in clouds]
-            base_row = row.first if n == 1 else [row.colo[n - 1]] * len(clouds)
-            xs.append(x_row)
-            rs.append(r_row)
-            bases.append(base_row)
-            binaries += [x for x, _ in x_row]
-            continuous += [r for r, _ in r_row]
-            objective += r_row
-            for terms, r_term in zip(cap_terms, r_row):
-                terms.append(r_term)
-            onehot_rows.append(LinearConstraint(f"onehot_s{si}_n{n}", tuple(x_row), "=", 1.0))
-            for k, (x, _), r_term, base in zip(clouds, x_row, r_row, base_row):
-                if base == INFEASIBLE:
-                    fixed_zero.append(x)
-                    continue
-                base_rows.append(LinearConstraint(
-                    f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
-
-        # The split penalties come from the row's child lists, by position:
-        # entry [p][i] of row.children[n + 1] holds, for VNF n at the
-        # p-th cloud and VNF n+1 at the i-th, the backward penalty on n+1 and
-        # the forward penalty on n, both INFEASIBLE when either link breaks
-        # its bound, and both 0.0 when i == p.
-        for n in range(1, n_vnfs + 1):
+            binaries += [x for x, _ in xs[n]]
+            onehot_rows.append(LinearConstraint(f"onehot_s{si}_n{n}", tuple(xs[n]), "=", 1.0))
+            # Entry [p][i] of row.children[n + 1], for VNF n at the p-th cloud and
+            # VNF n+1 at the i-th, holds the backward penalty on n+1 and the forward
+            # penalty on n: both 0.0 when i == p, both INFEASIBLE (a cut) when no
+            # link serves the pair in time.
             nxt = row.children[n + 1] if n < n_vnfs else [()] * len(clouds)
             prev = row.children[n] if n > 1 else ()
-            for p, k in enumerate(clouds):
-                base = bases[n][p]
-                if n == 1 and base == INFEASIBLE:
-                    continue   # the head cannot sit at k at all
-                r_term, x = rs[n][p], xs[n][p][0]
-                # Cut: no link serves VNF n at k and VNF n+1 at the i-th cloud in time.
+            for p, (k, x_term) in enumerate(zip(clouds, xs[n])):
+                x, r_term = x_term[0], (r_name(si, n, k), 1.0)
+                objective.append(r_term)
+                cap_terms[p].append(r_term)
+                base = row.first[p] if n == 1 else row.colo[n - 1]
+                if base == INFEASIBLE:
+                    fixed_zero.append(x)
+                    if n == 1:
+                        continue   # the head cannot sit at k at all
+                else:
+                    base_rows.append(LinearConstraint(
+                        f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
                 cut_rows += [LinearConstraint(f"cut_s{si}_n{n}_k{k}_j{clouds[i]}",
-                                              (xs[n][p], xs[n + 1][i]), "<=", 1.0)
+                                              (x_term, xs[n + 1][i]), "<=", 1.0)
                              for i, _, _, pen in nxt[p] if pen == INFEASIBLE]
                 penf_rows += _staircase(f"penf_s{si}_n{n}_k{k}", r_term, x, base,
                                         [(pen, xs[n + 1][i][0]) for i, _, _, pen in nxt[p]])
@@ -119,17 +102,15 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                                          for q, by_prev in enumerate(prev)])
 
     # An uncapped cloud (capacity inf) gets no row: LP text has no infinite numbers.
-    cap_rows = [
-        LinearConstraint(f"cap_k{k}", tuple(terms), "<=", inst.infra.capacity(k))
-        for k, terms in zip(clouds, cap_terms) if terms and inst.infra.capacity(k) < math.inf
-    ]
-    constraints = tuple(onehot_rows + cap_rows + base_rows
-                        + penf_rows + penb_rows + cut_rows)
+    cap_rows = [LinearConstraint(f"cap_k{k}", tuple(terms), "<=", cap)
+                for k, terms in zip(clouds, cap_terms)
+                if terms and (cap := inst.infra.capacity(k)) < math.inf]
     return IlpModel(
         objective=tuple(objective),
-        constraints=constraints,
+        constraints=tuple(onehot_rows + cap_rows + base_rows
+                          + penf_rows + penb_rows + cut_rows),
         binaries=tuple(binaries),
-        continuous=tuple(continuous),
+        continuous=tuple(r for r, _ in objective),
         fixed_zero=tuple(fixed_zero),
     )
 

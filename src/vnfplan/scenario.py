@@ -306,11 +306,14 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# A sweep CSV's first columns; one load_k{k} column per cloud and runtime_s follow.
+_CSV_COLUMNS = ("scenario", "method", "S", "d0_m", "objective_gflops_s", "accepted")
+
+
 def export_csv(records: Sequence[SweepRecord], path) -> None:
     """Write sweep records as CSV with one load column per cloud id."""
     cloud_ids = sorted({k for rec in records for k in rec.loads})
-    header = (["scenario", "method", "S", "d0_m", "objective_gflops_s",
-               "accepted"] + [f"load_k{k}" for k in cloud_ids] + ["runtime_s"])
+    header = [*_CSV_COLUMNS, *(f"load_k{k}" for k in cloud_ids), "runtime_s"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -325,22 +328,41 @@ def export_csv(records: Sequence[SweepRecord], path) -> None:
 def read_csv(path) -> list[SweepRecord]:
     """Parse a sweep CSV back into records (exact float round trip).
 
-    ValueError when the file is empty or its header has no runtime_s."""
+    ValueError naming the file, and the CSV line where there is one, when
+    the file is empty, the header does not start with export_csv's columns,
+    has no runtime_s column or has a load_k column without a whole cloud
+    id, or a row has another field count than the header or a field that
+    does not parse."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no CSV header")
-        runtime_col = header.index("runtime_s")
-        load_cols = [(i, int(name[len("load_k"):]))
-                     for i, name in enumerate(header) if name.startswith("load_k")]
-        return [SweepRecord(
-            scenario=row[0],
-            method=row[1],
-            size=int(row[2]),
-            d0_m=float(row[3]),
-            objective_gflops_s=float(row[4]),
-            accepted=int(row[5]),
-            loads={k: float(row[i]) for i, k in load_cols},
-            runtime_s=float(row[runtime_col]),
-        ) for row in reader]
+        if tuple(header[:len(_CSV_COLUMNS)]) != _CSV_COLUMNS:
+            raise ValueError(f"{path}, line {reader.line_num}: bad header: "
+                             f"it does not start with {','.join(_CSV_COLUMNS)}")
+        try:
+            runtime_col = header.index("runtime_s")
+            load_cols = [(i, int(name[len("load_k"):]))
+                         for i, name in enumerate(header) if name.startswith("load_k")]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: bad header: {exc}") from None
+        records = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                records.append(SweepRecord(
+                    scenario=row[0],
+                    method=row[1],
+                    size=int(row[2]),
+                    d0_m=float(row[3]),
+                    objective_gflops_s=float(row[4]),
+                    accepted=int(row[5]),
+                    loads={k: float(row[i]) for i, k in load_cols},
+                    runtime_s=float(row[runtime_col]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return records

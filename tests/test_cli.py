@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from util import _solve_via_scipy
 from vnfplan import cli
 from vnfplan.cli import main
 from vnfplan.config import load_instance, save_instance
@@ -291,7 +292,6 @@ def test_solve_proves_capacity_infeasible_at_default_budget(tmp_path, capsys):
     assert res.status == "infeasible"
     assert res.nodes <= 100
     pytest.importorskip("scipy")
-    from test_ilp import _solve_via_scipy
     assert _solve_via_scipy(build_ilp(loaded)).status == 2   # infeasible
 
 

@@ -2,16 +2,15 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
-from scipy.sparse import csr_matrix
 
 from util import (
     SWEEP_HIT_OPTIMA,
+    _solve_via_scipy,
     assignment_to_binaries,
     eight_cloud_instance,
     glued_tokens,
@@ -60,6 +59,34 @@ def test_build_shapes():
     assert len(caps) == n_clouds
     assert all(c.sense == "=" and c.rhs == 1.0 for c in onehot)
     assert all(c.sense == "<=" for c in caps)
+
+
+_ROW_FAMILIES = ("onehot", "cap", "base", "penf", "penb", "cut")
+
+
+def _snk(name):
+    """The (s, n, k) indices that a row or variable name carries, in order."""
+    return tuple(int(v) for v in re.findall(r"_[snk](\d+)", name))
+
+
+def test_rows_and_variables_follow_the_documented_order():
+    """Rows come family by family in README § Library's order, each family
+    once and sorted by (s, n, k) within, and variables in (s, n, k) order."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(50):
+        mdl = build_ilp(rand_instance(rng, num_edges=rng.randint(1, 3)))
+        runs = [(family, [_snk(c.name) for c in rows]) for family, rows in
+                itertools.groupby(mdl.constraints, key=lambda c: c.name.split("_", 1)[0])]
+        families = [family for family, _ in runs]
+        assert families == [f for f in _ROW_FAMILIES if f in families]
+        seen.update(families)
+        for _, keys in runs:
+            assert keys == sorted(keys)
+        for names in (mdl.binaries, mdl.continuous, [v for v, _ in mdl.objective]):
+            keys = [_snk(v) for v in names]
+            assert keys == sorted(set(keys))
+    assert seen == set(_ROW_FAMILIES)
 
 
 def test_lp_round_trip_exact():
@@ -319,33 +346,6 @@ def test_min_completion_matches_evaluate():
             else:
                 assert comp.objective == INFEASIBLE
                 assert not sol.feasible
-
-
-def _solve_via_scipy(mdl: IlpModel, relax: bool = False, **options):
-    """HiGHS on the model, as a MILP or, with relax, as its LP relaxation."""
-    variables = list(mdl.continuous) + list(mdl.binaries)
-    idx = {v: i for i, v in enumerate(variables)}
-    c = np.zeros(len(variables))
-    for var, coef in mdl.objective:
-        c[idx[var]] += coef
-    rows, cols, vals, lb, ub = [], [], [], [], []
-    for i, con in enumerate(mdl.constraints):
-        for var, coef in con.terms:
-            rows.append(i)
-            cols.append(idx[var])
-            vals.append(coef)
-        lb.append(-np.inf if con.sense == "<=" else con.rhs)
-        ub.append(np.inf if con.sense == ">=" else con.rhs)
-    matrix = csr_matrix((vals, (rows, cols)), shape=(len(mdl.constraints), len(variables)))
-    integrality = np.array([0] * len(mdl.continuous) + [0 if relax else 1] * len(mdl.binaries))
-    lo = np.zeros(len(variables))
-    hi = np.full(len(variables), np.inf)
-    for var in mdl.binaries:
-        hi[idx[var]] = 1.0
-    for var in mdl.fixed_zero:
-        hi[idx[var]] = 0.0
-    return milp(c=c, constraints=SciCon(matrix, np.array(lb), np.array(ub)),
-                integrality=integrality, bounds=Bounds(lo, hi), options=options)
 
 
 def test_external_milp_cross_check():

@@ -423,6 +423,28 @@ def test_read_csv_of_an_empty_file_names_it(tmp_path):
         read_csv(path)
 
 
+SWEEP_HEADER = "scenario,method,S,d0_m,objective_gflops_s,accepted,load_k0,runtime_s"
+
+
+@pytest.mark.parametrize("text, message", [
+    (SWEEP_HEADER + "\na,b\n", r"sweep\.csv, line 2: 2 fields, the header has 8"),
+    (SWEEP_HEADER + "\na,b_first,1,30000.0,1.5,1,1.5,0.0,9\n",
+     r"sweep\.csv, line 2: 9 fields, the header has 8"),
+    (SWEEP_HEADER + "\na,b_first,1,30000.0,1.5,1,1.5,0.0\na,b_first,x,30000.0,1.5,1,1.5,0.0\n",
+     r"sweep\.csv, line 3: invalid literal for int\(\) with base 10: 'x'"),
+    (SWEEP_HEADER.replace("load_k0", "load_kx") + "\n",
+     r"sweep\.csv, line 1: bad header: invalid literal for int\(\) with base 10: 'x'"),
+    ("scenario,runtime_s\na,0.0\n", r"sweep\.csv, line 1: bad header: it does not start with"),
+    (SWEEP_HEADER.replace("scenario,method", "method,scenario") + "\n",
+     r"sweep\.csv, line 1: bad header: it does not start with scenario,method,S,"),
+], ids=["short-row", "long-row", "bad-int", "bad-load-column", "short-header", "swapped-columns"])
+def test_read_csv_names_the_file_and_line_of_a_malformed_row_or_header(tmp_path, text, message):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_csv(path)
+
+
 def test_csv_handles_padded_loads(tmp_path):
     records = [
         SweepRecord(scenario="a", method="b_first", size=1, d0_m=30000.0,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from util import (
     SWEEP_HIT_OPTIMA,
+    _solve_via_scipy,
     eight_cloud_instance,
     rand_instance,
     reference_zero_slack,
@@ -717,7 +718,6 @@ def test_cheapest_first_proves_an_eight_cloud_optimum():
     assert res.status == "optimal"
     assert 0 < res.nodes <= 20_000
     pytest.importorskip("scipy")
-    from test_ilp import _solve_via_scipy
     sci = _solve_via_scipy(build_ilp(inst), mip_rel_gap=0.0)
     assert sci.status == 0, sci.message
     assert math.isclose(res.solution.objective, sci.fun, rel_tol=1e-9)

@@ -2,8 +2,9 @@
 independent two-cloud oracle for the per-VNF rate formulas, and small
 oracles the library itself does not need (link feasibility, hop
 distances, percent savings, the ILP's rate completion of a fixed
-binary vector, a plain LP expression tokenizer, evaluate's per-chain
-loop without its memo, and the zero-slack walk over RateTable.split).
+binary vector, HiGHS on an IlpModel, a plain LP expression tokenizer,
+evaluate's per-chain loop without its memo, and the zero-slack walk over
+RateTable.split).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -252,6 +253,38 @@ def min_completion(mdl: IlpModel, x_values: Mapping[str, int]) -> CompletionResu
             capacity_ok = False
     objective = sum(coef * rmin[var] for var, coef in mdl.objective)
     return CompletionResult(binary_ok, capacity_ok, objective, rmin)
+
+
+
+def _solve_via_scipy(mdl: IlpModel, relax: bool = False, **options):
+    """HiGHS on the model, as a MILP or, with relax, as its LP relaxation.
+    numpy and scipy are imported on call, so this module loads without them."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint as SciCon, milp
+    from scipy.sparse import csr_matrix
+    variables = list(mdl.continuous) + list(mdl.binaries)
+    idx = {v: i for i, v in enumerate(variables)}
+    c = np.zeros(len(variables))
+    for var, coef in mdl.objective:
+        c[idx[var]] += coef
+    rows, cols, vals, lb, ub = [], [], [], [], []
+    for i, con in enumerate(mdl.constraints):
+        for var, coef in con.terms:
+            rows.append(i)
+            cols.append(idx[var])
+            vals.append(coef)
+        lb.append(-np.inf if con.sense == "<=" else con.rhs)
+        ub.append(np.inf if con.sense == ">=" else con.rhs)
+    matrix = csr_matrix((vals, (rows, cols)), shape=(len(mdl.constraints), len(variables)))
+    integrality = np.array([0] * len(mdl.continuous) + [0 if relax else 1] * len(mdl.binaries))
+    lo = np.zeros(len(variables))
+    hi = np.full(len(variables), np.inf)
+    for var in mdl.binaries:
+        hi[idx[var]] = 1.0
+    for var in mdl.fixed_zero:
+        hi[idx[var]] = 0.0
+    return milp(c=c, constraints=SciCon(matrix, np.array(lb), np.array(ub)),
+                integrality=integrality, bounds=Bounds(lo, hi), options=options)
 
 
 _NUM_RE = re.compile(r"^(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
