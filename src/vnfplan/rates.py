@@ -120,10 +120,11 @@ class ChainRow:
       ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
     The head and co-located rates are computed at once; children,
-    cheapest_first, zero_slack and each split penalty (see split) on first
-    read.  A penalty is computed once per (VNF, direction, head cloud, link
-    length): it depends on its link only through the link's length (see
-    RateTable), and only the head's forward penalty on the cloud.
+    cheapest_first and zero_slack on first read, and each split penalty
+    (see split) where it is read.  A penalty depends on its link only
+    through the link's length (see RateTable), so children computes one
+    per VNF, direction and link length, and per head cloud for the head's
+    forward penalties.
     """
 
     def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
@@ -133,7 +134,6 @@ class ChainRow:
         self._delays = delays
         self._length_of = length_of
         self._vnfs = chain.vnfs
-        self._pens: dict[tuple[int, bool, int, int], float] = {}
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
         head = chain.vnfs[0]
         self.first = [first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
@@ -144,15 +144,10 @@ class ChainRow:
     def _penalty(self, n: int, forward: bool, p: int, c: int) -> float:
         """The penalty on VNF n at the p-th cloud when VNF n+1 (forward) or
         VNF n-1 (backward) sits across a link of the c-th length."""
-        head = forward and n == 1
-        key = (n, forward, p if head else 0, c)
-        pen = self._pens.get(key)
-        if pen is None:
-            vnf = self._vnfs[n - 1]
-            pen = self._pens[key] = split_penalty(
-                vnf.gflops, vnf.fwd_ms if forward else vnf.bwd_ms, self._delays[c],
-                self.first[p] if head else self.colo[n - 1])
-        return pen
+        vnf = self._vnfs[n - 1]
+        return split_penalty(vnf.gflops, vnf.fwd_ms if forward else vnf.bwd_ms,
+                             self._delays[c],
+                             self.first[p] if forward and n == 1 else self.colo[n - 1])
 
     @cached_property
     def zero_slack(self) -> tuple[int, ...]:

@@ -261,8 +261,8 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
     methods.  Records come back in canonical order (method, then axis
     point, then repetition) regardless of jobs, and runtimes are reported
     as 0.0 unless measure_runtime is set, keeping the default output
-    reproducible byte for byte.  Chain counts, rings and reps must be
-    whole numbers (3.0 counts as 3).  A point's clouds that fail
+    reproducible byte for byte.  Chain counts, rings, reps and jobs must
+    be whole numbers (3.0 counts as 3).  A point's clouds that fail
     build_instance or validate_instance raise ValueError before the first
     point runs, even with reps 0.  A method's ValueError is raised again as
     the same type, prefixed with the point's scenario label and method.
@@ -271,7 +271,7 @@ def run_sweep(cfg: ScenarioConfig, methods: Sequence[str],
         raise ValueError("no methods given")
     normalized = [method_name(m, METHOD_ORDER) for m in methods]
     ordered = [m for m in METHOD_ORDER if m in normalized]
-    reps = _whole("reps", reps)
+    reps, jobs = _whole("reps", reps), whole("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget is None:

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +332,22 @@ def test_sweep_writes_csv(tmp_path):
     assert len(records) == 8
     assert {r.method for r in records} == {"b_first", "fixed_split"}
     assert all(r.runtime_s == 0.0 for r in records)
+
+
+def test_sweep_reports_a_write_failure_after_the_sweep(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    solved = []
+
+    def full_disk(records, path):
+        solved.extend(records)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(cli, "export_csv", full_disk)
+    capsys.readouterr()
+    assert main(["sweep", "--methods", "b-first", "--out", str(out), "--axis-s", "1",
+                 "--reps", "1", "--edge-sites", "center"]) == 2
+    assert len(solved) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: No space left on device\n")
 
 
 def test_sweep_is_deterministic(tmp_path):

@@ -19,23 +19,26 @@ from vnfplan.model import ConfigError, validate_instance
 from vnfplan.scenario import ScenarioConfig, build_instance
 
 
-def _round_trip(path):
+def _round_trip(path, monkeypatch, loader, dumper):
+    monkeypatch.setattr(config, "_Loader", loader)
+    monkeypatch.setattr(config, "_Dumper", dumper)
     inst = build_instance(ScenarioConfig(mix_size=9, seed=4))
     save_instance(path, inst, model=default_model(), services=default_services())
     return inst, path.read_bytes(), load_instance(path)
 
 
 def test_pure_python_yaml_matches_the_default_path(tmp_path, monkeypatch):
-    inst, text, loaded = _round_trip(tmp_path / "default.yaml")
-    assert loaded == inst
-    defaults = config._load_defaults()
-
-    monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
-    monkeypatch.setattr(config, "_Dumper", yaml.SafeDumper)
-    inst_py, text_py, loaded_py = _round_trip(tmp_path / "pure.yaml")
-    assert text_py == text
-    assert loaded_py == loaded == inst_py
-    assert config._load_defaults.__wrapped__() == defaults
+    inst_py, text_py, loaded_py = _round_trip(tmp_path / "pure.yaml", monkeypatch,
+                                              yaml.SafeLoader, yaml.SafeDumper)
+    assert loaded_py == inst_py
+    defaults_py = config._load_defaults.__wrapped__()
+    if not yaml.__with_libyaml__:
+        return  # the pure-Python pair is the default; nothing to cross-check
+    inst, text, loaded = _round_trip(tmp_path / "libyaml.yaml", monkeypatch,
+                                     yaml.CSafeLoader, yaml.CSafeDumper)
+    assert text == text_py
+    assert loaded == loaded_py == inst
+    assert config._load_defaults.__wrapped__() == defaults_py
 
 
 def test_default_path_uses_libyaml_when_present():

@@ -367,6 +367,23 @@ def test_run_sweep_caps_worker_processes(monkeypatch):
     assert made == [2, 3]
 
 
+def test_run_sweep_rejects_fractional_jobs_before_any_worker(monkeypatch):
+    """jobs must be a whole number, like reps: 2.5 and NaN fail before a
+    pool starts or a point runs."""
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was started")
+
+    def no_point(*task):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(scenario, "_solve_point", no_point)
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 4)
+    for jobs in (2.5, math.nan):
+        with pytest.raises(ValueError, match=f"^jobs must be a whole number, got {jobs}$"):
+            run_sweep(_small_cfg(), ["b-first"], axes={"S": [2]}, reps=3, jobs=jobs)
+
+
 def test_run_sweep_cran_only_single_load_column():
     cfg = _small_cfg()
     records = run_sweep(cfg, ["cran-only"], axes={"S": [2]}, reps=1,
