@@ -8,6 +8,8 @@ pairwise cuts, infeasible head placements fixed-to-zero bounds.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 import re
 from dataclasses import dataclass
@@ -51,6 +53,25 @@ def _staircase(name: str, r_term: tuple[str, float], x: str, base: float,
         for rank, v in enumerate(values)]
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, restoring its state.
+
+    build_ilp and parse_lp_text allocate a model of tens of thousands of
+    tuples, whose allocation would trigger full collections that rescan it.
+    Both build only acyclic tuples, lists, strings and floats, which
+    reference counting frees, so the collector has nothing to find there.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     """Translate an instance into the placement ILP."""
     table = rate_table(inst, table)
@@ -115,19 +136,37 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     )
 
 
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r}")
+    return value
+
+
 class _CoefText(dict):
     """Coefficient -> its signed text before the variable ("+ 2.5 ", "- ").
 
-    Built on first sight, so each distinct coefficient is formatted once per
-    emit_lp_text call.  Equal keys give equal text: 0.0 and -0.0 both print
-    as "+ 0.0", and an int prints like the float it equals.
+    Built on first sight, so each distinct coefficient is checked and
+    formatted once per emit_lp_text call.  Equal keys give equal text: 0.0
+    and -0.0 both print as "+ 0.0", and an int prints like the float it
+    equals.
     """
 
     def __missing__(self, coef):
-        mag = float(abs(coef))
+        mag = float(abs(_finite(coef)))
         body = "" if mag == 1.0 else f"{mag!r} "
         text = f"- {body}" if coef < 0 else f"+ {body}"
         self[coef] = text
+        return text
+
+
+class _RhsText(dict):
+    """Right-hand side -> its text, like _CoefText.  Only a nonzero value is
+    stored: 0.0 and -0.0 are one key but print as "0.0" and "-0.0"."""
+
+    def __missing__(self, rhs):
+        text = repr(_finite(float(rhs)))
+        if rhs:
+            self[rhs] = text
         return text
 
 
@@ -137,13 +176,21 @@ def _format_terms(terms, coef_text: _CoefText) -> str:
 
 
 def emit_lp_text(mdl: IlpModel) -> str:
-    """Render the model as deterministic LP-format text."""
-    coef_text = _CoefText()
+    """Render the model as deterministic LP-format text.
+
+    Raises ValueError naming the row, or obj for the objective, that holds
+    a NaN or infinite number: LP text has no way to write one.
+    """
+    coef_text, rhs_text = _CoefText(), _RhsText()
     lines = ["\\ vnfplan placement model", "Minimize"]
-    lines.append(f" obj: {_format_terms(mdl.objective, coef_text)}")
-    lines.append("Subject To")
-    for name, terms, sense, rhs in mdl.constraints:
-        lines.append(f" {name}: {_format_terms(terms, coef_text)} {sense} {float(rhs)!r}")
+    name = "obj"
+    try:
+        lines.append(f" obj: {_format_terms(mdl.objective, coef_text)}")
+        lines.append("Subject To")
+        for name, terms, sense, rhs in mdl.constraints:
+            lines.append(f" {name}: {_format_terms(terms, coef_text)} {sense} {rhs_text[rhs]}")
+    except ValueError as exc:
+        raise ValueError(f"cannot write row {name!r}: {exc}") from None
     if mdl.fixed_zero:
         lines.append("Bounds")
         for var in mdl.fixed_zero:
@@ -225,6 +272,7 @@ def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float],
     return tuple(terms), constant
 
 
+@_collector_paused()
 def parse_lp_text(text: str) -> IlpModel:
     """Parse LP text produced by emit_lp_text back into an IlpModel.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -207,6 +208,62 @@ def test_emit_formats_negative_zero(zeros):
     lines = emit_lp_text(mdl).splitlines()
     for i, zero in enumerate(zeros):
         assert f" c{i}: x + 0.0 y >= {zero!r}" in lines
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where, row", [("objective", "obj"), ("coefficient", "c1"),
+                                        ("rhs", "c1")])
+def test_emit_rejects_a_non_finite_number(where, row, value):
+    """LP text has no NaN or infinity: written out, nan x reads back as the
+    two variables nan and x, and an LP reader takes inf for a number."""
+    obj, coef, rhs = (value if where == w else 2.0 for w in ("objective", "coefficient", "rhs"))
+    mdl = IlpModel(objective=(("x", obj),),
+                   constraints=(LinearConstraint("c0", (("x", 1.0),), ">=", 0.0),
+                                LinearConstraint("c1", (("x", coef),), ">=", rhs)),
+                   binaries=(), continuous=("x",), fixed_zero=())
+    with pytest.raises(ValueError, match=f"^cannot write row '{row}': non-finite number "
+                                         f"{re.escape(repr(value))}$"):
+        emit_lp_text(mdl)
+
+
+def _unknown_rrh(inst):
+    return dataclasses.replace(inst, chains=(dataclasses.replace(inst.chains[0], rrh="zz"),))
+
+
+# A call that pauses the collector, and its error, if any.
+PAUSED_CALLS = {
+    "build": (lambda: build_ilp(_small_instance(4)), None),
+    "build-invalid": (lambda: build_ilp(_unknown_rrh(_small_instance(4))), "unknown RRH zz"),
+    "parse": (lambda: parse_lp_text(emit_lp_text(build_ilp(_small_instance(4)))), None),
+    "parse-malformed": (lambda: parse_lp_text(emit_lp_text(build_ilp(_small_instance(4)))
+                                              .replace(">=", "=>", 1)), "bad right-hand side"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("call", sorted(PAUSED_CALLS))
+def test_build_and_parse_leave_the_collector_as_they_found_it(call, enabled):
+    """build_ilp and parse_lp_text pause the cyclic collector and restore its
+    state whether they return or raise.  With it off, collecting afterwards
+    finds nothing: the model they build holds no reference cycle."""
+    fn, error = PAUSED_CALLS[call]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        gc.collect()
+        try:
+            result = fn()
+        except ValueError as exc:
+            assert error is not None and error in str(exc)
+        else:
+            assert error is None
+            assert isinstance(result, IlpModel) and result.constraints
+            del result
+        assert gc.isenabled() is enabled
+        if not enabled:
+            assert gc.collect() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0"])
