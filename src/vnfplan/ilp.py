@@ -43,14 +43,24 @@ def r_name(si: int, n: int, k: int) -> str:
 
 
 def _staircase(name: str, r_term: tuple[str, float], x: str, base: float,
-               pairs: list[tuple[float, str]]) -> list[LinearConstraint]:
+               pairs: list[tuple[float, str]],
+               shared: dict[tuple[str, float], tuple[str, float]]) -> list[LinearConstraint]:
     """Penalty rows of one VNF at one cloud from (penalty, neighbour binary)
     pairs: per distinct finite positive penalty v, ranked from the smallest,
-    r >= (base + v) x + v * (sum of neighbour binaries with v <= penalty) - v."""
+    r >= (base + v) x + v * (sum of neighbour binaries with v <= penalty) - v.
+    Each term is taken from shared, the model's one tuple per term."""
     values = sorted({pen for pen, _ in pairs if 0.0 < pen < INFEASIBLE})
-    return [LinearConstraint(f"{name}_v{rank}", (r_term, (x, -(base + v)), *(
-        (nx, -v) for pen, nx in pairs if v <= pen < INFEASIBLE)), ">=", -v)
-        for rank, v in enumerate(values)]
+    rows = []
+    for rank, v in enumerate(values):
+        neg = -v
+        term = (x, -(base + v))
+        terms = [r_term, shared.setdefault(term, term)]
+        for pen, nx in pairs:
+            if v <= pen < INFEASIBLE:
+                term = (nx, neg)
+                terms.append(shared.setdefault(term, term))
+        rows.append(LinearConstraint(f"{name}_v{rank}", tuple(terms), ">=", neg))
+    return rows
 
 
 @contextlib.contextmanager
@@ -59,7 +69,7 @@ def _collector_paused():
 
     build_ilp and parse_lp_text allocate a model of tens of thousands of
     tuples, whose allocation would trigger full collections that rescan it.
-    Both build only acyclic tuples, lists, strings and floats, which
+    Both build only acyclic tuples, lists, dicts, strings and floats, which
     reference counting frees, so the collector has nothing to find there.
     """
     enabled = gc.isenabled()
@@ -85,6 +95,10 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
     penf_rows: list[LinearConstraint] = []
     penb_rows: list[LinearConstraint] = []
     cut_rows: list[LinearConstraint] = []
+    # Each (variable, coefficient) term besides a unit one -> the model's one
+    # tuple of it.  A binary's only zero coefficient can be its base row's,
+    # so the equal keys 0.0 and -0.0 never meet here.
+    shared: dict[tuple[str, float], tuple[str, float]] = {}
 
     for si, chain in enumerate(inst.chains):
         row = table.row(chain.id)
@@ -110,17 +124,20 @@ def build_ilp(inst: Instance, table: RateTable | None = None) -> IlpModel:
                     if n == 1:
                         continue   # the head cannot sit at k at all
                 else:
+                    term = (x, -base)
                     base_rows.append(LinearConstraint(
-                        f"base_s{si}_n{n}_k{k}", (r_term, (x, -base)), ">=", 0.0))
+                        f"base_s{si}_n{n}_k{k}", (r_term, shared.setdefault(term, term)),
+                        ">=", 0.0))
                 cut_rows += [LinearConstraint(f"cut_s{si}_n{n}_k{k}_j{clouds[i]}",
                                               (x_term, xs[n + 1][i]), "<=", 1.0)
                              for i, _, _, pen in nxt[p] if pen == INFEASIBLE]
                 penf_rows += _staircase(f"penf_s{si}_n{n}_k{k}", r_term, x, base,
-                                        [(pen, xs[n + 1][i][0]) for i, _, _, pen in nxt[p]])
+                                        [(pen, xs[n + 1][i][0]) for i, _, _, pen in nxt[p]],
+                                        shared)
                 # INFEASIBLE too when VNF n-1 is a head that cannot sit at the q-th cloud.
                 penb_rows += _staircase(f"penb_s{si}_n{n}_k{k}", r_term, x, base,
                                         [(by_prev[p][2], xs[n - 1][q][0])
-                                         for q, by_prev in enumerate(prev)])
+                                         for q, by_prev in enumerate(prev)], shared)
 
     # An uncapped cloud (capacity inf) gets no row: LP text has no infinite numbers.
     cap_rows = [LinearConstraint(f"cap_k{k}", tuple(terms), "<=", cap)
@@ -179,7 +196,8 @@ def emit_lp_text(mdl: IlpModel) -> str:
     """Render the model as deterministic LP-format text.
 
     Raises ValueError naming the row, or obj for the objective, that holds
-    a NaN or infinite number: LP text has no way to write one.
+    a NaN or infinite number, or an int too large for a float: LP text has
+    no way to write one.
     """
     coef_text, rhs_text = _CoefText(), _RhsText()
     lines = ["\\ vnfplan placement model", "Minimize"]
@@ -189,7 +207,7 @@ def emit_lp_text(mdl: IlpModel) -> str:
         lines.append("Subject To")
         for name, terms, sense, rhs in mdl.constraints:
             lines.append(f" {name}: {_format_terms(terms, coef_text)} {sense} {rhs_text[rhs]}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"cannot write row {name!r}: {exc}") from None
     if mdl.fixed_zero:
         lines.append("Bounds")
@@ -199,8 +217,8 @@ def emit_lp_text(mdl: IlpModel) -> str:
         lines.append("Binaries")
         for var in mdl.binaries:
             lines.append(f" {var}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += ["End", ""]   # the text ends with a newline
+    return "\n".join(lines)
 
 
 _NUM_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
@@ -215,22 +233,28 @@ _SECTIONS = {
 }
 
 
-# Token kinds besides a float (a number) and None (a variable name).
+# Token kinds besides a float (a number) and a tuple (a variable name).
 _PLUS, _MINUS = object(), object()
 
 
 class _TokenKind(dict):
-    """Whitespace token -> float value, None for a name, _PLUS or _MINUS.
+    """Whitespace token -> float value, _PLUS, _MINUS, or for a name its
+    unit term (name, 1.0), whose string every term of the name shares.
 
     Filled on first sight, so each distinct token is classified once per
-    parse_lp_text call; names and coefficients repeat across rows.  A token
-    outside the grammar is described in bad, so parse_lp_text can reject
-    the line it first appears on: a sign inside a token (-3, x-y, k-1) or a
-    dangling exponent (1e), read as a name, and a number too large for a
-    float, read as inf.
+    parse_lp_text call; names and coefficients repeat across rows.  terms
+    maps each (name, coefficient) term to the one tuple of it that the
+    parsed model holds.  A token outside the grammar is described in bad,
+    so parse_lp_text can reject the line it first appears on: a sign
+    inside a token (-3, x-y, k-1) or a dangling exponent (1e), read as a
+    name, and a number too large for a float, read as inf.
     """
 
     bad: str | None = None
+
+    def __init__(self):
+        super().__init__()
+        self.terms: dict[tuple[str, float | str], tuple[str, float]] = {}
 
     def __missing__(self, tok):
         if tok == "+" or tok == "-":
@@ -240,7 +264,8 @@ class _TokenKind(dict):
             if kind == math.inf:
                 self.bad = "an out-of-range number"
         else:
-            kind = None
+            kind = (tok, 1.0)
+            self.terms[kind] = kind
             if "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
                 self.bad = f"a glued sign or exponent in {tok!r}"
         self[tok] = kind
@@ -254,10 +279,19 @@ def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float],
     constant = 0.0
     sign = 1.0
     coef: float | None = None
+    shared = kinds.terms
     for tok in text.split():
         kind = kinds[tok]
-        if kind is None:
-            terms.append((tok, sign if coef is None else sign * coef))
+        if type(kind) is tuple:
+            # A name, the commonest token.  Only a term with a coefficient or a
+            # minus sign costs a lookup.
+            if coef is None and sign == 1.0:
+                terms.append(kind)
+            else:
+                value = sign if coef is None else sign * coef
+                term = (kind[0], value)
+                # 0.0 and -0.0 are one key but two terms, so a zero is keyed by its text.
+                terms.append(shared.setdefault(term if value else (kind[0], repr(value)), term))
             sign = 1.0
             coef = None
         elif kind is _MINUS:
@@ -270,6 +304,23 @@ def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float],
     if coef is not None:
         constant += sign * coef
     return tuple(terms), constant
+
+
+_WINDOW = 1 << 16   # characters of LP text that parse_lp_text splits at a time
+# The line breaks of str.splitlines, a \r\n pair as one.
+_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str):
+    """The lines of text.splitlines(), split a window at a time so that no
+    list of every line is held.  A window ends at the first line break at
+    least _WINDOW characters in, so no line or \\r\\n pair is cut."""
+    start = 0
+    while start < len(text):
+        brk = _BREAK_RE.search(text, start + _WINDOW)
+        end = brk.end() if brk else len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 @_collector_paused()
@@ -287,7 +338,7 @@ def parse_lp_text(text: str) -> IlpModel:
     kinds = _TokenKind()
     rhs_values: dict[str, float] = {}   # right-hand-side text -> its number
     section = None
-    for raw in text.splitlines():
+    for raw in _lines(text):
         line = (raw.split("\\", 1)[0] if "\\" in raw else raw).strip()
         # A named row; a line without a name falls through to the error below.
         if section == "constraints" and (colon := line.find(":")) > 0:

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from util import (
@@ -20,6 +20,7 @@ from util import (
     reference_parse_terms,
     sweep_hit_instance,
 )
+from vnfplan import ilp
 from vnfplan.ilp import (
     IlpModel,
     LinearConstraint,
@@ -210,20 +211,115 @@ def test_emit_formats_negative_zero(zeros):
         assert f" c{i}: x + 0.0 y >= {zero!r}" in lines
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
 @pytest.mark.parametrize("where, row", [("objective", "obj"), ("coefficient", "c1"),
                                         ("rhs", "c1")])
 def test_emit_rejects_a_non_finite_number(where, row, value):
     """LP text has no NaN or infinity: written out, nan x reads back as the
-    two variables nan and x, and an LP reader takes inf for a number."""
+    two variables nan and x, and an LP reader takes inf for a number.  An
+    int too large for a float cannot be written either."""
     obj, coef, rhs = (value if where == w else 2.0 for w in ("objective", "coefficient", "rhs"))
     mdl = IlpModel(objective=(("x", obj),),
                    constraints=(LinearConstraint("c0", (("x", 1.0),), ">=", 0.0),
                                 LinearConstraint("c1", (("x", coef),), ">=", rhs)),
                    binaries=(), continuous=("x",), fixed_zero=())
-    with pytest.raises(ValueError, match=f"^cannot write row '{row}': non-finite number "
-                                         f"{re.escape(repr(value))}$"):
+    reason = ("int too large to convert to float" if isinstance(value, int)
+              else f"non-finite number {re.escape(repr(value))}")
+    with pytest.raises(ValueError, match=f"^cannot write row '{row}': {reason}$"):
         emit_lp_text(mdl)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("Minimize\n obj: 0 x - 0 x\nEnd\n",
+     "IlpModel(objective=(('x', 0.0), ('x', -0.0)), constraints=(), binaries=(), "
+     "continuous=('x', 'x'), fixed_zero=())"),
+    ("Minimize\n obj: 0 y\nSubject To\n c1: 0 y - 0 y >= 0\n"
+     " c2: - 0 y + 0 y + 2 y <= -0.0\nEnd\n",
+     "IlpModel(objective=(('y', 0.0),), constraints=("
+     "LinearConstraint(name='c1', terms=(('y', 0.0), ('y', -0.0)), sense='>=', rhs=0.0), "
+     "LinearConstraint(name='c2', terms=(('y', -0.0), ('y', 0.0), ('y', 2.0)), sense='<=', "
+     "rhs=-0.0)), binaries=(), continuous=('y',), fixed_zero=())"),
+], ids=["objective", "rows"])
+def test_parse_keeps_signed_zeros_apart(text, expected):
+    """0 x and - 0 x are two terms, (x, 0.0) and (x, -0.0), whichever comes
+    first: 0.0 and -0.0 are equal dict keys, so a memo of terms by value
+    must not hand one the other's tuple."""
+    assert repr(parse_lp_text(text)) == expected
+
+
+def _all_terms(mdl):
+    return [*mdl.objective, *(term for row in mdl.constraints for term in row.terms)]
+
+
+@pytest.mark.parametrize("sites, size", [("all", 5), ("center", 4)])
+def test_built_and_parsed_models_hold_one_tuple_per_distinct_term(sites, size):
+    """Equal (variable, coefficient) terms of a model are one tuple, and
+    each variable's name is one string, in the built model and in its
+    parse alike."""
+    mdl = build_ilp(build_instance(ScenarioConfig(edge_sites=sites, seed=0),
+                                   d0_m=45_000.0, size=size))
+    parsed = parse_lp_text(emit_lp_text(mdl))
+    assert parsed == mdl
+    for model in (mdl, parsed):
+        terms = _all_terms(model)
+        distinct = {(var, repr(coef)) for var, coef in terms}
+        assert len(terms) > len(distinct)
+        assert len({id(term) for term in terms}) == len(distinct)
+        assert len({id(var) for var, _ in terms}) == len({var for var, _ in terms})
+
+
+def test_parse_shares_a_term_however_its_coefficient_is_written():
+    """x, 1 x and 1.0 x are one term, as are - x and - 1 x."""
+    mdl = parse_lp_text("Minimize\n obj: x + 1 x + 1.0 x - x - 1 x + 2 x + 2.0 x\nEnd\n")
+    assert mdl.objective == (("x", 1.0),) * 3 + (("x", -1.0),) * 2 + (("x", 2.0),) * 2
+    assert [len({id(term) for term in mdl.objective[i:j]}) for i, j in
+            ((0, 3), (3, 5), (5, 7), (0, 7))] == [1, 1, 1, 3]
+
+
+def _pad_to(text, newline, end, tail):
+    """Text with a comment line, then tail, put in at the start of the last
+    line that starts 100 characters or more before end, the comment sized
+    so that tail starts at end."""
+    at = text.rindex(newline, 0, end - 100) + len(newline)
+    comment = "\\ " + "c" * (end - at - 2 - len(newline)) + newline
+    return text[:at] + comment + tail + text[at:]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+def test_parse_reads_the_text_a_window_at_a_time(newline):
+    """A text of several windows parses to the same model with any of
+    splitlines' line breaks.  The first window ends on a blank line and the
+    second starts with a comment; the second window's end is searched for
+    from the \\n of a \\r\\n pair, which must stay whole."""
+    mdl = build_ilp(build_instance(ScenarioConfig(edge_sites="all", seed=0),
+                                   d0_m=45_000.0, size=9))
+    window = ilp._WINDOW
+    text = emit_lp_text(mdl).replace("\n", newline)
+    assert len(text) > 5 * window
+    text = _pad_to(text, newline, window, newline + "\\ a comment" + newline)
+    # A window ends at the first line break from window characters in.
+    second = window + len(newline) + window
+    text = _pad_to(text, newline, second + 1, "")
+    assert text[window - len(newline):window + len(newline) + 1] == 2 * newline + "\\"
+    assert text[second + 1 - len(newline):second + 1] == newline
+    assert parse_lp_text(text) == mdl
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", " ", "\\", "\n", "\r", "\r\n", "\x0b", "\x0c",
+                                 "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]),
+                max_size=30).map("".join),
+       st.integers(1, 9))
+@example("a\r\nb", 1)
+def test_windowed_lines_are_splitlines(text, window):
+    """Split a window at a time, any text gives the lines of splitlines."""
+    saved, ilp._WINDOW = ilp._WINDOW, window
+    try:
+        lines = list(ilp._lines(text))
+    finally:
+        ilp._WINDOW = saved
+    assert lines == text.splitlines()
 
 
 def _unknown_rrh(inst):
