@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import ChainRequest, Instance
-from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate, rate_table
+from .rates import (CAP_TOL, INFEASIBLE, Assignment, ChainRow, RateTable, Solution, evaluate,
+                    rate_table)
 
 
 @dataclass
@@ -54,30 +55,37 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     """Best-fit packing of chains in decreasing demand order.
 
     Each chain first tries to fit whole into the fullest cloud that still
-    holds it.  If none does, every (split point, prefix cloud, suffix
-    cloud) combination is priced by RateTable.chain_rates and the feasible
-    one needing the least total rate wins; a chain is split at most once.
-    Totals within a relative 1e-12 tie, and ties go to the earliest split
-    point, then the lowest (prefix, suffix) cloud pair.  Rejected chains
-    leave all state untouched.
+    holds it, the lowest cloud id among equally full ones.  If none does,
+    every (split point, prefix cloud, suffix cloud) combination is priced
+    by RateTable.chain_rates and the feasible one needing the least total
+    rate wins; a chain is split at most once.  Totals within a relative
+    1e-12 tie, and ties go to the earliest split point, then the lowest
+    (prefix, suffix) cloud pair.  Rejected chains leave all state
+    untouched.  What depends only on a chain's row, the co-located rate of
+    its VNFs after the head, is summed once per row and call.
     """
     table = rate_table(inst, table)
+    position = table.position
     clouds = list(inst.infra.cloud_ids())
     residual = {k: inst.infra.capacity(k) for k in clouds}
     events: list[PlacementEvent] = []
     vectors: dict[str, tuple[int, ...]] = {}
     evaluations = 0
+    tails: dict[ChainRow, float] = {}   # row -> the rate of VNFs 2, 3, ... co-located
 
     for chain in packing_order(inst, table):
         cid = chain.id
         n_vnfs = len(chain.vnfs)
         row = table.row(cid)
-        tail = sum(row.colo[1:])
+        tail = tails.get(row)
+        if tail is None:
+            tail = tails[row] = sum(row.colo[1:])
         placed = False
-        # Best fit: ascending residual capacity, lowest cloud id on ties.
-        for k in sorted(clouds, key=lambda c: (residual[c], c)):
+        # Best fit: ascending residual capacity; the sort is stable over
+        # the ascending ids, so ties go to the lowest cloud id.
+        for k in sorted(clouds, key=residual.__getitem__):
             evaluations += 1
-            head = row.first[table.position[k]]
+            head = row.first[position[k]]
             if head == INFEASIBLE:
                 continue
             total = head + tail

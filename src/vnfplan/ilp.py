@@ -246,8 +246,9 @@ class _TokenKind(dict):
     maps each (name, coefficient) term to the one tuple of it that the
     parsed model holds.  A token outside the grammar is described in bad,
     so parse_lp_text can reject the line it first appears on: a sign
-    inside a token (-3, x-y, k-1) or a dangling exponent (1e), read as a
-    name, and a number too large for a float, read as inf.
+    inside a token (-3, x-y, k-1), a dangling exponent (1e) or a '<', '>'
+    or '=' (x<=y), read as a name, and a number too large for a float,
+    read as inf.
     """
 
     bad: str | None = None
@@ -268,6 +269,8 @@ class _TokenKind(dict):
             self.terms[kind] = kind
             if "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
                 self.bad = f"a glued sign or exponent in {tok!r}"
+            elif "<" in tok or ">" in tok or "=" in tok:
+                self.bad = f"a '<', '>' or '=' in {tok!r}"
         self[tok] = kind
         return kind
 
@@ -381,12 +384,19 @@ def parse_lp_text(text: str) -> IlpModel:
         elif section == "bounds":
             # Only `<one name> = <number>` with the number 0.
             name, eq, value = (part.strip() for part in line.partition("="))
-            if not (eq and _NAME_RE.match(name) and _NUM_RE.match(value)) \
+            kind = kinds[name] if eq and _NAME_RE.match(name) else None
+            if type(kind) is not tuple or kinds.bad or not _NUM_RE.match(value) \
                     or float(value) != 0.0:
                 raise ValueError(f"unsupported bound line: {raw!r}")
-            fixed_zero.append(name)
+            fixed_zero.append(kind[0])
         elif section == "binaries":
-            binaries.extend(line.split())
+            for tok in line.split():
+                kind = kinds[tok]
+                if type(kind) is not tuple:
+                    raise ValueError(f"binaries line with a number or sign {tok!r}: {raw!r}")
+                if kinds.bad:
+                    raise ValueError(f"binaries line with {kinds.bad}: {raw!r}")
+                binaries.append(kind[0])
         else:
             raise ValueError(f"content outside any section: {raw!r}")
     objective = objective or ()

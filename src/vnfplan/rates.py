@@ -163,6 +163,18 @@ class ChainRow:
             p = i
         return tuple(path)
 
+    def rates(self, at: Sequence[int]) -> list[float]:
+        """Rate of every VNF of a chain of this row placed at the cloud
+        positions at[0], at[1], ...: see RateTable.chain_rates."""
+        pens = [0.0] * len(at)
+        for n in range(1, len(at)):
+            p, i = at[n - 1], at[n]
+            if p != i:
+                fwd, pens[n] = self.split(n, p, i)
+                pens[n - 1] = max(pens[n - 1], fwd)
+        bases = [self.first[at[0]], *self.colo[1:]]
+        return [base + pen for base, pen in zip(bases, pens)]
+
     def split(self, n: int, p: int, i: int) -> tuple[float, float]:
         """The split after VNF n, with VNF n at the p-th cloud and VNF n+1
         at the i-th, p != i: (forward penalty on VNF n, backward penalty on
@@ -266,16 +278,7 @@ class RateTable:
         placed on other clouds.  INFEASIBLE where any implied link cannot
         meet its bound.
         """
-        row = self._rows[chain_id]
-        at = [self.position[k] for k in clouds]
-        pens = [0.0] * len(at)
-        for n in range(1, len(at)):
-            p, i = at[n - 1], at[n]
-            if p != i:
-                fwd, pens[n] = row.split(n, p, i)
-                pens[n - 1] = max(pens[n - 1], fwd)
-        bases = [row.first[at[0]], *row.colo[1:]]
-        return [base + pen for base, pen in zip(bases, pens)]
+        return self._rows[chain_id].rates([self.position[k] for k in clouds])
 
 
 def rate_table(inst: Instance, table: RateTable | None = None) -> RateTable:
@@ -290,19 +293,29 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
     Collects every violated constraint instead of stopping at the first,
     so an infeasible deployment reports all of its problems at once.
     Raises ValueError naming the chain when a chain of inst has no
-    vector, a vector of the wrong length, a cloud not in inst or no row in
-    table; vectors of chains not in inst are ignored.
+    vector, a vector of the wrong length, a cloud not in inst or not in
+    table, or no row in table; vectors of chains not in inst are ignored.
 
     One call costs each distinct (row, placement) once: chains that share
-    a RateTable row and a cloud vector share one rate tuple.  Rates are
-    added to the objective and loads in chain order, then VNF order.
+    a RateTable row and a cloud vector share one rate tuple and one list
+    of latency violations, which each chain prefixes with its own id.
+    Rates are added to the objective and loads in chain order, then VNF
+    order, so the sums are the same floats as a chain-by-chain loop.
     """
     table = rate_table(inst, table)
+    cloud_ids = inst.infra.cloud_ids()
+    position = table.position
+    if cloud_ids != table.cloud_ids:
+        # Only the clouds that both inst and table have can host a VNF.
+        position = {k: p for k, p in position.items() if k in cloud_ids}
+    totals = [0.0] * len(table.cloud_ids)   # the load of table.cloud_ids[p]
     violations: list[str] = []
     rates: dict[str, tuple[float, ...]] = {}
-    loads: dict[int, float] = {k: 0.0 for k in inst.infra.cloud_ids()}
     objective = 0.0
-    costed: dict[tuple[ChainRow, tuple[int, ...]], tuple[float, ...]] = {}
+    # (row, cloud vector) -> (its rates, the position of each cloud, its
+    # latency violations without the "chain <id> " prefix or None if none)
+    costed: dict[tuple[ChainRow, tuple[int, ...]],
+                 tuple[tuple[float, ...], list[int], list[str] | None]] = {}
     for chain in inst.chains:
         cid = chain.id
         clouds = a.vectors.get(cid)
@@ -312,42 +325,32 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
             row = table.row(cid)
         except KeyError:
             raise ValueError(f"chain {cid}: not in the rate table") from None
-        key = (row, tuple(clouds))
-        per_vnf = costed.get(key)
-        if per_vnf is None:
+        vector = tuple(clouds)
+        key = (row, vector)
+        entry = costed.get(key)
+        if entry is None:
             try:
-                per_vnf = costed[key] = tuple(table.chain_rates(cid, clouds))
+                at = [position[k] for k in vector]
             except KeyError as exc:
                 raise ValueError(f"chain {cid}: no cloud {exc.args[0]!r} in the instance") from None
+            per_vnf = tuple(row.rates(at))
+            latency = (_latency_violations(table, cid, vector, per_vnf)
+                       if INFEASIBLE in per_vnf else None)
+            entry = costed[key] = per_vnf, at, latency
+        per_vnf, at, latency = entry
         rates[cid] = per_vnf
-        for k, rate in zip(clouds, per_vnf):
+        for p, rate in zip(at, per_vnf):
             objective += rate
-            loads[k] += rate
-        if INFEASIBLE not in per_vnf:
-            continue
-        for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
-            if rate != INFEASIBLE:
-                continue
-            if n == 1 and row.first[table.position[k]] == INFEASIBLE:
-                violations.append(
-                    f"chain {cid} VNF 1 at cloud {k}: RRH link exceeds the backward bound")
-            if n < len(clouds):
-                j = clouds[n]
-                if table.split(cid, n, k, j)[0] == INFEASIBLE:
-                    violations.append(
-                        f"chain {cid} split ({n},{n + 1}) across clouds ({k},{j}) "
-                        f"exceeds the forward bound")
-            if n > 1:
-                j = clouds[n - 2]
-                if table.split(cid, n - 1, j, k)[1] == INFEASIBLE:
-                    violations.append(
-                        f"chain {cid} split ({n - 1},{n}) across clouds ({j},{k}) "
-                        f"exceeds the backward bound")
-    for k in sorted(loads):
+            totals[p] += rate
+        if latency is not None:
+            violations += [f"chain {cid} {line}" for line in latency]
+    loads = {k: 0.0 for k in cloud_ids}
+    for k, p in position.items():
+        loads[k] = totals[p]
+    for k, load in loads.items():
         cap = inst.infra.capacity(k)
-        if loads[k] > cap + CAP_TOL:
-            violations.append(
-                f"cloud {k} over capacity: load {loads[k]} exceeds {cap}")
+        if load > cap + CAP_TOL:
+            violations.append(f"cloud {k} over capacity: load {load} exceeds {cap}")
     return Solution(
         assignment=a,
         rates=rates,
@@ -356,3 +359,27 @@ def evaluate(inst: Instance, a: Assignment, table: RateTable | None = None) -> S
         feasible=not violations,
         violations=tuple(violations),
     )
+
+
+def _latency_violations(table: RateTable, chain_id: str, clouds: tuple[int, ...],
+                        per_vnf: tuple[float, ...]) -> list[str]:
+    """The latency bounds that the chain's placement on clouds breaks, in
+    VNF order, each without the "chain <id> " prefix."""
+    row = table.row(chain_id)
+    lines = []
+    for n, (k, rate) in enumerate(zip(clouds, per_vnf), start=1):
+        if rate != INFEASIBLE:
+            continue
+        if n == 1 and row.first[table.position[k]] == INFEASIBLE:
+            lines.append(f"VNF 1 at cloud {k}: RRH link exceeds the backward bound")
+        if n < len(clouds):
+            j = clouds[n]
+            if table.split(chain_id, n, k, j)[0] == INFEASIBLE:
+                lines.append(f"split ({n},{n + 1}) across clouds ({k},{j}) "
+                             f"exceeds the forward bound")
+        if n > 1:
+            j = clouds[n - 2]
+            if table.split(chain_id, n - 1, j, k)[1] == INFEASIBLE:
+                lines.append(f"split ({n - 1},{n}) across clouds ({j},{k}) "
+                             f"exceeds the backward bound")
+    return lines

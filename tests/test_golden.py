@@ -4,10 +4,11 @@ Every case runs the CLI in process and compares stdout, stderr and the
 exit code (and, for sweeps, the CSV bytes) with the files recorded in
 tests/data.  The cases cover all five solve methods and their aliases on
 an uncapacitated and on capacity-bound instances, with partial,
-infeasible, over-capacity and budget-exhausted results and a b-first
-split, plus a sweep of all six methods with partial acceptance.  The instance files that
-`vnfplan gen` writes and the LP files of `solve --emit-lp` are pinned by
-length and sha256.
+infeasible, over-capacity and budget-exhausted results, a b-first
+split and latency violations repeated across many chains of one kind,
+plus a sweep of all six methods with partial acceptance.  The instance
+files that `vnfplan gen` writes and the LP files of `solve --emit-lp`
+are pinned by length and sha256.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ INSTANCES = {
     # Eight clouds, edges too small for the eMBB chain: b-first splits it.
     "split": ["--mix", "3", "--seed", "1", "--edge-capacity", "300",
               "--central-capacity", "150"],
+    # Eight clouds, the central one 90 km out: many chains of one kind
+    # repeat the same latency violations, and the fixed baselines overload
+    # clouds.
+    "far": ["--mix", "40", "--central-dist", "90000", "--seed", "2"],
 }
 
 METHODS = ("optimal", "brute", "b-first", "fixed-split", "fixed-service")
@@ -51,6 +56,7 @@ SOLVE_CASES = {
     **{f"small-{m}": ("small", ["--method", m]) for m in METHODS},
     **{f"tight-{m}": ("tight", ["--method", m]) for m in METHODS},
     **{f"split-{m}": ("split", ["--method", m]) for m in ("b-first", "optimal")},
+    **{f"far-{m}": ("far", ["--method", m]) for m in ("fixed-split", "fixed-service")},
 }
 
 SWEEP_ARGS = ["--methods", "optimal,brute,b-first,fixed-split,fixed-service,cran-only",

@@ -67,6 +67,32 @@ def test_whole_chain_goes_to_fullest_fitting_cloud():
     assert res.accepted_ids == ["c0"]
 
 
+def _three_cloud(caps):
+    """Clouds 2, 0, 1, declared in that order, all at the RRH and 20 km apart."""
+    ids = (2, 0, 1)
+    return Infrastructure(
+        clouds=tuple(CloudNode(k, caps[k]) for k in ids),
+        rrh_distances={"r0": {k: 0.0 for k in ids}},
+        cloud_distances={k: {j: 0.0 if j == k else 20000.0 for j in ids} for k in ids},
+    )
+
+
+@pytest.mark.parametrize("caps, expected", [
+    # Clouds 1 and 2 tie on residual capacity: the lower id wins, whatever
+    # the declaration order.
+    ({0: 10000.0, 1: 3000.0, 2: 3000.0}, 1),
+    # The lower id has more residual capacity, so best fit passes it over.
+    ({0: 10000.0, 1: 3000.0, 2: 2999.0}, 2),
+    # Every cloud ties.
+    ({0: 3000.0, 1: 3000.0, 2: 3000.0}, 0),
+])
+def test_whole_fit_ties_go_to_the_lowest_cloud_id(caps, expected):
+    inst = Instance(infra=_three_cloud(caps), chains=(_chain("c0", (1.0, 1.0)),))
+    res = b_first(inst)
+    assert [(e.mode, e.cloud) for e in res.events] == [("whole", expected)]
+    assert res.evaluations == 1
+
+
 def test_split_used_only_when_whole_fails():
     # 2500 + 2500 demand, clouds of 4000 each: no whole placement fits,
     # a split after VNF 1 does.

@@ -143,6 +143,7 @@ def test_parse_rejects_constraint_without_sense(line):
     (" c1: x >= \u0661", "bad right-hand side"),
     (" c1: x >= 1e999", "bad right-hand side"),
     (" c1: 1e999 x - 1e999 y >= 1", "out-of-range number"),
+    (" c1: x < y <= 3", "a '<', '>' or '=' in '<'"),
     (" : x >= 1", "without a name"),
     (" x >= 1", "without a name"),
 ])
@@ -158,6 +159,14 @@ def test_parse_rejects_an_objective_constant():
     with pytest.raises(ValueError, match="objective line with a constant") as err:
         parse_lp_text("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n")
     assert repr(" obj: x + 3") in str(err.value)
+
+
+def test_parse_rejects_a_sense_inside_the_objective():
+    """Read as names, '>=' and 'x<=y' would make variables no LP reader has."""
+    for body in ("x >= y", "x<=y"):
+        with pytest.raises(ValueError, match="objective line with a '<', '>' or '=' in ") as err:
+            parse_lp_text(f"Minimize\n obj: {body}\nSubject To\n c1: x >= 1\nEnd\n")
+        assert repr(f" obj: {body}") in str(err.value)
 
 
 def test_parse_rejects_an_out_of_range_objective_coefficient():
@@ -362,10 +371,32 @@ def test_build_and_parse_leave_the_collector_as_they_found_it(call, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-@pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0"])
+@pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0",
+                                  " 2 = 0", " + = 0", " x-y = 0", " 1e = 0", " = 0"])
 def test_parse_rejects_unsupported_bound(line):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported bound line") as err:
         parse_lp_text(f"Minimize\n obj: x\nBounds\n{line}\nEnd\n")
+    assert repr(line) in str(err.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    (" 2 + x-y 1e", "a number or sign '2'"),
+    (" x +", "a number or sign '+'"),
+    (" x 1.5", "a number or sign '1.5'"),
+    (" x x-y", "a glued sign or exponent in 'x-y'"),
+    (" x 1e", "a glued sign or exponent in '1e'"),
+    (" x<=y", "a '<', '>' or '=' in 'x<=y'"),
+])
+def test_parse_rejects_a_binary_that_is_not_a_name(line, message):
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(f"Minimize\n obj: x\nBinaries\n{line}\nEnd\n")
+    assert str(err.value) == f"binaries line with {message}: {line!r}"
+
+
+def test_parse_shares_one_string_per_name_across_sections():
+    mdl = parse_lp_text("Minimize\n obj: x + 2 y\nBounds\n x = 0\nBinaries\n y x\nEnd\n")
+    assert mdl.binaries == ("y", "x") and mdl.fixed_zero == ("x",)
+    assert mdl.fixed_zero[0] is mdl.binaries[1] is mdl.objective[0][0]
 
 
 # The names emit_lp_text is given by build_ilp: no e, E, sign or space.

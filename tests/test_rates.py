@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from util import (
     chain_hop_distances,
+    eight_cloud_instance,
     rand_instance,
     reference_evaluate,
     solution_bits,
@@ -26,6 +27,7 @@ from vnfplan.rates import (
     EPS_MS,
     INFEASIBLE,
     Assignment,
+    ChainRow,
     RateTable,
     colocated_rate,
     comm_delay_ms,
@@ -529,9 +531,8 @@ def test_evaluate_costs_each_distinct_row_and_placement_once(monkeypatch):
     table = RateTable(inst)
     a = _random_placements(inst, table, random.Random(3))
     calls = []
-    real = RateTable.chain_rates
-    monkeypatch.setattr(RateTable, "chain_rates",
-                        lambda self, cid, clouds: calls.append(cid) or real(self, cid, clouds))
+    real = ChainRow.rates
+    monkeypatch.setattr(ChainRow, "rates", lambda self, at: calls.append(at) or real(self, at))
     evaluate(inst, a, table)
     distinct = {(table.row(c.id).id, a.vectors[c.id]) for c in inst.chains}
     assert len(calls) == len(distinct) < len(inst.chains)
@@ -557,12 +558,73 @@ def test_evaluate_names_the_chain_with_an_unknown_cloud_behind_a_shared_row():
         evaluate(inst, Assignment(vectors), table)
 
 
+def test_evaluate_names_the_chain_with_a_cloud_only_the_table_has():
+    """A table built for more clouds than inst has: vectors on the shared
+    clouds evaluate as the reference does, over inst's clouds only, and a
+    vector naming another cloud of the table is the chain's error."""
+    full = eight_cloud_instance(3, 4480.0)
+    table = RateTable(full)
+    inst = dataclasses.replace(
+        full, infra=dataclasses.replace(full.infra, clouds=full.infra.clouds[:2]))
+    assert inst.infra.cloud_ids() == (0, 1)
+    vectors = {c.id: (1,) * (len(c.vnfs) - 1) + (0,) for c in inst.chains}
+    sol = evaluate(inst, Assignment(vectors), table)
+    assert list(sol.loads) == [0, 1]
+    assert solution_bits(sol) == solution_bits(reference_evaluate(inst, Assignment(vectors), table))
+    last = inst.chains[-1]
+    vectors[last.id] = (1,) * (len(last.vnfs) - 1) + (5,)
+    with pytest.raises(ValueError, match=f"^chain {last.id}: no cloud 5 in the instance$"):
+        evaluate(inst, Assignment(vectors), table)
+
+
 def test_evaluate_names_a_chain_missing_from_the_table():
     inst = build_instance(ScenarioConfig(edge_sites="center", seed=0), size=3)
     vectors = {c.id: (0,) * len(c.vnfs) for c in inst.chains}
     table = RateTable(inst.subset(["c000"]))
     with pytest.raises(ValueError, match="^chain c001: not in the rate table$"):
         evaluate(inst, Assignment(vectors), table)
+
+
+def test_evaluate_reads_the_splits_of_each_infeasible_placement_once(monkeypatch):
+    """Within one call, each distinct (row, placement) with an infeasible
+    rate reads RateTable.split at most twice per VNF, however many chains
+    share it: fixed_split on 800 chains of at most 28 kinds on eight
+    uncapped clouds, the central one 45 km out."""
+    cfg = ScenarioConfig(edge_sites="all", seed=11, central_capacity=1e12,
+                         edge_capacity=1e12)
+    inst = build_instance(cfg, d0_m=45_000.0, size=800)
+    table = RateTable(inst)
+    calls = []
+    real = RateTable.split
+    monkeypatch.setattr(RateTable, "split",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    sol = heuristics.fixed_split(inst, table)
+    infeasible = [c.id for c in inst.chains if INFEASIBLE in sol.rates[c.id]]
+    keys = {(table.row(cid).id, sol.assignment.vectors[cid]) for cid in infeasible}
+    assert (len(infeasible), len(keys), len(sol.violations)) == (266, 7, 540)
+    assert len(calls) <= 2 * sum(len(vector) for _, vector in keys)
+    assert len(calls) == 28
+
+
+def test_chains_sharing_an_infeasible_placement_keep_their_own_ids():
+    """The central cloud 90 km out breaks the fixed split of many chains of
+    one kind: each chain's violations carry its own id, in chain order, and
+    chains of one row and placement report the same violations."""
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=2), d0_m=90_000.0, size=40)
+    table = RateTable(inst)
+    sol = heuristics.fixed_split(inst, table)
+    latency = [line.split(" ", 2)[1:] for line in sol.violations if line.startswith("chain ")]
+    order = [c.id for c in inst.chains]
+    assert [cid for cid, _ in latency] == sorted((cid for cid, _ in latency), key=order.index)
+    reported: dict[str, list[str]] = {}
+    for cid, what in latency:
+        reported.setdefault(cid, []).append(what)
+    by_key: dict[tuple, list[str]] = {}
+    for cid, whats in reported.items():
+        key = (table.row(cid).id, sol.assignment.vectors[cid])
+        assert by_key.setdefault(key, whats) == whats
+    assert len(by_key) < len(reported)
+    assert solution_bits(sol) == solution_bits(reference_evaluate(inst, sol.assignment, table))
 
 
 def _count_split_penalty_calls(monkeypatch):
