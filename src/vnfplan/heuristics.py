@@ -138,15 +138,23 @@ def _fixed(inst: Instance, table: RateTable | None,
            clouds_of: Callable[[ChainRequest, int], tuple[int, ...]]) -> Solution:
     """Evaluate the placement clouds_of(chain, edge) of every chain, where
     edge is the nearest edge cloud of the chain's RRH, lowest id on ties,
-    or the central cloud 0 when there is no edge cloud."""
-    if 0 not in inst.infra.cloud_ids():
+    or the central cloud 0 when there is no edge cloud.  clouds_of reads
+    only the chain's service and VNF count, so it runs once per distinct
+    (service, VNF count, edge)."""
+    clouds = inst.infra.cloud_ids()
+    if 0 not in clouds:
         raise ValueError("fixed baselines need a central cloud with id 0")
     table = rate_table(inst, table)
-    edges = [k for k in inst.infra.cloud_ids() if k != 0]
+    edges = [k for k in clouds if k != 0]
     dist = inst.infra.rrh_dist
     nearest = {rrh: min(edges, key=lambda k: (dist(rrh, k), k), default=0)
                for rrh in {chain.rrh for chain in inst.chains}}
-    vectors = {chain.id: clouds_of(chain, nearest[chain.rrh]) for chain in inst.chains}
+    vectors, made = {}, {}      # made: (id of service, VNF count, edge) -> vector
+    for chain in inst.chains:
+        key = (id(chain.service), len(chain.vnfs), nearest[chain.rrh])
+        if key not in made:
+            made[key] = clouds_of(chain, key[2])
+        vectors[chain.id] = made[key]
     return evaluate(inst, Assignment(vectors), table)
 
 

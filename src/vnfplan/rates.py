@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .model import ChainRequest, Infrastructure, Instance, check_instance
+from .model import Infrastructure, Instance, check_instance
 
 INFEASIBLE = math.inf
 
@@ -94,12 +94,91 @@ class Solution:
     violations: tuple[str, ...]
 
 
+class RowBody:
+    """What the rows of one VNF list share (see ChainRow): vnfs, colo,
+    demand, children[n] for n >= 2 (None below; children[2] lacks the
+    head's forward penalty), cheapest_first[n] for n >= 3 and walk(p),
+    the zero-slack positions of VNFs 3, 4, ... after VNF 2 at the p-th
+    cloud.  Each is built on first read."""
+
+    def __init__(self, vnfs: tuple, delays: list[float], length_of: list[list[int | None]]):
+        self.vnfs, self.delays, self.length_of = vnfs, delays, length_of
+        self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in vnfs]
+        self.demand = sum(self.colo)
+        self._walks: dict[int, tuple[int, ...]] = {}
+
+    def penalty(self, n: int, forward: bool, c: int, base: float) -> float:
+        """VNF n's penalty across a link of the c-th length (see split)."""
+        vnf = self.vnfs[n - 1]
+        return split_penalty(vnf.gflops, vnf.fwd_ms if forward else vnf.bwd_ms,
+                             self.delays[c], base)
+
+    def per_length(self, n: int, forward: bool, base: float) -> list[float]:
+        return [self.penalty(n, forward, c, base) for c in range(len(self.delays))]
+
+    def options(self, n: int, fwd: list[list[float]]) -> list[list[tuple]]:
+        """children[n], n >= 2, with fwd[p][c] the forward penalty on VNF
+        n-1 at the p-th cloud across a link of the c-th length."""
+        length_of = self.length_of
+        colo = self.colo[n - 1]
+        bwd = self.per_length(n, False, colo)
+        by_prev = []
+        for p, pen_fwd in enumerate(fwd):
+            options = []
+            for i, back in enumerate(length_of):
+                if i == p:
+                    options.append((i, colo, 0.0, 0.0))
+                    continue
+                pen_bwd = bwd[back[p]]
+                pen_fwd_prev = pen_fwd[length_of[p][i]]
+                if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
+                    options.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
+                else:
+                    options.append((i, colo + pen_bwd, pen_bwd, pen_fwd_prev))
+            by_prev.append(options)
+        return by_prev
+
+    @cached_property
+    def children(self) -> list:
+        K, N = len(self.length_of), len(self.vnfs)
+        return [None, None] + [
+            self.options(n, [self.per_length(n - 1, True, self.colo[n - 2]) if n > 2
+                             else [0.0] * len(self.delays)] * K)
+            for n in range(2, N + 1)]
+
+    @cached_property
+    def cheapest_first(self) -> list:
+        return [None] * 3 + [_cheapest(by_prev) for by_prev in self.children[3:]]
+
+    def step(self, n: int, p: int, base: float) -> int:
+        """The zero-slack position of VNF n+1 after VNF n, of base rate
+        base, at the p-th cloud (see ChainRow.zero_slack)."""
+        length_of = self.length_of
+        for i in range(len(length_of)):
+            if i == p or (self.penalty(n, True, length_of[p][i], base) == 0.0 and
+                          self.penalty(n + 1, False, length_of[i][p], self.colo[n]) == 0.0):
+                return i
+
+    def walk(self, p: int) -> tuple[int, ...]:
+        if p not in self._walks:
+            path = [p]
+            for n in range(2, len(self.vnfs)):
+                path.append(self.step(n, path[-1], self.colo[n - 1]))
+            self._walks[p] = tuple(path[1:])
+        return self._walks[p]
+
+
+def _cheapest(by_prev: list[list[tuple]]) -> list[list[tuple]]:
+    return [sorted(options, key=lambda c: (c[1] + c[3], c[0])) for options in by_prev]
+
+
 class ChainRow:
     """Rate data of one distinct (RRH, VNF list) chain signature, shared by
     every chain of that signature (see RateTable.row).  Callers read these
     fields as read-only; p and i are cloud positions in RateTable.cloud_ids.
 
     - id: the row's number, 0, 1, ... in first-seen order.
+    - body: the RowBody of the VNF list.
     - colo[n - 1]: the co-located rate of VNF n.
     - first[p]: the head's base rate at the p-th cloud, INFEASIBLE where
       the RRH link breaks its backward bound.
@@ -119,49 +198,34 @@ class ChainRow:
       after VNF n at the p-th cloud, VNF n+1 goes to the first position i,
       ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
-    The head and co-located rates are computed at once; children,
-    cheapest_first and zero_slack on first read, and each split penalty
-    (see split) where it is read.  A penalty depends on its link only
-    through the link's length (see RateTable), so children computes one
-    per VNF, direction and link length, and per head cloud for the head's
-    forward penalties.
+    Only the head depends on the RRH, so the rows of one VNF list share
+    their body, read-only: colo, demand, children[n] and cheapest_first[n]
+    for n >= 3 and the zero-slack path after VNF 2.  A row computes first
+    at once, the rest on first read, and each split penalty (see split)
+    where it is read.  A penalty depends on its link only through the
+    link's length (see RateTable), so children computes one per VNF,
+    direction and link length, and per head cloud for the head's forward
+    penalties.
     """
 
-    def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...],
-                 delays: list[float], length_of: list[list[int | None]],
-                 chain: ChainRequest, row_id: int):
+    def __init__(self, infra: Infrastructure, cloud_ids: tuple[int, ...], body: RowBody,
+                 rrh: str, row_id: int):
         self.id = row_id
-        self._delays = delays
-        self._length_of = length_of
-        self._vnfs = chain.vnfs
-        self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in chain.vnfs]
-        head = chain.vnfs[0]
+        self.body = body
+        self.colo = body.colo
+        self.demand = body.demand
+        head = body.vnfs[0]
         self.first = [first_vnf_rate(head.gflops, head.fwd_ms, head.bwd_ms,
-                                     infra.rrh_dist(chain.rrh, k), infra.fiber_speed)
+                                     infra.rrh_dist(rrh, k), infra.fiber_speed)
                       for k in cloud_ids]
-        self.demand = sum(self.colo)
-
-    def _penalty(self, n: int, forward: bool, p: int, c: int) -> float:
-        """The penalty on VNF n at the p-th cloud when VNF n+1 (forward) or
-        VNF n-1 (backward) sits across a link of the c-th length."""
-        vnf = self._vnfs[n - 1]
-        return split_penalty(vnf.gflops, vnf.fwd_ms if forward else vnf.bwd_ms,
-                             self._delays[c],
-                             self.first[p] if forward and n == 1 else self.colo[n - 1])
 
     @cached_property
     def zero_slack(self) -> tuple[int, ...]:
-        length_of, penalty = self._length_of, self._penalty
         p = self.first.index(min(self.first))
-        path = [p]
-        for n in range(1, len(self._vnfs)):
-            for i in range(len(length_of)):
-                if i == p or (penalty(n, True, p, length_of[p][i]) == 0.0
-                              and penalty(n + 1, False, i, length_of[i][p]) == 0.0):
-                    break
-            path.append(i)
-            p = i
-        return tuple(path)
+        if len(self.colo) == 1:
+            return (p,)
+        i = self.body.step(1, p, self.first[p])
+        return (p, i, *self.body.walk(i))
 
     def rates(self, at: Sequence[int]) -> list[float]:
         """Rate of every VNF of a chain of this row placed at the cloud
@@ -179,52 +243,32 @@ class ChainRow:
         """The split after VNF n, with VNF n at the p-th cloud and VNF n+1
         at the i-th, p != i: (forward penalty on VNF n, backward penalty on
         VNF n+1)."""
-        length_of = self._length_of
-        return (self._penalty(n, True, p, length_of[p][i]),
-                self._penalty(n + 1, False, i, length_of[i][p]))
+        body, colo = self.body, self.colo
+        return (body.penalty(n, True, body.length_of[p][i],
+                             self.first[p] if n == 1 else colo[n - 1]),
+                body.penalty(n + 1, False, body.length_of[i][p], colo[n]))
 
     @cached_property
     def children(self) -> list[list[list[tuple[int, float, float, float]]]]:
-        length_of = self._length_of
-        positions = range(len(length_of))
-
-        def per_length(n: int, forward: bool, p: int = 0) -> list[float]:
-            return [self._penalty(n, forward, p, c) for c in range(len(self._delays))]
-
+        body = self.body
         head = [(i, first, 0.0, 0.0) for i, first in enumerate(self.first)]
-        children = [[], [head] * len(length_of)]
-        for n in range(2, len(self._vnfs) + 1):
-            colo, bwd = self.colo[n - 1], per_length(n, False)
-            fwd = ([per_length(1, True, p) for p in positions] if n == 2
-                   else [per_length(n - 1, True)] * len(length_of))
-            by_prev = []
-            for p in positions:
-                options = []
-                for i in positions:
-                    if i == p:
-                        options.append((i, colo, 0.0, 0.0))
-                        continue
-                    pen_bwd = bwd[length_of[i][p]]
-                    pen_fwd_prev = fwd[p][length_of[p][i]]
-                    if pen_bwd == INFEASIBLE or pen_fwd_prev == INFEASIBLE:
-                        options.append((i, INFEASIBLE, INFEASIBLE, INFEASIBLE))
-                    else:
-                        options.append((i, colo + pen_bwd, pen_bwd, pen_fwd_prev))
-                by_prev.append(options)
-            children.append(by_prev)
-        return children
+        children = [[], [head] * len(self.first)]
+        if len(self.colo) > 1:
+            fwd = [body.per_length(1, True, first) for first in self.first]
+            children.append(body.options(2, fwd))
+        return children + body.children[3:]
 
     @cached_property
     def cheapest_first(self) -> list[list[list[tuple[int, float, float, float]]]]:
-        return [[sorted(options, key=lambda c: (c[1] + c[3], c[0])) for options in by_prev]
-                for by_prev in self.children]
+        return [[], *map(_cheapest, self.children[1:3]), *self.body.cheapest_first[3:]]
 
 
 class RateTable:
     """Precomputed per-instance rate data, shared read-only by all solvers.
 
     One ChainRow per distinct chain signature (RRH, VNF list); row(chain
-    id) returns it, and split reads its penalties by cloud id.  cloud_ids
+    id) returns it, and split reads its penalties by cloud id.  The rows
+    of one VNF list, found by equality, share one RowBody.  cloud_ids
     lists the clouds by position, and position[k] is the position of cloud
     id k; both are read-only.  The rows share length_of: length_of[p][i]
     is the index, among the distinct link lengths, of
@@ -241,21 +285,23 @@ class RateTable:
                       for j in self.cloud_ids] for k in self.cloud_ids]
         # One-way delay of each link length, in the order of its index.
         delays = [comm_delay_ms(d, infra.fiber_speed) for d in index]
-        rows: dict[tuple, ChainRow] = {}
-        # Chains that hold one VNF tuple share its row without hashing every
-        # VnfSpec in it; equal tuples still meet in rows.
-        by_tuple: dict[tuple[str, int], ChainRow] = {}
+        bodies: dict[tuple, RowBody] = {}
+        # Chains that hold one VNF tuple share its body without hashing
+        # every VnfSpec in it; equal tuples still meet in bodies.
+        by_tuple: dict[int, RowBody] = {}
+        rows: dict[tuple[str, RowBody], ChainRow] = {}
         self._rows: dict[str, ChainRow] = {}
         for chain in inst.chains:
-            key = (chain.rrh, id(chain.vnfs))
-            row = by_tuple.get(key)
+            body = by_tuple.get(id(chain.vnfs))
+            if body is None:
+                body = bodies.get(chain.vnfs)
+                if body is None:
+                    body = bodies[chain.vnfs] = RowBody(chain.vnfs, delays, length_of)
+                by_tuple[id(chain.vnfs)] = body
+            row = rows.get((chain.rrh, body))
             if row is None:
-                signature = (chain.rrh, chain.vnfs)
-                row = rows.get(signature)
-                if row is None:
-                    row = ChainRow(infra, self.cloud_ids, delays, length_of, chain, len(rows))
-                    rows[signature] = row
-                by_tuple[key] = row
+                row = rows[chain.rrh, body] = ChainRow(infra, self.cloud_ids, body, chain.rrh,
+                                                       len(rows))
             self._rows[chain.id] = row
 
     def row(self, chain_id: str) -> ChainRow:

@@ -356,7 +356,16 @@ def _priced_bound(rows, variables, caps, target, max_nodes):
     for _ in range(steps):
         mult = [1.0 + x for x in lam]
         loads = [0.0] * K
-        tables = {row: _priced_row(row, mult, loads, count) for row, count in rows.items()}
+        # RowBody -> its rows' rest[n] for n >= 2 and walk moves.  Without
+        # the head's forward penalty, rest[2] is finite where a row's is not,
+        # but agrees wherever the row reads it: after a feasible choice.
+        bodies, tables = {}, {}
+        for row, count in rows.items():
+            if row.body not in bodies:
+                N = len(row.colo)
+                shared = [None] * N + [[[0.0] * K] * K]
+                bodies[row.body] = _priced_rest(row.body.children, mult, shared, N - 1, 2), {}
+            tables[row] = _priced_row(row, *bodies[row.body], mult, loads, count)
         total = sum(count * tables[row][1] for row, count in rows.items())
         credit = sum(x * c for x, c in zip(lam, caps) if x)
         bound = total - credit
@@ -383,23 +392,11 @@ def _priced_bound(rows, variables, caps, target, max_nodes):
     return mult, rest, later, bound
 
 
-def _priced_row(row, mult, loads, count):
-    """The priced pair-state DP of one ChainRow.
-
-    VNF n's choices are row.children[n], and a rate at cloud index k
-    costs mult[k].  Rate n is the co-located rate plus the larger of the
-    forward and backward penalty, so the state is the clouds of VNFs n-1
-    and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
-    still to come when VNF n-1 sits at j and VNF n at k, beyond VNF n's
-    self rate (what its forward penalty adds, then VNFs n+1 onward);
-    least is the chain's priced minimum.  count times the loads of a
-    placement that attains least are added to loads.
-    """
-    children = row.children
-    K, N = len(mult), len(children) - 1
-    rest: list = [None] * (N + 1)
-    rest[N] = [[0.0] * K] * K
-    for n in range(N - 1, 0, -1):
+def _priced_rest(children, mult, rest, high, low):
+    """rest, with rest[n] for n from high down to low filled in from
+    children and rest[n + 1] (see _priced_row)."""
+    K = len(mult)
+    for n in range(high, low - 1, -1):
         after, nxt = rest[n + 1], children[n + 1]
         # opts[k]: VNF n+1's choices when VNF n sits at k, as (forward
         # penalty on VNF n, priced cost of VNF n+1 onward).
@@ -422,6 +419,26 @@ def _priced_row(row, mult, loads, count):
                 costs.append(least)
             table.append(costs)
         rest[n] = table * K if n == 1 else table
+    return rest
+
+
+def _priced_row(row, shared, moves, mult, loads, count):
+    """The priced pair-state DP of one ChainRow.
+
+    VNF n's choices are row.children[n], and a rate at cloud index k
+    costs mult[k].  Rate n is the co-located rate plus the larger of the
+    forward and backward penalty, so the state is the clouds of VNFs n-1
+    and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
+    still to come when VNF n-1 sits at j and VNF n at k, beyond VNF n's
+    self rate (what its forward penalty adds, then VNFs n+1 onward);
+    least is the chain's priced minimum.  count times the loads of a
+    placement that attains least are added to loads.  shared holds the
+    rest[n] for n >= 2 and moves the walk's moves after VNF 2 that the
+    rows of row.body share at these prices.
+    """
+    children = row.children
+    N = len(children) - 1
+    rest = _priced_rest(children, mult, [None, *shared[1:]], min(1, N - 1), 1)
     least, k, b = INFEASIBLE, 0, 0.0
     for i, rate, _, _ in children[1][0]:
         if mult[i] * rate + rest[1][0][i] < least:
@@ -429,11 +446,16 @@ def _priced_row(row, mult, loads, count):
     loads[k] += count * rate_k
     # Walk a placement that attains least, for the subgradient.
     for n in range(1, N):
-        m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
-        for i, rate, pen_bwd, f in children[n + 1][k]:
-            c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
-            if c < best:
-                best, l, rate_l, b_l, inc = c, i, rate, pen_bwd, max(f - b, 0.0)
+        move = moves.get((n, k, b))
+        if move is None:
+            m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
+            for i, rate, pen_bwd, f in children[n + 1][k]:
+                c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
+                if c < best:
+                    best, move = c, (i, rate, pen_bwd, max(f - b, 0.0))
+            if n > 1:
+                moves[n, k, b] = move
+        l, rate_l, b_l, inc = move
         loads[k] += count * inc
         loads[l] += count * rate_l
         k, b = l, b_l

@@ -170,6 +170,48 @@ def test_validate_reports_each_rrh_once():
     ]
 
 
+def test_validate_repeats_shared_problems_at_every_chain():
+    """A VNF tuple or service that several chains share is checked once,
+    but its problems are reported at every chain that names it, in chain
+    order: a VNF problem under each chain's id, a service problem as is."""
+    infra = Infrastructure(clouds=(CloudNode(0, 100.0),), rrh_distances={"r0": {0: 0.0}},
+                           cloud_distances={0: {0: 0.0}})
+    bad_vnfs = (VnfSpec(1.0, 1.0, 1.0), VnfSpec(-2.0, 0.0, math.nan))
+    good_vnfs = (VnfSpec(1.0, 1.0, 1.0),)
+    bad = ServiceClass("URLLC", rb=0, mcs_dl=29, mcs_ul=3, latency_profile=(1.0, -1.0))
+    good = ServiceClass("eMBB", rb=1, mcs_dl=3, mcs_ul=3, latency_profile=(1.0,))
+    chains = (
+        ChainRequest("a", bad, "r0", bad_vnfs),
+        ChainRequest("b", good, "r0", good_vnfs),
+        ChainRequest("c", bad, "r0", bad_vnfs),
+        ChainRequest("d", None, "r0", bad_vnfs[:1] + bad_vnfs[1:]),
+        ChainRequest("a", bad, "zz", good_vnfs),
+    )
+    assert chains[3].vnfs == bad_vnfs and chains[3].vnfs is not bad_vnfs
+    assert validate_instance(Instance(infra=infra, chains=chains)) == [
+        "chain a VNF 2 demand is negative",
+        "chain a VNF 2 forward bound must be positive",
+        "chain a VNF 2 backward bound must be positive",
+        "service URLLC: rb must be at least 1",
+        "service URLLC: mcs_dl out of range 0..28",
+        "service URLLC: latency profile entries must be positive",
+        "chain c VNF 2 demand is negative",
+        "chain c VNF 2 forward bound must be positive",
+        "chain c VNF 2 backward bound must be positive",
+        "service URLLC: rb must be at least 1",
+        "service URLLC: mcs_dl out of range 0..28",
+        "service URLLC: latency profile entries must be positive",
+        "chain d VNF 2 demand is negative",
+        "chain d VNF 2 forward bound must be positive",
+        "chain d VNF 2 backward bound must be positive",
+        "duplicate chain id a",
+        "chain a references unknown RRH zz",
+        "service URLLC: rb must be at least 1",
+        "service URLLC: mcs_dl out of range 0..28",
+        "service URLLC: latency profile entries must be positive",
+    ]
+
+
 def test_validate_rejects_distances_to_unknown_clouds():
     """An RRH row may not name a cloud the infrastructure does not hold;
     each extra cloud is reported once, in sorted order, and every library

@@ -361,6 +361,43 @@ def test_shared_rows_match_single_chain_tables():
     assert table.row("a").demand != table.row("d").demand
 
 
+def _row_fields(row):
+    return (row.colo, row.demand, row.first, row.children, row.cheapest_first, row.zero_slack)
+
+
+def test_rows_of_one_vnf_list_share_their_body_invisibly(tmp_path):
+    """Rows that differ only in the RRH share everything after the head:
+    the same lists, and the same values as each chain's row in a table of
+    its own.  Both ladder layouts of the benchmark, and random instances."""
+    insts = [build_instance(ScenarioConfig(edge_sites=sites, seed=rep), d0_m=45000.0, size=size)
+             for sites in ("center", "all") for size in (5, 7, 9, 11) for rep in range(3)]
+    rng = random.Random(31)
+    insts += [rand_instance(rng, max_chains=4, max_vnfs=5, num_edges=rng.choice([1, 2, 3]))
+              for _ in range(40)]
+    save_instance(tmp_path / "inst.yaml", insts[23])
+    insts.append(load_instance(tmp_path / "inst.yaml"))
+    shared = 0
+    for inst in insts:
+        table = RateTable(inst)
+        by_list: dict[tuple, list] = {}
+        for chain in inst.chains:
+            row = table.row(chain.id)
+            alone = RateTable(Instance(inst.infra, (chain,))).row(chain.id)
+            assert _row_fields(row) == _row_fields(alone), chain.id
+            by_list.setdefault(chain.vnfs, {})[row.id] = row
+        for rows in by_list.values():
+            a, *others = rows.values()
+            for b in others:
+                assert b.body is a.body and b.colo is a.colo
+                for n in range(3, len(a.colo) + 1):
+                    assert b.children[n] is a.children[n]
+                    assert b.cheapest_first[n] is a.cheapest_first[n]
+                shared += len(a.colo) > 2
+    # The 24 ladder tables hold 178 rows of 96 VNF lists, and the loaded
+    # copy of the last one 9 rows of 4.
+    assert shared >= 82 + 5
+
+
 def test_rate_table_penalties_match_direct_formula():
     # Three or four clouds with repeated link lengths, so penalties that
     # a row computes once per length land on every pair of that length,
@@ -675,6 +712,7 @@ def test_root_settled_solve_builds_no_penalty_lists():
     assert (res.status, res.nodes) == ("optimal", 0)
     for row in {table.row(chain.id) for chain in inst.chains}:
         assert not vars(row).keys() & {"children", "cheapest_first"}
+        assert not vars(row.body).keys() & {"children", "cheapest_first"}
 
 
 def test_zero_slack_path_crosses_a_link_and_evaluates_to_the_optimum():

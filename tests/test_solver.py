@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -790,8 +791,109 @@ def test_search_matches_golden_corpus():
         assert results[case] == expected, case
 
 
+def test_priced_bound_is_the_same_with_shared_bodies():
+    """Rows of one VNF list share their priced tables after VNF 2 and
+    their walk moves; the bound matches the one priced from rows that
+    share nothing, bit for bit.  Random instances whose chains all hold
+    one VNF list at RRHs of their own, so head rates differ by row."""
+    rng = random.Random(8)
+    priced = 0
+    for _ in range(400):
+        inst = rand_instance(rng, max_chains=4, max_vnfs=5, num_edges=rng.choice([1, 2, 3]))
+        vnfs = max((chain.vnfs for chain in inst.chains), key=len)
+        inst = Instance(inst.infra, tuple(dataclasses.replace(chain, vnfs=vnfs)
+                                          for chain in inst.chains))
+        table = RateTable(inst)
+        variables = [(table.row(chain.id), n) for chain in heuristics.packing_order(inst, table)
+                     for n in range(1, len(chain.vnfs) + 1)]
+        rows = Counter(row for row, n in variables if n == 1)
+        if any(min(row.first) == INFEASIBLE for row in rows):
+            continue    # solve_optimal stops before its bounds
+        # The same rows, each from a table of its own, so with a body of its own.
+        alone = {table.row(chain.id): RateTable(Instance(inst.infra, (chain,))).row(chain.id)
+                 for chain in inst.chains}
+        caps = [inst.infra.capacity(k) + CAP_TOL for k in table.cloud_ids]
+        target = 1.5 * sum(min(row.first) + sum(row.colo[1:]) for row in rows.elements())
+        mult, rest, later, bound = solver._priced_bound(rows, variables, caps, target, 10**9)
+        own = solver._priced_bound(Counter({alone[row]: count for row, count in rows.items()}),
+                                   [(alone[row], n) for row, n in variables], caps, target, 10**9)
+        priced += max(mult) > 1.0
+        assert (mult, later, bound) == (own[0], own[2], own[3])
+        assert _readable(variables, rest) == _readable(variables, own[1])
+    assert priced > 50
+
+
+def _readable(variables, rest):
+    """_priced_bound's rest where the search can read it: rest[t][j][k]
+    where variable t has a feasible child k after cloud j, else None."""
+    return [[[x if row.children[n][j][k][1] != INFEASIBLE else None for k, x in enumerate(by_k)]
+             for j, by_k in enumerate(table)] for (row, n), table in zip(variables, rest)]
+
+
+# The root bounds of the 12 center-layout instances of the benchmark's
+# quality ladder (S 5/7/9/11, scenario seeds 0-2, d0 45 km) at a 20k-node
+# budget, as float.hex: each _knapsack_bound value and each
+# _priced_bound (mult, later, bound) that solve_optimal computes, with a
+# sha256 of the entries of the priced tables rest that the search can read
+# (see _readable).  best_bound is only their max, so the search corpus
+# above could hide a changed bound.
+GOLDEN_ROOT_BOUNDS = Path(__file__).resolve().parent / "data" / "golden_root_bounds.json"
+
+
+def _hex(value):
+    if isinstance(value, (list, tuple)):
+        return [_hex(x) for x in value]
+    return None if value is None else float.hex(value)
+
+
+def golden_root_bounds(monkeypatch) -> dict:
+    calls: list = []
+    knapsack, priced = solver._knapsack_bound, solver._priced_bound
+
+    def record_knapsack(*args):
+        bound = knapsack(*args)
+        calls.append({"knapsack": _hex(bound)})
+        return bound
+
+    def record_priced(*args):
+        out = priced(*args)
+        if out is None:
+            calls.append({"priced": None})
+        else:
+            mult, rest, later, bound = out
+            digest = hashlib.sha256(repr(_hex(_readable(args[1], rest))).encode()).hexdigest()
+            calls.append({"priced": {"mult": _hex(mult), "later": _hex(later),
+                                     "bound": _hex(bound), "rest_sha256": digest}})
+        return out
+
+    monkeypatch.setattr(solver, "_knapsack_bound", record_knapsack)
+    monkeypatch.setattr(solver, "_priced_bound", record_priced)
+    results = {}
+    for size in (5, 7, 9, 11):
+        for rep in range(3):
+            inst = build_instance(ScenarioConfig(edge_sites="center", seed=rep),
+                                  d0_m=45_000.0, size=size)
+            calls.clear()
+            solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+            results[f"center-S{size}-seed{rep}"] = list(calls)
+    monkeypatch.undo()
+    return results
+
+
+def test_root_bounds_match_golden(monkeypatch):
+    golden = json.loads(GOLDEN_ROOT_BOUNDS.read_text(encoding="utf-8"))
+    assert golden_root_bounds(monkeypatch) == golden
+    assert any(call.get("priced") for calls in golden.values() for call in calls)
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record-golden-search"]:
     # Rewrites the corpus; run as
     #   PYTHONPATH=src:tests python tests/test_solver.py --record-golden-search
     GOLDEN_SEARCH.write_text(json.dumps(golden_search_results(), indent=0, sort_keys=True)
                              + "\n", encoding="utf-8")
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record-root-bounds"]:
+    # Rewrites the root bounds; run as
+    #   PYTHONPATH=src:tests python tests/test_solver.py --record-root-bounds
+    GOLDEN_ROOT_BOUNDS.write_text(json.dumps(golden_root_bounds(pytest.MonkeyPatch()), indent=0,
+                                             sort_keys=True) + "\n", encoding="utf-8")
