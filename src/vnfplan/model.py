@@ -221,8 +221,6 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"RRH {rrh} has a distance to unknown cloud {k}")
 
     seen_chain_ids: set[str] = set()
-    # id of a VNF tuple or service -> its problems (a tuple's without "chain <id> ")
-    checked: dict[int, list[str]] = {}
     for chain in inst.chains:
         if chain.id in seen_chain_ids:
             problems.append(f"duplicate chain id {chain.id}")
@@ -231,30 +229,24 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"chain {chain.id} has no VNFs")
         if chain.rrh not in infra.rrh_distances:
             problems.append(f"chain {chain.id} references unknown RRH {chain.rrh}")
-        if id(chain.vnfs) not in checked:
-            checked[id(chain.vnfs)] = found = []
-            for n, vnf in enumerate(chain.vnfs, start=1):
-                if vnf.gflops < 0:
-                    found.append(f"VNF {n} demand is negative")
-                elif not math.isfinite(vnf.gflops):
-                    found.append(f"VNF {n} demand is not finite")
-                if not vnf.fwd_ms > 0:
-                    found.append(f"VNF {n} forward bound must be positive")
-                if not vnf.bwd_ms > 0:
-                    found.append(f"VNF {n} backward bound must be positive")
-        problems += [f"chain {chain.id} {line}" for line in checked[id(chain.vnfs)]]
+        for n, vnf in enumerate(chain.vnfs, start=1):
+            if vnf.gflops < 0:
+                problems.append(f"chain {chain.id} VNF {n} demand is negative")
+            elif not math.isfinite(vnf.gflops):
+                problems.append(f"chain {chain.id} VNF {n} demand is not finite")
+            if not vnf.fwd_ms > 0:
+                problems.append(f"chain {chain.id} VNF {n} forward bound must be positive")
+            if not vnf.bwd_ms > 0:
+                problems.append(f"chain {chain.id} VNF {n} backward bound must be positive")
         svc = chain.service
         if svc is not None:
-            if id(svc) not in checked:
-                checked[id(svc)] = found = []
-                if svc.rb < 1:
-                    found.append(f"service {svc.name}: rb must be at least 1")
-                for label, mcs in (("dl", svc.mcs_dl), ("ul", svc.mcs_ul)):
-                    if not 0 <= mcs <= 28:
-                        found.append(f"service {svc.name}: mcs_{label} out of range 0..28")
-                if any(not entry > 0 for entry in svc.latency_profile):
-                    found.append(f"service {svc.name}: latency profile entries must be positive")
-            problems += checked[id(svc)]
+            if svc.rb < 1:
+                problems.append(f"service {svc.name}: rb must be at least 1")
+            for label, mcs in (("dl", svc.mcs_dl), ("ul", svc.mcs_ul)):
+                if not 0 <= mcs <= 28:
+                    problems.append(f"service {svc.name}: mcs_{label} out of range 0..28")
+            if any(not entry > 0 for entry in svc.latency_profile):
+                problems.append(f"service {svc.name}: latency profile entries must be positive")
 
     return problems
 

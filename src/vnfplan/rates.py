@@ -96,16 +96,13 @@ class Solution:
 
 class RowBody:
     """What the rows of one VNF list share (see ChainRow): vnfs, colo,
-    demand, children[n] for n >= 2 (None below; children[2] lacks the
-    head's forward penalty), cheapest_first[n] for n >= 3 and walk(p),
-    the zero-slack positions of VNFs 3, 4, ... after VNF 2 at the p-th
-    cloud.  Each is built on first read."""
+    demand, and children[n] and cheapest_first[n] for n >= 3 (None below),
+    both built on first read."""
 
     def __init__(self, vnfs: tuple, delays: list[float], length_of: list[list[int | None]]):
         self.vnfs, self.delays, self.length_of = vnfs, delays, length_of
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in vnfs]
         self.demand = sum(self.colo)
-        self._walks: dict[int, tuple[int, ...]] = {}
 
     def penalty(self, n: int, forward: bool, c: int, base: float) -> float:
         """VNF n's penalty across a link of the c-th length (see split)."""
@@ -117,8 +114,9 @@ class RowBody:
         return [self.penalty(n, forward, c, base) for c in range(len(self.delays))]
 
     def options(self, n: int, fwd: list[list[float]]) -> list[list[tuple]]:
-        """children[n], n >= 2, with fwd[p][c] the forward penalty on VNF
-        n-1 at the p-th cloud across a link of the c-th length."""
+        """ChainRow.children[n], n >= 2, with fwd[p][c] the forward
+        penalty on VNF n-1 at the p-th cloud across a link of the c-th
+        length."""
         length_of = self.length_of
         colo = self.colo[n - 1]
         bwd = self.per_length(n, False, colo)
@@ -140,11 +138,9 @@ class RowBody:
 
     @cached_property
     def children(self) -> list:
-        K, N = len(self.length_of), len(self.vnfs)
-        return [None, None] + [
-            self.options(n, [self.per_length(n - 1, True, self.colo[n - 2]) if n > 2
-                             else [0.0] * len(self.delays)] * K)
-            for n in range(2, N + 1)]
+        K = len(self.length_of)
+        return [None] * 3 + [self.options(n, [self.per_length(n - 1, True, self.colo[n - 2])] * K)
+                             for n in range(3, len(self.vnfs) + 1)]
 
     @cached_property
     def cheapest_first(self) -> list:
@@ -158,14 +154,6 @@ class RowBody:
             if i == p or (self.penalty(n, True, length_of[p][i], base) == 0.0 and
                           self.penalty(n + 1, False, length_of[i][p], self.colo[n]) == 0.0):
                 return i
-
-    def walk(self, p: int) -> tuple[int, ...]:
-        if p not in self._walks:
-            path = [p]
-            for n in range(2, len(self.vnfs)):
-                path.append(self.step(n, path[-1], self.colo[n - 1]))
-            self._walks[p] = tuple(path[1:])
-        return self._walks[p]
 
 
 def _cheapest(by_prev: list[list[tuple]]) -> list[list[tuple]]:
@@ -189,7 +177,8 @@ class ChainRow:
       on VNF n-1) tuple per cloud in ascending id order.  The self rate is
       the co-located rate plus the backward penalty, INFEASIBLE where the
       split breaks a latency bound.  The head's entries do not depend on
-      p: (i, first[i], 0, 0).
+      p: one list of (i, first[i], 0, 0) serves every p, in children and,
+      sorted once, in cheapest_first.
     - cheapest_first[n]: the search's choices for VNF n: children[n] with
       each list [p] sorted by the cost of a choice, its self rate plus its
       forward penalty on VNF n-1, then by i; INFEASIBLE choices come last.
@@ -199,11 +188,12 @@ class ChainRow:
       ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
     Only the head depends on the RRH, so the rows of one VNF list share
-    their body, read-only: colo, demand, children[n] and cheapest_first[n]
-    for n >= 3 and the zero-slack path after VNF 2.  A row computes first
-    at once, the rest on first read, and each split penalty (see split)
-    where it is read.  A penalty depends on its link only through the
-    link's length (see RateTable), so children computes one per VNF,
+    their body, read-only: colo, demand, and children[n] and
+    cheapest_first[n] for n >= 3.  A row computes first at once and the
+    rest on first read; zero_slack walks its steps through RowBody.step,
+    which computes only the penalties it tests, and split computes each
+    penalty where it is read.  A penalty depends on its link only through
+    the link's length (see RateTable), so children computes one per VNF,
     direction and link length, and per head cloud for the head's forward
     penalties.
     """
@@ -221,11 +211,12 @@ class ChainRow:
 
     @cached_property
     def zero_slack(self) -> tuple[int, ...]:
-        p = self.first.index(min(self.first))
-        if len(self.colo) == 1:
-            return (p,)
-        i = self.body.step(1, p, self.first[p])
-        return (p, i, *self.body.walk(i))
+        path = [self.first.index(min(self.first))]
+        base = self.first[path[0]]
+        for n in range(1, len(self.colo)):
+            path.append(self.body.step(n, path[-1], base))
+            base = self.colo[n]
+        return tuple(path)
 
     def rates(self, at: Sequence[int]) -> list[float]:
         """Rate of every VNF of a chain of this row placed at the cloud
@@ -260,7 +251,9 @@ class ChainRow:
 
     @cached_property
     def cheapest_first(self) -> list[list[list[tuple[int, float, float, float]]]]:
-        return [[], *map(_cheapest, self.children[1:3]), *self.body.cheapest_first[3:]]
+        children = self.children
+        return [[], _cheapest(children[1][:1]) * len(self.first),
+                *map(_cheapest, children[2:3]), *self.body.cheapest_first[3:]]
 
 
 class RateTable:

@@ -262,7 +262,7 @@ def _knapsack_bound(rows, caps, c, max_nodes):
     # With one entry in each of its K**2 pair states, the DP would make
     # K**3 entries per VNF past the head.  When even that passes the
     # limit, as on 8 clouds at a 20k-node budget, it does not start.
-    if sum(len(row.children) - 2 for row in rows) * len(caps) ** 3 > limit:
+    if sum(len(row.colo) - 1 for row in rows) * len(caps) ** 3 > limit:
         return None
     entries = 0
     total = [(0, 0.0)]      # (units, least cost) of the chains so far
@@ -339,14 +339,16 @@ def _priced_bound(rows, variables, caps, target, max_nodes):
     rest, later, bound) for the best step: mult[k] is 1 + lam_k;
     rest[t][j][k] is _priced_row's table of VNF n for variables[t] = (row,
     n); later[t] sums the priced minima of the chains after t's, less the
-    credit and a relative float margin; bound is L(lam).
+    credit and a relative float margin; bound is L(lam).  Every row must
+    have a feasible head cloud, as in solve_optimal, whose _root returns
+    first-vnf-placement before it computes any bound.
     """
     K = len(caps)
     # One step costs about (K**3 + 100) / 10 search nodes per VNF of each
     # row.  All steps together get at most a quarter of the node budget, so
     # a search that spends its whole budget pays at most 25% more; a
     # single step, at lam = 0, would not price capacity at all.
-    work = sum(len(row.children) - 1 for row in rows) * (K ** 3 + 100) // 10
+    work = sum(len(row.colo) for row in rows) * (K ** 3 + 100) // 10
     steps = min(_PRICE_STEPS, max_nodes // (4 * work))
     if steps < 2:
         return None
@@ -356,16 +358,13 @@ def _priced_bound(rows, variables, caps, target, max_nodes):
     for _ in range(steps):
         mult = [1.0 + x for x in lam]
         loads = [0.0] * K
-        # RowBody -> its rows' rest[n] for n >= 2 and walk moves.  Without
-        # the head's forward penalty, rest[2] is finite where a row's is not,
-        # but agrees wherever the row reads it: after a feasible choice.
-        bodies, tables = {}, {}
+        bodies, tables = {}, {}     # RowBody -> its rows' rest[n] for n >= 3
         for row, count in rows.items():
             if row.body not in bodies:
                 N = len(row.colo)
                 shared = [None] * N + [[[0.0] * K] * K]
-                bodies[row.body] = _priced_rest(row.body.children, mult, shared, N - 1, 2), {}
-            tables[row] = _priced_row(row, *bodies[row.body], mult, loads, count)
+                bodies[row.body] = _priced_rest(row.body.children, mult, shared, N - 1, 3)
+            tables[row] = _priced_row(row, bodies[row.body], mult, loads, count)
         total = sum(count * tables[row][1] for row, count in rows.items())
         credit = sum(x * c for x, c in zip(lam, caps) if x)
         bound = total - credit
@@ -422,7 +421,7 @@ def _priced_rest(children, mult, rest, high, low):
     return rest
 
 
-def _priced_row(row, shared, moves, mult, loads, count):
+def _priced_row(row, shared, mult, loads, count):
     """The priced pair-state DP of one ChainRow.
 
     VNF n's choices are row.children[n], and a rate at cloud index k
@@ -433,12 +432,11 @@ def _priced_row(row, shared, moves, mult, loads, count):
     self rate (what its forward penalty adds, then VNFs n+1 onward);
     least is the chain's priced minimum.  count times the loads of a
     placement that attains least are added to loads.  shared holds the
-    rest[n] for n >= 2 and moves the walk's moves after VNF 2 that the
-    rows of row.body share at these prices.
+    rest[n] for n >= 3 that the rows of row.body share at these prices.
     """
     children = row.children
     N = len(children) - 1
-    rest = _priced_rest(children, mult, [None, *shared[1:]], min(1, N - 1), 1)
+    rest = _priced_rest(children, mult, shared[:], min(2, N - 1), 1)
     least, k, b = INFEASIBLE, 0, 0.0
     for i, rate, _, _ in children[1][0]:
         if mult[i] * rate + rest[1][0][i] < least:
@@ -446,16 +444,11 @@ def _priced_row(row, shared, moves, mult, loads, count):
     loads[k] += count * rate_k
     # Walk a placement that attains least, for the subgradient.
     for n in range(1, N):
-        move = moves.get((n, k, b))
-        if move is None:
-            m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
-            for i, rate, pen_bwd, f in children[n + 1][k]:
-                c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
-                if c < best:
-                    best, move = c, (i, rate, pen_bwd, max(f - b, 0.0))
-            if n > 1:
-                moves[n, k, b] = move
-        l, rate_l, b_l, inc = move
+        m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
+        for i, rate, pen_bwd, f in children[n + 1][k]:
+            c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
+            if c < best:
+                best, l, rate_l, b_l, inc = c, i, rate, pen_bwd, max(f - b, 0.0)
         loads[k] += count * inc
         loads[l] += count * rate_l
         k, b = l, b_l

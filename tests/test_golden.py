@@ -6,9 +6,11 @@ tests/data.  The cases cover all five solve methods and their aliases on
 an uncapacitated and on capacity-bound instances, with partial,
 infeasible, over-capacity and budget-exhausted results, a b-first
 split and latency violations repeated across many chains of one kind,
-plus a sweep of all six methods with partial acceptance.  The instance
-files that `vnfplan gen` writes and the LP files of `solve --emit-lp`
-are pinned by length and sha256.
+and an exact search and a b-first packing on twenty clouds, where many
+rows share the rate data of one VNF list, plus a sweep of all six
+methods with partial acceptance.  The instance files that `vnfplan gen`
+writes and the LP files of `solve --emit-lp` are pinned by length and
+sha256.
 """
 from __future__ import annotations
 
@@ -41,6 +43,9 @@ INSTANCES = {
     # repeat the same latency violations, and the fixed baselines overload
     # clouds.
     "far": ["--mix", "40", "--central-dist", "90000", "--seed", "2"],
+    # Twenty clouds on two rings: 18 rows share 4 VNF lists (see
+    # rates.RowBody), and the exact search runs both root bounds.
+    "wide": ["--rings", "2", "--mix", "20", "--seed", "0"],
 }
 
 METHODS = ("optimal", "brute", "b-first", "fixed-split", "fixed-service")
@@ -57,6 +62,8 @@ SOLVE_CASES = {
     **{f"tight-{m}": ("tight", ["--method", m]) for m in METHODS},
     **{f"split-{m}": ("split", ["--method", m]) for m in ("b-first", "optimal")},
     **{f"far-{m}": ("far", ["--method", m]) for m in ("fixed-split", "fixed-service")},
+    "wide-optimal": ("wide", ["--method", "optimal", "--max-nodes", "20000"]),
+    "wide-b-first": ("wide", ["--method", "b-first"]),
 }
 
 SWEEP_ARGS = ["--methods", "optimal,brute,b-first,fixed-split,fixed-service,cran-only",

@@ -171,9 +171,9 @@ def test_validate_reports_each_rrh_once():
 
 
 def test_validate_repeats_shared_problems_at_every_chain():
-    """A VNF tuple or service that several chains share is checked once,
-    but its problems are reported at every chain that names it, in chain
-    order: a VNF problem under each chain's id, a service problem as is."""
+    """The problems of a VNF tuple or service that several chains share
+    are reported at every chain that names it, in chain order: a VNF
+    problem under each chain's id, a service problem as is."""
     infra = Infrastructure(clouds=(CloudNode(0, 100.0),), rrh_distances={"r0": {0: 0.0}},
                            cloud_distances={0: {0: 0.0}})
     bad_vnfs = (VnfSpec(1.0, 1.0, 1.0), VnfSpec(-2.0, 0.0, math.nan))

@@ -475,6 +475,20 @@ def test_cheapest_first_sorts_children():
                     assert feasible == sorted(feasible, reverse=True)
 
 
+def test_cheapest_first_sorts_the_head_once():
+    """The head's choices do not depend on a previous cloud, so every row
+    sorts them once and repeats the one list, as children does."""
+    rng = random.Random(13)
+    insts = [_shared_signature_instance(), _asymmetric_instance()]
+    insts += [rand_instance(rng, num_edges=rng.choice([1, 2, 3])) for _ in range(20)]
+    for inst in insts:
+        table = RateTable(inst)
+        for chain in inst.chains:
+            head = table.row(chain.id).cheapest_first[1]
+            assert len(head) == len(table.cloud_ids)
+            assert all(tried is head[0] for tried in head)
+
+
 def test_chain_rates_match_accessors():
     for inst in (_shared_signature_instance(), _asymmetric_instance()):
         table = RateTable(inst)

@@ -484,6 +484,24 @@ def test_knapsack_bound_gives_up_past_a_quarter_of_the_budget():
                for c in range(len(caps)))
 
 
+def test_root_bounds_give_up_without_building_children():
+    """Both bounds estimate their work from the VNF counts of the rows, so
+    a budget too small for them builds no child list."""
+    inst = eight_cloud_instance(7, 1500.0)
+    table = RateTable(inst)
+    variables = [(table.row(chain.id), n) for chain in heuristics.packing_order(inst, table)
+                 for n in range(1, len(chain.vnfs) + 1)]
+    rows = Counter(row for row, n in variables if n == 1)
+    caps = [inst.infra.capacity(k) + CAP_TOL for k in table.cloud_ids]
+    for max_nodes in (0, 1_000, 20_000):
+        assert solver._knapsack_bound(rows, caps, 0, max_nodes) is None
+    for max_nodes in (0, 1_000):
+        assert solver._priced_bound(rows, variables, caps, 1e9, max_nodes) is None
+    for row in rows:
+        assert not vars(row).keys() & {"children", "cheapest_first"}
+        assert not vars(row.body).keys() & {"children", "cheapest_first"}
+
+
 @pytest.mark.parametrize("rep", range(3))
 def test_knapsack_bound_proves_sweep_hits(rep):
     """The sweep's S=8, d0 = 30 km, Ce = 2240 points, where b_first's
@@ -792,9 +810,9 @@ def test_search_matches_golden_corpus():
 
 
 def test_priced_bound_is_the_same_with_shared_bodies():
-    """Rows of one VNF list share their priced tables after VNF 2 and
-    their walk moves; the bound matches the one priced from rows that
-    share nothing, bit for bit.  Random instances whose chains all hold
+    """Rows of one VNF list share their priced tables from VNF 3 on; the
+    bound matches the one priced from rows that share nothing, bit for
+    bit.  Random instances whose chains all hold
     one VNF list at RRHs of their own, so head rates differ by row."""
     rng = random.Random(8)
     priced = 0
