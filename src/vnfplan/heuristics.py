@@ -6,8 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import ChainRequest, Instance
-from .rates import (CAP_TOL, INFEASIBLE, Assignment, ChainRow, RateTable, Solution, evaluate,
-                    rate_table)
+from .rates import CAP_TOL, INFEASIBLE, Assignment, RateTable, Solution, evaluate, rate_table
 
 
 @dataclass
@@ -61,8 +60,8 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     rate wins; a chain is split at most once.  Totals within a relative
     1e-12 tie, and ties go to the earliest split point, then the lowest
     (prefix, suffix) cloud pair.  Rejected chains leave all state
-    untouched.  What depends only on a chain's row, the co-located rate of
-    its VNFs after the head, is summed once per row and call.
+    untouched.  The co-located rate of a chain's VNFs after the head is
+    its VNF list's RowBody.tail, summed once per list.
     """
     table = rate_table(inst, table)
     position = table.position
@@ -71,16 +70,12 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
     events: list[PlacementEvent] = []
     vectors: dict[str, tuple[int, ...]] = {}
     evaluations = 0
-    tails: dict[ChainRow, float] = {}   # row -> the rate of VNFs 2, 3, ... co-located
 
     for chain in packing_order(inst, table):
         cid = chain.id
         n_vnfs = len(chain.vnfs)
         row = table.row(cid)
-        tail = tails.get(row)
-        if tail is None:
-            tail = tails[row] = sum(row.colo[1:])
-        placed = False
+        tail = row.body.tail
         # Best fit: ascending residual capacity; the sort is stable over
         # the ascending ids, so ties go to the lowest cloud id.
         for k in sorted(clouds, key=residual.__getitem__):
@@ -94,9 +89,8 @@ def b_first(inst: Instance, table: RateTable | None = None) -> HeuristicResult:
                 residual[k] -= total
                 events.append(PlacementEvent(cid, True, "whole", cloud=k,
                                              added_rate=total))
-                placed = True
                 break
-        if placed:
+        if cid in vectors:      # placed whole
             continue
         # Split trial over (split point, prefix cloud, suffix cloud) in tie
         # order, priced by table.chain_rates: a candidate replaces the best

@@ -222,7 +222,6 @@ def emit_lp_text(mdl: IlpModel) -> str:
 
 
 _NUM_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
-_NAME_RE = re.compile(r"^[^\s<>=]+$")
 # Section keywords, lowercased, and the section each one opens.
 _SECTIONS = {
     "minimize": "objective", "minimise": "objective",
@@ -309,6 +308,11 @@ def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float],
     return tuple(terms), constant
 
 
+def _is_name(tok: str, kinds: _TokenKind) -> bool:
+    """Whether Bounds and Binaries take tok as a name, as any identifier."""
+    return tok.split() == [tok] and type(kinds[tok]) is tuple and not kinds.bad
+
+
 _WINDOW = 1 << 16   # characters of LP text that parse_lp_text splits at a time
 # The line breaks of str.splitlines, a \r\n pair as one.
 _BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
@@ -345,6 +349,9 @@ def parse_lp_text(text: str) -> IlpModel:
         line = (raw.split("\\", 1)[0] if "\\" in raw else raw).strip()
         # A named row; a line without a name falls through to the error below.
         if section == "constraints" and (colon := line.find(":")) > 0:
+            name = line[:colon].strip()
+            if not name.isidentifier() and not _is_name(name, kinds):
+                raise ValueError(f"constraint line with a bad name {name!r}: {raw!r}")
             # The row's body splits at its first sense: "<=", ">=" or "=".
             eq = line.find("=", colon + 1)
             if eq < 0:
@@ -360,8 +367,7 @@ def parse_lp_text(text: str) -> IlpModel:
                 if not math.isfinite(rhs):
                     raise ValueError(f"constraint line with a bad right-hand side: {raw!r}")
                 rhs_values[rhs_text] = rhs
-            constraints.append(
-                LinearConstraint(line[:colon].strip(), terms, line[start:eq + 1], rhs - constant))
+            constraints.append(LinearConstraint(name, terms, line[start:eq + 1], rhs - constant))
             continue
         if not line:
             continue
@@ -375,8 +381,10 @@ def parse_lp_text(text: str) -> IlpModel:
         elif section == "objective":
             if objective is not None:
                 raise ValueError(f"more than one objective line: {raw!r}")
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective, constant = _parse_terms(body, kinds)
+            name, colon, body = line.partition(":")
+            if colon and not _is_name(name := name.strip(), kinds):
+                raise ValueError(f"objective line with a bad name {name!r}: {raw!r}")
+            objective, constant = _parse_terms(body if colon else line, kinds)
             if kinds.bad:
                 raise ValueError(f"objective line with {kinds.bad}: {raw!r}")
             if constant:
@@ -384,11 +392,9 @@ def parse_lp_text(text: str) -> IlpModel:
         elif section == "bounds":
             # Only `<one name> = <number>` with the number 0.
             name, eq, value = (part.strip() for part in line.partition("="))
-            kind = kinds[name] if eq and _NAME_RE.match(name) else None
-            if type(kind) is not tuple or kinds.bad or not _NUM_RE.match(value) \
-                    or float(value) != 0.0:
+            if not (eq and _is_name(name, kinds) and _NUM_RE.match(value)) or float(value):
                 raise ValueError(f"unsupported bound line: {raw!r}")
-            fixed_zero.append(kind[0])
+            fixed_zero.append(kinds[name][0])
         elif section == "binaries":
             for tok in line.split():
                 kind = kinds[tok]

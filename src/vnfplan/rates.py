@@ -96,13 +96,14 @@ class Solution:
 
 class RowBody:
     """What the rows of one VNF list share (see ChainRow): vnfs, colo,
-    demand, and children[n] and cheapest_first[n] for n >= 3 (None below),
-    both built on first read."""
+    demand, tail (the sum of colo past the head), and children[n] and
+    cheapest_first[n] for n >= 3 (None below), both built on first read."""
 
     def __init__(self, vnfs: tuple, delays: list[float], length_of: list[list[int | None]]):
         self.vnfs, self.delays, self.length_of = vnfs, delays, length_of
         self.colo = [colocated_rate(x.gflops, x.fwd_ms, x.bwd_ms) for x in vnfs]
         self.demand = sum(self.colo)
+        self.tail = sum(self.colo[1:])
 
     def penalty(self, n: int, forward: bool, c: int, base: float) -> float:
         """VNF n's penalty across a link of the c-th length (see split)."""
@@ -178,7 +179,8 @@ class ChainRow:
       the co-located rate plus the backward penalty, INFEASIBLE where the
       split breaks a latency bound.  The head's entries do not depend on
       p: one list of (i, first[i], 0, 0) serves every p, in children and,
-      sorted once, in cheapest_first.
+      sorted once, in cheapest_first, so a walk over children[1:] starts
+      from p = 0 with no backward penalty.
     - cheapest_first[n]: the search's choices for VNF n: children[n] with
       each list [p] sorted by the cost of a choice, its self rate plus its
       forward penalty on VNF n-1, then by i; INFEASIBLE choices come last.
@@ -188,7 +190,7 @@ class ChainRow:
       ascending, that is p or has split(n, p, i) == (0.0, 0.0).
 
     Only the head depends on the RRH, so the rows of one VNF list share
-    their body, read-only: colo, demand, and children[n] and
+    their body, read-only: colo, demand, body.tail, and children[n] and
     cheapest_first[n] for n >= 3.  A row computes first at once and the
     rest on first read; zero_slack walks its steps through RowBody.step,
     which computes only the penalties it tests, and split computes each

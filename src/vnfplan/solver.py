@@ -244,17 +244,18 @@ def _knapsack_bound(rows, caps, c, max_nodes):
 
     Lagrangean decomposition with a multiple-choice knapsack (Guignard &
     Kim 1987; Pisinger 1995), without prices.  Per ChainRow of rows, a
-    pair-state DP over row.children keeps for each state (cloud of the
-    last VNF placed, its backward penalty) the Pareto list of (exact load
-    on c, cost) over the chain's placements so far, with the search's
-    penalty arithmetic.  Each chain's final load is floored to units of
-    caps[c] / _UNITS, so a placement that fits spends at most _UNITS
-    units: the floors never add up to more than the floor of the sum.
-    The chains, as many of each row as its count in rows, are then
-    combined by min-plus convolution, and the bound is the least total
-    cost within _UNITS units.  Every (load, cost) entry the DP makes and
-    every pair the convolution tries counts as one node; past a quarter
-    of max_nodes, the share _priced_bound takes, the bound gives up.
+    pair-state DP over row.children[1:], from one empty state, keeps for
+    each state (cloud of the last VNF placed, its backward penalty) the
+    Pareto list of (exact load on c, cost) over the chain's placements so
+    far, with the search's penalty arithmetic.  Each chain's final load is
+    floored to units of caps[c] / _UNITS, so a placement that fits spends
+    at most _UNITS units: the floors never add up to more than the floor
+    of the sum.  The chains, as many of each row as its count in rows, are
+    then combined by min-plus convolution, and the bound is the least
+    total cost within _UNITS units.  Every (load, cost) entry the DP
+    makes, the head's too, and every pair the convolution tries counts as
+    one node; past a quarter of max_nodes, the share _priced_bound takes,
+    the bound gives up.
     """
     cap = caps[c]
     unit = cap / _UNITS
@@ -267,12 +268,8 @@ def _knapsack_bound(rows, caps, c, max_nodes):
     entries = 0
     total = [(0, 0.0)]      # (units, least cost) of the chains so far
     for row, count in rows.items():
-        front = {}
-        for k, rate, _, _ in row.children[1][0]:
-            load = rate if k == c else 0.0
-            if rate != INFEASIBLE and load <= cap:
-                front[k, 0.0] = [(load, rate)]
-        for by_prev in row.children[2:]:
+        front = {(0, 0.0): [(0.0, 0.0)]}
+        for by_prev in row.children[1:]:
             grown: dict[tuple, list] = {}
             for (j, b), pairs in front.items():
                 for k, rate, pen_bwd, pen_fwd_prev in by_prev[j]:
@@ -430,26 +427,22 @@ def _priced_row(row, shared, mult, loads, count):
     and n.  Returns (rest, least): rest[n][j][k] is the least priced cost
     still to come when VNF n-1 sits at j and VNF n at k, beyond VNF n's
     self rate (what its forward penalty adds, then VNFs n+1 onward);
-    least is the chain's priced minimum.  count times the loads of a
-    placement that attains least are added to loads.  shared holds the
+    least is the chain's priced minimum, the cost of the first step of a
+    walk from j = 0 with no backward penalty that adds count times the
+    loads of a placement attaining least to loads.  shared holds the
     rest[n] for n >= 3 that the rows of row.body share at these prices.
     """
-    children = row.children
-    N = len(children) - 1
-    rest = _priced_rest(children, mult, shared[:], min(2, N - 1), 1)
-    least, k, b = INFEASIBLE, 0, 0.0
-    for i, rate, _, _ in children[1][0]:
-        if mult[i] * rate + rest[1][0][i] < least:
-            least, k, rate_k = mult[i] * rate + rest[1][0][i], i, rate
-    loads[k] += count * rate_k
-    # Walk a placement that attains least, for the subgradient.
-    for n in range(1, N):
-        m, tail, best = mult[k], rest[n + 1][k], INFEASIBLE
-        for i, rate, pen_bwd, f in children[n + 1][k]:
+    rest = _priced_rest(row.children, mult, shared[:], min(2, len(row.colo) - 1), 1)
+    least, k, b = None, 0, 0.0
+    for by_prev, after in zip(row.children[1:], rest[1:]):
+        m, tail, best = mult[k], after[k], INFEASIBLE
+        for i, rate, pen_bwd, f in by_prev[k]:
             c = mult[i] * rate + tail[i] + (m * (f - b) if f > b else 0.0)
             if c < best:
-                best, l, rate_l, b_l, inc = c, i, rate, pen_bwd, max(f - b, 0.0)
-        loads[k] += count * inc
+                best, l, rate_l, b_l, f_l = c, i, rate, pen_bwd, f
+        if least is None:
+            least = best
+        loads[k] += count * (f_l - b if f_l > b else 0.0)
         loads[l] += count * rate_l
         k, b = l, b_l
     return rest, least
@@ -504,12 +497,9 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
         per_chain.append(options)
 
     caps = [inst.infra.capacity(k) + CAP_TOL for k in clouds]
-    best_obj = INFEASIBLE
-    best_combo = None
-    examined = 0
-    any_feasible = False
-    for pick in itertools.product(*per_chain):
-        examined += 1
+    best = None     # (objective, pick) of the cheapest pick that fits
+    # Each chain has an option, so there is a pick, () when there is no chain.
+    for examined, pick in enumerate(itertools.product(*per_chain), 1):
         total = 0.0
         agg = [0.0] * len(clouds)
         for _, cost, loads in pick:
@@ -518,13 +508,11 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
                 agg[i] += load
         if any(agg[i] > caps[i] for i in range(len(clouds))):
             continue
-        any_feasible = True
-        if total < best_obj:
-            best_obj = total
-            best_combo = pick
-    if not any_feasible:
+        if best is None or total < best[0]:
+            best = total, pick
+    if best is None:
         return SolveResult(None, "infeasible", examined, infeasible_reason="capacity")
-    vectors = {chain.id: combo for chain, (combo, _, _) in zip(inst.chains, best_combo)}
+    vectors = {chain.id: combo for chain, (combo, _, _) in zip(inst.chains, best[1])}
     solution = evaluate(inst, Assignment(vectors), table)
     return SolveResult(solution, "optimal", examined, best_bound=solution.objective)
 

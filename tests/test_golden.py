@@ -44,7 +44,8 @@ INSTANCES = {
     # clouds.
     "far": ["--mix", "40", "--central-dist", "90000", "--seed", "2"],
     # Twenty clouds on two rings: 18 rows share 4 VNF lists (see
-    # rates.RowBody), and the exact search runs both root bounds.
+    # rates.RowBody).  At 20k nodes both root bounds give up before they
+    # start, so the exact search starts from b_first's incumbent.
     "wide": ["--rings", "2", "--mix", "20", "--seed", "0"],
 }
 

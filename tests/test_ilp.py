@@ -146,11 +146,25 @@ def test_parse_rejects_constraint_without_sense(line):
     (" c1: x < y <= 3", "a '<', '>' or '=' in '<'"),
     (" : x >= 1", "without a name"),
     (" x >= 1", "without a name"),
+    # A row name is one name that Bounds and Binaries would take.
+    (" a b: x >= 1", "constraint line with a bad name 'a b'"),
+    (" 3: x >= 1", "constraint line with a bad name '3'"),
+    (" c-1: x >= 1", "constraint line with a bad name 'c-1'"),
 ])
 def test_parse_rejects_bad_constraint_line(line, message):
     with pytest.raises(ValueError, match=message) as err:
         parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
     assert repr(line) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["a b", "3", "c-1", ""])
+def test_parse_rejects_a_bad_objective_name(name):
+    """An objective name follows the row name grammar: other LP readers
+    do not read a space, a number or a glued sign as part of a name."""
+    line = f" {name}: x"
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(f"Minimize\n{line}\nSubject To\n c1: x >= 1\nEnd\n")
+    assert str(err.value) == f"objective line with a bad name {name!r}: {line!r}"
 
 
 def test_parse_rejects_an_objective_constant():

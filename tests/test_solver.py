@@ -443,6 +443,20 @@ def test_knapsack_bound_equals_enumeration():
     assert binding >= 150
 
 
+def _one_vnf_chains(*gflops):
+    """One-VNF chains of the given GFLOPS on a central cloud and an edge
+    cloud of capacity 2000 next to their RRH, 20 km apart."""
+    infra = Infrastructure(
+        clouds=(CloudNode(0, 1e6), CloudNode(1, 2000.0)),
+        rrh_distances={"r0": {0: 20_000.0, 1: 0.0}},
+        cloud_distances={0: {0: 0.0, 1: 20_000.0}, 1: {0: 20_000.0, 1: 0.0}},
+    )
+    chains = tuple(ChainRequest(id=f"c{i}", service=None, rrh="r0",
+                                vnfs=(VnfSpec(g, 1.0, 1.0),))
+                   for i, g in enumerate(gflops))
+    return Instance(infra=infra, chains=chains)
+
+
 def test_knapsack_bound_with_the_binding_cloud_full():
     """Units are floored, so a placement that fills the cloud kept exact
     to its capacity still counts as fitting: the bound reaches the
@@ -452,15 +466,7 @@ def test_knapsack_bound_with_the_binding_cloud_full():
     # heaviest chains fill the edge exactly, at 21.5, 21.25 and 21.25
     # units of 2000 / 64: their floors fit in 64 units, their ceilings
     # would not.
-    infra = Infrastructure(
-        clouds=(CloudNode(0, 1e6), CloudNode(1, 2000.0)),
-        rrh_distances={"r0": {0: 20_000.0, 1: 0.0}},
-        cloud_distances={0: {0: 0.0, 1: 20_000.0}, 1: {0: 20_000.0, 1: 0.0}},
-    )
-    chains = tuple(ChainRequest(id=f"c{i}", service=None, rrh="r0",
-                                vnfs=(VnfSpec(g, 1.0, 1.0),))
-                   for i, g in enumerate((0.671875, 0.6640625, 0.6640625, 0.4)))
-    inst = Instance(infra=infra, chains=chains)
+    inst = _one_vnf_chains(0.671875, 0.6640625, 0.6640625, 0.4)
     opt = brute_force(inst).solution
     assert opt.loads[1] == inst.infra.capacity(1)
     bound = solver._knapsack_bound(*_knapsack_inputs(inst), 1, 10**9)
@@ -482,6 +488,15 @@ def test_knapsack_bound_gives_up_past_a_quarter_of_the_budget():
     rows, caps = _knapsack_inputs(build_instance(cfg, d0_m=45_000.0, size=7))
     assert all(solver._knapsack_bound(rows, caps, c, 20_000) is None
                for c in range(len(caps)))
+
+
+def test_knapsack_bound_counts_the_head_pairs():
+    """The head's (load, cost) pairs count toward the budget like any
+    other VNF's: one pair per head cloud, then one convolution step per
+    frontier entry, 4 nodes in all for a one-VNF chain on two clouds."""
+    rows, caps = _knapsack_inputs(_one_vnf_chains(0.6))
+    assert solver._knapsack_bound(rows, caps, 1, 8) is None
+    assert solver._knapsack_bound(rows, caps, 1, 16) == 600.0
 
 
 def test_root_bounds_give_up_without_building_children():
@@ -849,8 +864,9 @@ def _readable(variables, rest):
 
 
 # The root bounds of the 12 center-layout instances of the benchmark's
-# quality ladder (S 5/7/9/11, scenario seeds 0-2, d0 45 km) at a 20k-node
-# budget, as float.hex: each _knapsack_bound value and each
+# quality ladder (S 5/7/9/11, scenario seeds 0-2, d0 45 km), which have two
+# clouds, and of 20 random draws on three or four, at a 20k-node budget,
+# as float.hex: each _knapsack_bound value and each
 # _priced_bound (mult, later, bound) that solve_optimal computes, with a
 # sha256 of the entries of the priced tables rest that the search can read
 # (see _readable).  best_bound is only their max, so the search corpus
@@ -894,6 +910,16 @@ def golden_root_bounds(monkeypatch) -> dict:
             calls.clear()
             solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
             results[f"center-S{size}-seed{rep}"] = list(calls)
+    # The first 20 rand_instance draws on 3 or 4 clouds on which a bound
+    # returns a value; on the others neither bound runs or both give up.
+    rng, draw = random.Random(1), 0
+    while sum(key.startswith("rand-") for key in results) < 20:
+        inst = rand_instance(rng, num_edges=rng.choice([2, 3]))
+        calls.clear()
+        solve_optimal(inst, budget=SearchBudget(max_nodes=20_000, time_limit=math.inf))
+        if any(value is not None for call in calls for value in call.values()):
+            results[f"rand-{draw}"] = list(calls)
+        draw += 1
     monkeypatch.undo()
     return results
 
