@@ -200,7 +200,7 @@ def emit_lp_text(mdl: IlpModel) -> str:
     no way to write one.
     """
     coef_text, rhs_text = _CoefText(), _RhsText()
-    lines = ["\\ vnfplan placement model", "Minimize"]
+    lines = [_HEADER, "Minimize"]
     name = "obj"
     try:
         lines.append(f" obj: {_format_terms(mdl.objective, coef_text)}")
@@ -221,72 +221,51 @@ def emit_lp_text(mdl: IlpModel) -> str:
     return "\n".join(lines)
 
 
-_NUM_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
-# Section keywords, lowercased, and the section each one opens.
-_SECTIONS = {
-    "minimize": "objective", "minimise": "objective",
-    "subject to": "constraints", "s.t.": "constraints", "st": "constraints",
-    "bounds": "bounds",
-    "binaries": "binaries", "binary": "binaries",
-    "end": None,
-}
-
-
-# Token kinds besides a float (a number) and a tuple (a variable name).
+_HEADER = "\\ vnfplan placement model"   # the first line of LP text
+_NUM_RE = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")   # unsigned, ASCII
+# A name: no whitespace, sign, '<', '>', '=', ':' or '\', and no digit or point first.
+_NAME_RE = re.compile(r"[^\s\d.+\-<>=:\\][^\s+\-<>=:\\]*")
+_SENSES = {sense: sense for sense in ("<=", ">=", "=")}
 _PLUS, _MINUS = object(), object()
+_WINDOW = 1 << 16   # characters of LP text that parse_lp_text splits at a time
 
 
 class _TokenKind(dict):
-    """Whitespace token -> float value, _PLUS, _MINUS, or for a name its
-    unit term (name, 1.0), whose string every term of the name shares.
-
-    Filled on first sight, so each distinct token is classified once per
-    parse_lp_text call; names and coefficients repeat across rows.  terms
-    maps each (name, coefficient) term to the one tuple of it that the
-    parsed model holds.  A token outside the grammar is described in bad,
-    so parse_lp_text can reject the line it first appears on: a sign
-    inside a token (-3, x-y, k-1), a dangling exponent (1e) or a '<', '>'
-    or '=' (x<=y), read as a name, and a number too large for a float,
-    read as inf.
-    """
-
-    bad: str | None = None
+    """Expression token -> float value, _PLUS, _MINUS, or for a name its unit
+    term (name, 1.0), whose string every term of the name shares; filled once
+    per distinct token.  terms maps each (name, coefficient) term to the one
+    tuple of it that the parsed model holds.  Other tokens raise ValueError."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__({"+": _PLUS, "-": _MINUS})
         self.terms: dict[tuple[str, float | str], tuple[str, float]] = {}
 
     def __missing__(self, tok):
-        if tok == "+" or tok == "-":
-            kind = _PLUS if tok == "+" else _MINUS
-        elif tok[0] not in "+-" and _NUM_RE.match(tok):
-            kind = float(tok)
-            if kind == math.inf:
-                self.bad = "an out-of-range number"
-        else:
+        if _NUM_RE.fullmatch(tok):
+            kind = _finite(float(tok))
+        elif tok.isidentifier() or _NAME_RE.fullmatch(tok):
             kind = (tok, 1.0)
-            self.terms[kind] = kind
-            if "+" in tok or "-" in tok or tok[-1] in "eE" and _NUM_RE.match(tok + "1"):
-                self.bad = f"a glued sign or exponent in {tok!r}"
-            elif "<" in tok or ">" in tok or "=" in tok:
-                self.bad = f"a '<', '>' or '=' in {tok!r}"
+            self.terms[kind] = kind   # one tuple as key and value
+        else:
+            raise ValueError(tok)
         self[tok] = kind
         return kind
 
 
-def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float], ...], float]:
-    """Parse a linear expression of whitespace tokens into terms and a
-    constant offset."""
+def _parse_terms(toks: list[str], kinds: _TokenKind) -> tuple[tuple[str, float], ...]:
+    """The terms of an expression's tokens: 0 for none, or [-] [number] name
+    followed by any number of (+|-) [number] name; ValueError otherwise."""
+    if toks == ["0"]:
+        return ()
     terms: list[tuple[str, float]] = []
-    constant = 0.0
-    sign = 1.0
-    coef: float | None = None
     shared = kinds.terms
-    for tok in text.split():
+    sign, coef, named = 1.0, None, None   # named: None at the start, True when a sign is next
+    for tok in toks:
         kind = kinds[tok]
         if type(kind) is tuple:
-            # A name, the commonest token.  Only a term with a coefficient or a
-            # minus sign costs a lookup.
+            if named:
+                raise ValueError(tok)
+            # Only a term with a coefficient or a minus sign costs a lookup.
             if coef is None and sign == 1.0:
                 terms.append(kind)
             else:
@@ -294,122 +273,82 @@ def _parse_terms(text: str, kinds: _TokenKind) -> tuple[tuple[tuple[str, float],
                 term = (kind[0], value)
                 # 0.0 and -0.0 are one key but two terms, so a zero is keyed by its text.
                 terms.append(shared.setdefault(term if value else (kind[0], repr(value)), term))
-            sign = 1.0
-            coef = None
-        elif kind is _MINUS:
-            sign = -sign
-        elif kind is not _PLUS:
-            if coef is not None:
-                constant += sign * coef
-                sign = 1.0
-            coef = kind
-    if coef is not None:
-        constant += sign * coef
-    return tuple(terms), constant
-
-
-def _is_name(tok: str, kinds: _TokenKind) -> bool:
-    """Whether Bounds and Binaries take tok as a name, as any identifier."""
-    return tok.split() == [tok] and type(kinds[tok]) is tuple and not kinds.bad
-
-
-_WINDOW = 1 << 16   # characters of LP text that parse_lp_text splits at a time
-# The line breaks of str.splitlines, a \r\n pair as one.
-_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+            named = True
+        elif kind is _PLUS or kind is _MINUS:
+            if not named and (named is False or kind is _PLUS):   # a minus may open it
+                raise ValueError(tok)
+            sign, coef, named = 1.0 if kind is _PLUS else -1.0, None, False
+        elif named or coef is not None:
+            raise ValueError(tok)
+        else:
+            coef, named = kind, False
+    if not named:
+        raise ValueError(toks)
+    return tuple(terms)
 
 
 def _lines(text: str):
-    """The lines of text.splitlines(), split a window at a time so that no
-    list of every line is held.  A window ends at the first line break at
-    least _WINDOW characters in, so no line or \\r\\n pair is cut."""
+    """The lines of text.split("\\n"), split a window at a time so that no list
+    of every line is held: a window ends at the first \\n from _WINDOW characters in."""
     start = 0
-    while start < len(text):
-        brk = _BREAK_RE.search(text, start + _WINDOW)
-        end = brk.end() if brk else len(text)
-        yield from text[start:end].splitlines()
-        start = end
+    while (end := text.find("\n", start + _WINDOW)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
 
 
 @_collector_paused()
 def parse_lp_text(text: str) -> IlpModel:
-    """Parse LP text produced by emit_lp_text back into an IlpModel.
-
-    Supports the subset of the LP format this module writes (one objective
-    line, one named row per line, `name = 0` bounds, Binaries) and raises
-    ValueError naming the line for anything else.
-    """
-    objective: tuple[tuple[str, float], ...] | None = None
-    constraints: list[LinearConstraint] = []
-    binaries: list[str] = []
-    fixed_zero: list[str] = []
-    kinds = _TokenKind()
-    rhs_values: dict[str, float] = {}   # right-hand-side text -> its number
-    section = None
-    for raw in _lines(text):
-        line = (raw.split("\\", 1)[0] if "\\" in raw else raw).strip()
-        # A named row; a line without a name falls through to the error below.
-        if section == "constraints" and (colon := line.find(":")) > 0:
-            name = line[:colon].strip()
-            if not name.isidentifier() and not _is_name(name, kinds):
-                raise ValueError(f"constraint line with a bad name {name!r}: {raw!r}")
-            # The row's body splits at its first sense: "<=", ">=" or "=".
-            eq = line.find("=", colon + 1)
-            if eq < 0:
-                raise ValueError(f"constraint line without a sense: {raw!r}")
-            start = eq - 1 if line[eq - 1] in "<>" else eq
-            terms, constant = _parse_terms(line[colon + 1:start], kinds)
-            if kinds.bad:
-                raise ValueError(f"constraint line with {kinds.bad}: {raw!r}")
-            rhs_text = line[eq + 1:]
-            rhs = rhs_values.get(rhs_text)
+    """Parse LP text in the form emit_lp_text writes (README § Library) back
+    into an IlpModel; raise ValueError naming the first line outside it."""
+    if not text.endswith("\n"):
+        last = text.rpartition("\n")[2]
+        raise ValueError(f"no line break after the last line: {last!r}")
+    constraints, fixed_zero, binaries = [], [], []
+    kinds, rhs_values = _TokenKind(), {}   # rhs_values: right-hand-side text -> its number
+    lines = _lines(text)   # the text ends with a line break, so each line up to End has a next
+    where = "bad header line"
+    try:
+        if (raw := next(lines)) != _HEADER or (raw := next(lines)) != "Minimize":
+            raise ValueError
+        where = "bad objective line"
+        toks = (raw := next(lines)).split(" ")
+        objective = _parse_terms(toks[2:] if toks[:2] == ["", "obj:"] else [], kinds)   # [] raises
+        if (raw := next(lines)) != "Subject To":
+            raise ValueError
+        where = "bad constraint line"
+        for raw in lines:   # row, bound and binary lines start with a space
+            if raw[:1] != " ":
+                break
+            # "", "name:", the expression's tokens, the sense and the right-hand side
+            toks = raw.split(" ")
+            name, rhs = toks[1][:-1], rhs_values.get(toks[-1])
+            if toks[1][-1:] != ":" or not (name.isidentifier() or _NAME_RE.fullmatch(name)):
+                raise ValueError
             if rhs is None:
-                rhs = float(rhs_text) if _NUM_RE.match(rhs_text.strip()) else math.nan
-                if not math.isfinite(rhs):
-                    raise ValueError(f"constraint line with a bad right-hand side: {raw!r}")
-                rhs_values[rhs_text] = rhs
-            constraints.append(LinearConstraint(name, terms, line[start:eq + 1], rhs - constant))
-            continue
-        if not line:
-            continue
-        lowered = line.lower()
-        if lowered in _SECTIONS:
-            section = _SECTIONS[lowered]
-        elif lowered == "maximize":
-            raise ValueError("only minimization models are supported")
-        elif section == "constraints":
-            raise ValueError(f"constraint line without a name: {raw!r}")
-        elif section == "objective":
-            if objective is not None:
-                raise ValueError(f"more than one objective line: {raw!r}")
-            name, colon, body = line.partition(":")
-            if colon and not _is_name(name := name.strip(), kinds):
-                raise ValueError(f"objective line with a bad name {name!r}: {raw!r}")
-            objective, constant = _parse_terms(body if colon else line, kinds)
-            if kinds.bad:
-                raise ValueError(f"objective line with {kinds.bad}: {raw!r}")
-            if constant:
-                raise ValueError(f"objective line with a constant: {raw!r}")
-        elif section == "bounds":
-            # Only `<one name> = <number>` with the number 0.
-            name, eq, value = (part.strip() for part in line.partition("="))
-            if not (eq and _is_name(name, kinds) and _NUM_RE.match(value)) or float(value):
-                raise ValueError(f"unsupported bound line: {raw!r}")
-            fixed_zero.append(kinds[name][0])
-        elif section == "binaries":
-            for tok in line.split():
-                kind = kinds[tok]
-                if type(kind) is not tuple:
-                    raise ValueError(f"binaries line with a number or sign {tok!r}: {raw!r}")
-                if kinds.bad:
-                    raise ValueError(f"binaries line with {kinds.bad}: {raw!r}")
-                binaries.append(kind[0])
-        else:
-            raise ValueError(f"content outside any section: {raw!r}")
-    objective = objective or ()
-    return IlpModel(
-        objective=objective,
-        constraints=tuple(constraints),
-        binaries=tuple(binaries),
-        continuous=tuple(var for var, _ in objective),
-        fixed_zero=tuple(fixed_zero),
-    )
+                if not _NUM_RE.fullmatch(toks[-1].removeprefix("-")):
+                    raise ValueError
+                rhs = rhs_values[toks[-1]] = _finite(float(toks[-1]))
+            constraints.append(LinearConstraint(name, _parse_terms(toks[2:-2], kinds),
+                                                _SENSES[toks[-2]], rhs))
+        # Bounds and Binaries lines are each one name, then tail; neither section is empty.
+        for section, tail, names in (("Bounds", " = 0", fixed_zero), ("Binaries", "", binaries)):
+            if raw == section:
+                where = f"bad {section} line"
+                while (raw := next(lines))[:1] == " ":
+                    kind = kinds[raw[1:len(raw) - len(tail)]]
+                    if type(kind) is not tuple or not raw.endswith(tail):
+                        raise ValueError
+                    names.append(kind[0])
+                if not names:
+                    raise ValueError
+        if raw != "End":
+            raise ValueError
+        where = "line after End"   # End's line break leaves one empty line
+        if (raw := next(lines)) or (raw := next(lines, None)) is not None:
+            raise ValueError
+    except (ValueError, KeyError):
+        raise ValueError(f"{where}: {raw!r}") from None
+    return IlpModel(objective=objective, constraints=tuple(constraints),
+                    binaries=tuple(binaries), continuous=tuple(var for var, _ in objective),
+                    fixed_zero=tuple(fixed_zero))

@@ -14,18 +14,14 @@ from util import (
     _solve_via_scipy,
     assignment_to_binaries,
     eight_cloud_instance,
-    glued_tokens,
     min_completion,
     rand_instance,
-    reference_parse_terms,
     sweep_hit_instance,
 )
 from vnfplan import ilp
 from vnfplan.ilp import (
     IlpModel,
     LinearConstraint,
-    _parse_terms,
-    _TokenKind,
     build_ilp,
     emit_lp_text,
     parse_lp_text,
@@ -111,28 +107,39 @@ def test_lp_text_shape():
     assert text.endswith("\n")
 
 
+def _lp(body):
+    """LP text: emit_lp_text's first line, then body."""
+    return "\\ vnfplan placement model\n" + body
+
+
+def _rejects(text, message):
+    """Parsing text raises ValueError with exactly message."""
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(text)
+    assert str(err.value) == message
+
+
 def test_parse_rejects_maximize():
-    with pytest.raises(ValueError):
-        parse_lp_text("Maximize\n obj: x\nEnd\n")
+    _rejects(_lp("Maximize\n obj: x\nEnd\n"), "bad header line: 'Maximize'")
 
 
 def test_parse_rejects_unnamed_constraint():
-    with pytest.raises(ValueError):
-        parse_lp_text("Minimize\n obj: x\nSubject To\n x >= 1\nEnd\n")
+    _rejects(_lp("Minimize\n obj: x\nSubject To\n x >= 1\nEnd\n"),
+             "bad constraint line: ' x >= 1'")
 
 
 def test_parse_rejects_stray_content():
-    with pytest.raises(ValueError):
-        parse_lp_text("hello\nMinimize\n obj: x\nEnd\n")
+    _rejects("hello\nMinimize\n obj: x\nEnd\n", "bad header line: 'hello'")
 
 
 @pytest.mark.parametrize("line", [" c1: x + y 3", " c1: x < 3"])
 def test_parse_rejects_constraint_without_sense(line):
-    with pytest.raises(ValueError, match="without a sense"):
-        parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
+    _rejects(_lp(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n"),
+             f"bad constraint line: {line!r}")
 
 
-@pytest.mark.parametrize("line, message", [
+# Each line with what is wrong with it.
+@pytest.mark.parametrize("line, why", [
     (" c1: x >= y", "bad right-hand side"),
     (" c1: x >= 1 >= 2", "bad right-hand side"),
     (" c1: x >=", "bad right-hand side"),
@@ -151,43 +158,94 @@ def test_parse_rejects_constraint_without_sense(line):
     (" 3: x >= 1", "constraint line with a bad name '3'"),
     (" c-1: x >= 1", "constraint line with a bad name 'c-1'"),
 ])
-def test_parse_rejects_bad_constraint_line(line, message):
-    with pytest.raises(ValueError, match=message) as err:
-        parse_lp_text(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n")
-    assert repr(line) in str(err.value)
+def test_parse_rejects_bad_constraint_line(line, why):
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(_lp(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n"))
+    assert str(err.value) == f"bad constraint line: {line!r}", why
+
+
+def _objective_text(line):
+    return _lp(f"Minimize\n{line}\nSubject To\n c1: x >= 1\nEnd\n")
 
 
 @pytest.mark.parametrize("name", ["a b", "3", "c-1", ""])
 def test_parse_rejects_a_bad_objective_name(name):
-    """An objective name follows the row name grammar: other LP readers
-    do not read a space, a number or a glued sign as part of a name."""
+    """The objective is named obj, as emit_lp_text writes it."""
     line = f" {name}: x"
-    with pytest.raises(ValueError) as err:
-        parse_lp_text(f"Minimize\n{line}\nSubject To\n c1: x >= 1\nEnd\n")
-    assert str(err.value) == f"objective line with a bad name {name!r}: {line!r}"
+    _rejects(_objective_text(line), f"bad objective line: {line!r}")
 
 
 def test_parse_rejects_an_objective_constant():
     """emit_lp_text never writes a constant; dropping one would change the
     objective value without a word."""
-    with pytest.raises(ValueError, match="objective line with a constant") as err:
-        parse_lp_text("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n")
-    assert repr(" obj: x + 3") in str(err.value)
+    _rejects(_objective_text(" obj: x + 3"), "bad objective line: ' obj: x + 3'")
 
 
 def test_parse_rejects_a_sense_inside_the_objective():
     """Read as names, '>=' and 'x<=y' would make variables no LP reader has."""
-    for body in ("x >= y", "x<=y"):
-        with pytest.raises(ValueError, match="objective line with a '<', '>' or '=' in ") as err:
-            parse_lp_text(f"Minimize\n obj: {body}\nSubject To\n c1: x >= 1\nEnd\n")
-        assert repr(f" obj: {body}") in str(err.value)
+    for line in (" obj: x >= y", " obj: x<=y"):
+        _rejects(_objective_text(line), f"bad objective line: {line!r}")
 
 
 def test_parse_rejects_an_out_of_range_objective_coefficient():
     """float() reads 1e999 as inf, which no LP number stands for."""
-    with pytest.raises(ValueError, match="objective line with an out-of-range number") as err:
-        parse_lp_text("Minimize\n obj: 1e999 x\nSubject To\n c1: x >= 1\nEnd\n")
-    assert repr(" obj: 1e999 x") in str(err.value)
+    _rejects(_objective_text(" obj: 1e999 x"), "bad objective line: ' obj: 1e999 x'")
+
+
+@pytest.mark.parametrize("line, where", [(" obj: a: x", "objective"),
+                                         (" c1: b: + x >= 1", "constraint")])
+def test_parse_rejects_a_colon_inside_an_expression(line, where):
+    """An LP name has no ':', so a: and b: are no variables."""
+    text = (_objective_text(line) if where == "objective"
+            else _lp(f"Minimize\n obj: x\nSubject To\n{line}\nEnd\n"))
+    _rejects(text, f"bad {where} line: {line!r}")
+
+
+def test_parse_rejects_a_hand_built_name_with_a_space():
+    """emit_lp_text writes names as they are, so the variable x y comes out
+    as two tokens, which parse as no variable rather than as x and y."""
+    mdl = IlpModel(objective=(("x y", 1.0),), constraints=(), binaries=(),
+                   continuous=("x y",), fixed_zero=())
+    _rejects(emit_lp_text(mdl), "bad objective line: ' obj: x y'")
+
+
+_EMITTED = emit_lp_text(IlpModel(
+    objective=(("x", 1.0), ("y", 2.0)),
+    constraints=(LinearConstraint("c1", (("x", 1.0), ("y", -1.0)), ">=", 1.0),),
+    binaries=("x",), continuous=("x", "y"), fixed_zero=("y",)))
+
+
+# Each form is LP that emit_lp_text does not write, and the line it spoils.
+@pytest.mark.parametrize("old, new, line", [
+    ("Minimize", "minimise", "minimise"),
+    ("Minimize", "MINIMIZE", "MINIMIZE"),
+    ("Subject To", "st", "st"),
+    ("Subject To", "s.t.", "s.t."),
+    ("Binaries", "Binary", "Binary"),
+    (" c1: x - y >= 1.0", " c1: x - y >= 1.0 \\ a comment", " c1: x - y >= 1.0 \\ a comment"),
+    ("Subject To", "Subject To\n", ""),
+    (" c1: x - y >= 1.0", " c1: x + 3 >= 1.0", " c1: x + 3 >= 1.0"),
+    (" obj: x + 2.0 y", " x + 2.0 y", " x + 2.0 y"),
+    (" c1: x - y >= 1.0", " c1: - - x >= 1.0", " c1: - - x >= 1.0"),
+    ("\n", "\r\n", "\\ vnfplan placement model\r"),
+    # Glued signs and exponents, which no LP reader splits alike.
+    (" c1: x - y >= 1.0", " c1: -3 x >= 1.0", " c1: -3 x >= 1.0"),
+    (" c1: x - y >= 1.0", " c1: x-y >= 1.0", " c1: x-y >= 1.0"),
+    (" obj: x + 2.0 y", " obj: 1e x", " obj: 1e x"),
+    (" obj: x + 2.0 y", " obj: x + 1e-5x", " obj: x + 1e-5x"),
+    ("End\n", "End", "End"),
+    ("End\n", "End\n x\n", " x"),
+    ("Bounds\n y = 0", "Bounds", "Binaries"),
+], ids=["minimise", "MINIMIZE", "st", "s.t.", "Binary", "comment", "blank-line", "constant",
+        "unnamed-objective", "repeated-sign", "crlf", "signed-number", "glued-sign",
+        "dangling-exponent", "glued-exponent", "no-last-line-break", "line-after-End",
+        "empty-section"])
+def test_parse_rejects_a_form_emit_lp_text_does_not_write(old, new, line):
+    text = _EMITTED.replace(old, new)
+    assert text != _EMITTED and parse_lp_text(_EMITTED).binaries == ("x",)
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(text)
+    assert str(err.value).endswith(f": {line!r}")
 
 
 def test_uncapped_cloud_round_trips_without_a_capacity_row():
@@ -208,11 +266,11 @@ def test_uncapped_cloud_round_trips_without_a_capacity_row():
     "Minimize\n obj: x\nSubject To\n c1: x >= 1\nMinimize\n + 2 y\nEnd\n",
 ])
 def test_parse_rejects_a_second_objective_line(text):
-    """The grammar is one expression per line; a second objective line used
-    to replace the first one silently."""
-    with pytest.raises(ValueError, match="more than one objective line") as err:
-        parse_lp_text(text)
-    assert repr(" + 2 y") in str(err.value)
+    """The objective is one line; a second objective line used to replace
+    the first one silently.  The error names the first line out of place."""
+    with pytest.raises(ValueError) as err:
+        parse_lp_text(_lp(text))
+    assert str(err.value) in ("bad objective line: ' + 2 y'", "bad constraint line: 'Minimize'")
 
 
 def test_linear_constraint_is_a_named_tuple_row():
@@ -254,11 +312,11 @@ def test_emit_rejects_a_non_finite_number(where, row, value):
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("Minimize\n obj: 0 x - 0 x\nEnd\n",
+    (_lp("Minimize\n obj: 0 x - 0 x\nSubject To\nEnd\n"),
      "IlpModel(objective=(('x', 0.0), ('x', -0.0)), constraints=(), binaries=(), "
      "continuous=('x', 'x'), fixed_zero=())"),
-    ("Minimize\n obj: 0 y\nSubject To\n c1: 0 y - 0 y >= 0\n"
-     " c2: - 0 y + 0 y + 2 y <= -0.0\nEnd\n",
+    (_lp("Minimize\n obj: 0 y\nSubject To\n c1: 0 y - 0 y >= 0\n"
+         " c2: - 0 y + 0 y + 2 y <= -0.0\nEnd\n"),
      "IlpModel(objective=(('y', 0.0),), constraints=("
      "LinearConstraint(name='c1', terms=(('y', 0.0), ('y', -0.0)), sense='>=', rhs=0.0), "
      "LinearConstraint(name='c2', terms=(('y', -0.0), ('y', 0.0), ('y', 2.0)), sense='<=', "
@@ -294,38 +352,39 @@ def test_built_and_parsed_models_hold_one_tuple_per_distinct_term(sites, size):
 
 def test_parse_shares_a_term_however_its_coefficient_is_written():
     """x, 1 x and 1.0 x are one term, as are - x and - 1 x."""
-    mdl = parse_lp_text("Minimize\n obj: x + 1 x + 1.0 x - x - 1 x + 2 x + 2.0 x\nEnd\n")
+    mdl = parse_lp_text(_lp("Minimize\n obj: x + 1 x + 1.0 x - x - 1 x + 2 x + 2.0 x\n"
+                            "Subject To\nEnd\n"))
     assert mdl.objective == (("x", 1.0),) * 3 + (("x", -1.0),) * 2 + (("x", 2.0),) * 2
     assert [len({id(term) for term in mdl.objective[i:j]}) for i, j in
             ((0, 3), (3, 5), (5, 7), (0, 7))] == [1, 1, 1, 3]
 
 
-def _pad_to(text, newline, end, tail):
-    """Text with a comment line, then tail, put in at the start of the last
-    line that starts 100 characters or more before end, the comment sized
-    so that tail starts at end."""
-    at = text.rindex(newline, 0, end - 100) + len(newline)
-    comment = "\\ " + "c" * (end - at - 2 - len(newline)) + newline
-    return text[:at] + comment + tail + text[at:]
+def _with_pad_row(mdl, end):
+    """mdl with a row of no terms put in at the last row line that starts
+    100 characters or more before end, named so that its line break is at
+    index end of the emitted text."""
+    text = emit_lp_text(mdl)
+    at = text.rindex("\n", 0, end - 100) + 1
+    row = text.count("\n", 0, at) - 4   # header, Minimize, objective, Subject To
+    pad = LinearConstraint("p" * (end - at - len(" : 0 >= 0.0")), (), ">=", 0.0)
+    return dataclasses.replace(mdl, constraints=mdl.constraints[:row] + (pad,)
+                               + mdl.constraints[row:])
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
-def test_parse_reads_the_text_a_window_at_a_time(newline):
-    """A text of several windows parses to the same model with any of
-    splitlines' line breaks.  The first window ends on a blank line and the
-    second starts with a comment; the second window's end is searched for
-    from the \\n of a \\r\\n pair, which must stay whole."""
+def test_parse_reads_the_text_a_window_at_a_time():
+    """A text of several windows parses to its model.  The first window's
+    end is searched for from just past a line break, and the second
+    window's from a line break."""
     mdl = build_ilp(build_instance(ScenarioConfig(edge_sites="all", seed=0),
                                    d0_m=45_000.0, size=9))
     window = ilp._WINDOW
-    text = emit_lp_text(mdl).replace("\n", newline)
-    assert len(text) > 5 * window
-    text = _pad_to(text, newline, window, newline + "\\ a comment" + newline)
+    assert len(emit_lp_text(mdl)) > 5 * window
+    mdl = _with_pad_row(mdl, window - 1)
     # A window ends at the first line break from window characters in.
-    second = window + len(newline) + window
-    text = _pad_to(text, newline, second + 1, "")
-    assert text[window - len(newline):window + len(newline) + 1] == 2 * newline + "\\"
-    assert text[second + 1 - len(newline):second + 1] == newline
+    second = emit_lp_text(mdl).index("\n", window) + 1 + window
+    mdl = _with_pad_row(mdl, second)
+    text = emit_lp_text(mdl)
+    assert text[window - 1] == "\n" != text[window] and text[second] == "\n"
     assert parse_lp_text(text) == mdl
 
 
@@ -334,15 +393,17 @@ def test_parse_reads_the_text_a_window_at_a_time(newline):
                                  "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]),
                 max_size=30).map("".join),
        st.integers(1, 9))
-@example("a\r\nb", 1)
+@example("a\n", 1)
+@example("a\n\nb", 1)
 def test_windowed_lines_are_splitlines(text, window):
-    """Split a window at a time, any text gives the lines of splitlines."""
+    """Split a window at a time, any text gives the lines of text.split("\\n"):
+    only \\n ends a line."""
     saved, ilp._WINDOW = ilp._WINDOW, window
     try:
         lines = list(ilp._lines(text))
     finally:
         ilp._WINDOW = saved
-    assert lines == text.splitlines()
+    assert lines == text.split("\n")
 
 
 def _unknown_rrh(inst):
@@ -355,7 +416,7 @@ PAUSED_CALLS = {
     "build-invalid": (lambda: build_ilp(_unknown_rrh(_small_instance(4))), "unknown RRH zz"),
     "parse": (lambda: parse_lp_text(emit_lp_text(build_ilp(_small_instance(4)))), None),
     "parse-malformed": (lambda: parse_lp_text(emit_lp_text(build_ilp(_small_instance(4)))
-                                              .replace(">=", "=>", 1)), "bad right-hand side"),
+                                              .replace(">=", "=>", 1)), "bad constraint line"),
 }
 
 
@@ -388,12 +449,12 @@ def test_build_and_parse_leave_the_collector_as_they_found_it(call, enabled):
 @pytest.mark.parametrize("line", [" x = 1", " x = y", " x = 0 = 0", " x <= 0", " x >= 0",
                                   " 2 = 0", " + = 0", " x-y = 0", " 1e = 0", " = 0"])
 def test_parse_rejects_unsupported_bound(line):
-    with pytest.raises(ValueError, match="unsupported bound line") as err:
-        parse_lp_text(f"Minimize\n obj: x\nBounds\n{line}\nEnd\n")
-    assert repr(line) in str(err.value)
+    _rejects(_lp(f"Minimize\n obj: x\nSubject To\nBounds\n{line}\nEnd\n"),
+             f"bad Bounds line: {line!r}")
 
 
-@pytest.mark.parametrize("line, message", [
+# Each line with what is wrong with it.
+@pytest.mark.parametrize("line, why", [
     (" 2 + x-y 1e", "a number or sign '2'"),
     (" x +", "a number or sign '+'"),
     (" x 1.5", "a number or sign '1.5'"),
@@ -401,22 +462,29 @@ def test_parse_rejects_unsupported_bound(line):
     (" x 1e", "a glued sign or exponent in '1e'"),
     (" x<=y", "a '<', '>' or '=' in 'x<=y'"),
 ])
-def test_parse_rejects_a_binary_that_is_not_a_name(line, message):
+def test_parse_rejects_a_binary_that_is_not_a_name(line, why):
     with pytest.raises(ValueError) as err:
-        parse_lp_text(f"Minimize\n obj: x\nBinaries\n{line}\nEnd\n")
-    assert str(err.value) == f"binaries line with {message}: {line!r}"
+        parse_lp_text(_lp(f"Minimize\n obj: x\nSubject To\nBinaries\n{line}\nEnd\n"))
+    assert str(err.value) == f"bad Binaries line: {line!r}", why
 
 
 def test_parse_shares_one_string_per_name_across_sections():
-    mdl = parse_lp_text("Minimize\n obj: x + 2 y\nBounds\n x = 0\nBinaries\n y x\nEnd\n")
+    mdl = parse_lp_text(_lp("Minimize\n obj: x + 2 y\nSubject To\nBounds\n x = 0\n"
+                            "Binaries\n y\n x\nEnd\n"))
     assert mdl.binaries == ("y", "x") and mdl.fixed_zero == ("x",)
     assert mdl.fixed_zero[0] is mdl.binaries[1] is mdl.objective[0][0]
 
 
-# The names emit_lp_text is given by build_ilp: no e, E, sign or space.
-_NAMES = st.builds(lambda kind, s, n, k: f"{kind}_s{s}_n{n}_k{k}",
-                   st.sampled_from("xr"), st.integers(0, 40), st.integers(1, 8),
-                   st.integers(0, 8))
+# LP names (README § Library): build_ilp's, and others with points, exponent
+# letters, brackets, letters beyond ASCII, or a section's name, which a
+# Binaries line can hold alone.
+_NAMES = st.one_of(
+    st.builds(lambda kind, s, n, k: f"{kind}_s{s}_n{n}_k{k}",
+              st.sampled_from("xr"), st.integers(0, 40), st.integers(1, 8), st.integers(0, 8)),
+    st.sampled_from(["a.b", "_x", "e5", "E", "x1e5", "E_5", "a[1]", "x!", "\u00e9t\u00e9",
+                     "End", "Binaries", "st"]),
+    st.from_regex(r"[^\s\d.+\-<>=:\\][^\s+\-<>=:\\]*", fullmatch=True),
+)
 _COEFS = st.one_of(
     st.sampled_from([1.0, -1.0, 0.0, -0.0, 3e-07, -3e-07, 1e+16, -1e+16, 2.5, -152.25]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -428,10 +496,10 @@ _TERMS = st.lists(st.tuples(_NAMES, _COEFS), max_size=6).map(tuple)
 def _ilp_models(draw):
     objective = draw(_TERMS)
     constraints = tuple(
-        LinearConstraint(name=f"row{i}", terms=draw(_TERMS),
+        LinearConstraint(name=draw(_NAMES), terms=draw(_TERMS),
                          sense=draw(st.sampled_from(["<=", ">=", "="])),
                          rhs=draw(_COEFS))
-        for i in range(draw(st.integers(0, 6))))
+        for _ in range(draw(st.integers(0, 6))))
     names = st.lists(_NAMES, max_size=4).map(tuple)
     return IlpModel(objective=objective, constraints=constraints,
                     binaries=draw(names),
@@ -443,47 +511,11 @@ def _ilp_models(draw):
 @given(_ilp_models())
 def test_lp_round_trip_on_random_models(mdl):
     """Signed and zero coefficients, exponents either way, negative
-    right-hand sides and rows with no terms all survive emit then parse."""
+    right-hand sides, rows with no terms and any LP name all survive emit
+    then parse."""
     text = emit_lp_text(mdl)
     assert parse_lp_text(text) == mdl
     assert emit_lp_text(parse_lp_text(text)) == text
-
-
-_PIECES = st.sampled_from([
-    "x_s0_n1_k2", "r_s3_n8_k0", "e", "E", "xe", "x1e", "1", "2.", ".5", "1.5",
-    "1e", "1E", "1e5", "3e-07", "1E+16", "2.5e", "+", "-", "e-", "e+", "0",
-    "-3", "+2", "x-y", "1e-5x", "2e",
-])
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.lists(st.tuples(_PIECES, st.sampled_from(["", " ", "  "])),
-                         max_size=10), min_size=1, max_size=4))
-def test_parse_terms_matches_reference_tokenizer(expressions):
-    """The memoised tokenizer, with one memo shared across expressions as
-    within one parse_lp_text call, gives the reference's terms and constant.
-    An expression with a glued token is flagged instead, and parse_lp_text
-    rejects it in the objective and in a row, naming the line."""
-    token_value = _TokenKind()
-    for pieces in expressions:
-        text = "".join(piece + gap for piece, gap in pieces)
-        glued = glued_tokens(text)
-        if not glued:
-            assert repr(_parse_terms(text, token_value)) == repr(reference_parse_terms(text))
-            continue
-        # Glued pieces can also make a number too large for a float (1E+1611).
-        flagged = {f"a glued sign or exponent in {tok!r}" for tok in glued}
-        flagged.add("an out-of-range number")
-        fresh = _TokenKind()
-        _parse_terms(text, fresh)
-        assert fresh.bad in flagged
-        for where, line, lp in (
-                ("objective", f" obj: {text}", f"Minimize\n obj: {text}\nEnd\n"),
-                ("constraint", f" c1: {text} >= 0",
-                 f"Minimize\n obj: x\nSubject To\n c1: {text} >= 0\nEnd\n")):
-            with pytest.raises(ValueError) as err:
-                parse_lp_text(lp)
-            assert str(err.value) == f"{where} line with {fresh.bad}: {line!r}"
 
 
 def test_signed_variable_names_raise_instead_of_parsing_another_model():
@@ -499,8 +531,7 @@ def test_signed_variable_names_raise_instead_of_parsing_another_model():
     # A prebuilt table skips the validation that would reject the instance.
     text = emit_lp_text(build_ilp(inst, RateTable(inst)))
     assert "x_s0_n1_k-1" in text
-    with pytest.raises(ValueError, match="objective line with a glued sign or exponent "
-                                         "in 'r_s0_n1_k-1': ' obj: r_s0_n1_k-1 "):
+    with pytest.raises(ValueError, match="^bad objective line: ' obj: r_s0_n1_k-1 "):
         parse_lp_text(text)
 
 

@@ -2,9 +2,8 @@
 independent two-cloud oracle for the per-VNF rate formulas, and small
 oracles the library itself does not need (link feasibility, hop
 distances, percent savings, the ILP's rate completion of a fixed
-binary vector, HiGHS on an IlpModel, a plain LP expression tokenizer,
-evaluate's per-chain loop without its memo, and the zero-slack walk over
-RateTable.split).
+binary vector, HiGHS on an IlpModel, evaluate's per-chain loop without
+its memo, and the zero-slack walk over RateTable.split).
 
 Quantization policy: latency bounds are multiples of 0.05 ms and
 distances multiples of 1 km, so every latency margin is a multiple of
@@ -15,7 +14,6 @@ at least 0.005 ms; the band separates the two cases without ambiguity.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -285,49 +283,6 @@ def _solve_via_scipy(mdl: IlpModel, relax: bool = False, **options):
         hi[idx[var]] = 0.0
     return milp(c=c, constraints=SciCon(matrix, np.array(lb), np.array(ub)),
                 integrality=integrality, bounds=Bounds(lo, hi), options=options)
-
-
-_NUM_RE = re.compile(r"^(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-
-def glued_tokens(text: str) -> list[str]:
-    """The whitespace tokens of an LP expression outside its grammar: a sign
-    inside a token (-3, x-y) but an exponent's (3e-07), or a dangling
-    exponent (1e)."""
-    return [tok for tok in text.split() if tok not in ("+", "-") and not _NUM_RE.match(tok)
-            and ("+" in tok or "-" in tok or re.fullmatch(r"(\d+\.?\d*|\.\d+)[eE]", tok))]
-
-
-def reference_parse_terms(text: str) -> tuple[tuple[tuple[str, float], ...], float]:
-    """The LP expression grammar without memo or shortcuts: terms and constant.
-
-    Whitespace tokens are a sign, an unsigned number or a name;
-    vnfplan.ilp._parse_terms must agree with it on every expression that
-    glued_tokens finds nothing in.
-    """
-    terms: list[tuple[str, float]] = []
-    constant = 0.0
-    sign = 1.0
-    coef: float | None = None
-    for tok in text.split():
-        if tok == "+":
-            continue
-        if tok == "-":
-            sign = -sign
-            continue
-        if _NUM_RE.match(tok):
-            if coef is not None:
-                constant += sign * coef
-                sign = 1.0
-            coef = float(tok)
-            continue
-        value = sign * (coef if coef is not None else 1.0)
-        terms.append((tok, value))
-        sign = 1.0
-        coef = None
-    if coef is not None:
-        constant += sign * coef
-    return tuple(terms), constant
 
 
 def reference_evaluate(inst: Instance, a: Assignment, table: RateTable) -> Solution:
