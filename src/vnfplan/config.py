@@ -71,10 +71,14 @@ def parse_services_section(data: dict) -> dict[str, ServiceClass]:
 
 
 @functools.lru_cache(maxsize=1)
-def _load_defaults() -> tuple[ComputeModel, dict[str, ServiceClass]]:
+def _load_defaults() -> tuple[ComputeModel, dict[str, ServiceClass],
+                              dict[str, tuple[VnfSpec, ...]]]:
     text = resources.files("vnfplan").joinpath("data/default_model.yaml").read_text()
     data = yaml.load(text, Loader=_Loader)
-    return parse_model_section(data["model"]), parse_services_section(data["services"])
+    model = parse_model_section(data["model"])
+    services = parse_services_section(data["services"])
+    vnfs = {name: build_chain(model, svc, "", "").vnfs for name, svc in services.items()}
+    return model, services, vnfs
 
 
 def default_model() -> ComputeModel:
@@ -85,6 +89,12 @@ def default_model() -> ComputeModel:
 def default_services() -> dict[str, ServiceClass]:
     """The four packaged service classes (eMBB, mMTC, URLLC1, URLLC2)."""
     return dict(_load_defaults()[1])
+
+
+def default_vnfs() -> dict[str, tuple[VnfSpec, ...]]:
+    """The VNF tuple of each packaged service's chain under the packaged
+    model, by service name; every call hands out the same tuples."""
+    return dict(_load_defaults()[2])
 
 
 def _parse_infrastructure(data: dict) -> Infrastructure:

@@ -12,14 +12,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from .config import default_model, default_services
+from .config import default_services, default_vnfs
 from .model import (
     ChainRequest,
     CloudNode,
     Infrastructure,
     Instance,
     ServiceClass,
-    build_chain,
     check_instance,
     whole,
 )
@@ -175,7 +174,7 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
     an edge capacity that is not positive, and on a chain count or rings
     that is negative or not a whole number.
     """
-    model, services = default_model(), default_services()
+    services = default_services()
     d0 = cfg.central_dist if d0_m is None else d0_m
     n_chains = _whole("chain count", cfg.mix_size if size is None else size)
     rings = _whole("rings", cfg.rings)
@@ -200,10 +199,10 @@ def build_instance(cfg: ScenarioConfig, d0_m: Optional[float] = None,
             raise ValueError(f"unknown mix profile {cfg.mix_profile!r}")
         svc = services[cfg.mix_profile]
         mix = [(svc, rng.choice(rrhs)) for _ in range(n_chains)]
-    # One VNF tuple per service, so equal chain signatures compare by identity.
-    vnfs = {svc: build_chain(model, svc, "", "").vnfs
-            for svc in dict.fromkeys(svc for svc, _ in mix)}
-    chains = tuple(ChainRequest(f"c{idx:03d}", svc, rrh, vnfs[svc])
+    # One VNF tuple per service, shared by every instance, so equal chain
+    # signatures compare by identity.
+    vnfs = default_vnfs()
+    chains = tuple(ChainRequest(f"c{idx:03d}", svc, rrh, vnfs[svc.name])
                    for idx, (svc, rrh) in enumerate(mix))
     return Instance(infra=infra, chains=chains)
 
@@ -234,8 +233,7 @@ def _solve_point(cfg: ScenarioConfig, methods: Sequence[str], size: int,
             accepted = out.accepted
             # The full request is refused, so only a shorter prefix can pass.
             if accepted < len(inst.chains) and out.status != "partial":
-                shorter = inst.subset([c.id for c in inst.chains[:-1]])
-                accepted, out = max_accepted_chains(shorter, kind, table, budget)
+                accepted, out = max_accepted_chains(inst, kind, table, budget, refused=out)
         except ValueError as exc:
             raise type(exc)(f"{scenario} {method}: {exc}") from exc
         # out is None when no prefix is accepted: nothing is deployed.

@@ -521,8 +521,11 @@ def brute_force(inst: Instance, table: RateTable | None = None) -> SolveResult:
 class Outcome:
     """What one registry method made of an instance.
 
-    solution covers the accepted chains; a fixed baseline that overloads a
-    cloud keeps the deployment it tried, with accepted 0.  events, stats
+    solution covers the accepted chains.  Only a fixed baseline keeps a
+    refused deployment: one that breaks a latency bound or overloads a
+    cloud keeps the deployment it tried, of every chain, with accepted 0.
+    It places each chain by itself, so that deployment's first m chains
+    are what it makes of the first m (see max_accepted_chains).  events, stats
     and reasons are the method's report lines, printed before the status,
     after the accepted count and after the solution.
     """
@@ -593,17 +596,32 @@ def run_method(method: str, inst: Instance, table: RateTable | None = None,
 
 def max_accepted_chains(inst: Instance, method: str = "optimal",
                         table: RateTable | None = None,
-                        budget: SearchBudget | None = None) -> tuple[int, Outcome | None]:
+                        budget: SearchBudget | None = None,
+                        refused: Outcome | None = None) -> tuple[int, Outcome | None]:
     """The largest m such that the method accepts the first m chains, and
     the method's outcome on those m chains (None when m is 0).
 
     table is a rate table that covers inst's chains, built when not given.
+    refused, when given, is the method's outcome on all of inst's chains,
+    which must accept fewer than all of them; the full request is then not
+    run again.  When refused keeps a deployment and is not partial, as
+    only a fixed baseline's is, the longest prefix that fits is read off
+    it (see _fitting_prefix) and the method runs once, on that prefix.
+    Either way the result is the one without refused.
     """
     run = METHODS[method_name(method)]
     table = rate_table(inst, table)
     ids = [c.id for c in inst.chains]
+    last = len(ids)
+    if refused is not None:
+        if refused.accepted == last:
+            raise ValueError("refused outcome accepts every chain")
+        if refused.solution is not None and refused.status != "partial":
+            m = _fitting_prefix(inst, refused.solution)
+            return (m, run(inst.subset(ids[:m]), table, budget)) if m else (0, None)
+        last -= 1
     best, kept = 0, None
-    for m in range(1, len(ids) + 1):
+    for m in range(1, last + 1):
         out = run(inst.subset(ids[:m]), table, budget)
         if out.accepted == m:
             best, kept = m, out
@@ -614,3 +632,28 @@ def max_accepted_chains(inst: Instance, method: str = "optimal",
             # it tries every prefix.
             break
     return best, kept
+
+
+def _fitting_prefix(inst: Instance, sol: Solution) -> int:
+    """The number of leading chains of inst whose part of sol, a
+    deployment of every chain, is feasible.
+
+    Adds each chain's rates to per-cloud loads in chain order, then VNF
+    order, as evaluate does, so every load is the same float as evaluate's
+    on that prefix; rates are never negative, so loads only grow.  Stops
+    before the first chain with an INFEASIBLE rate or one that takes a
+    cloud past its capacity plus CAP_TOL.
+    """
+    caps = {c.id: c.capacity + CAP_TOL for c in inst.infra.clouds}
+    loads = dict.fromkeys(caps, 0.0)
+    vectors = sol.assignment.vectors
+    for m, chain in enumerate(inst.chains):
+        rates = sol.rates[chain.id]
+        if INFEASIBLE in rates:
+            return m
+        clouds = vectors[chain.id]
+        for k, rate in zip(clouds, rates):
+            loads[k] += rate
+        if any(loads[k] > caps[k] for k in clouds):
+            return m
+    return len(inst.chains)

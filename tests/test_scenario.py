@@ -3,7 +3,7 @@ import math
 import pytest
 
 from util import efficiency_improvement
-from vnfplan import model, scenario, solver
+from vnfplan import heuristics, model, scenario, solver
 from vnfplan.config import default_model
 from vnfplan.model import build_chain, validate_instance
 from vnfplan.rates import RateTable
@@ -243,14 +243,16 @@ def test_sweep_with_no_accepted_chain():
 def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
     """A rejected point runs its prefix search as scenario.max_accepted_chains,
     so a wrapper put there (as a tracer does) sees every call.  The search
-    gets the request without its last chain, whose full outcome is already
-    known.  b_first records its own partial outcome and needs none."""
+    gets the full request and the refused outcome the point already holds,
+    which the fixed baselines read their longest prefix off.  b_first
+    records its own partial outcome and needs none."""
     calls = []
     plain = scenario.max_accepted_chains
 
-    def counted(inst, method, *args, **kwargs):
-        calls.append((method, len(inst.chains)))
-        return plain(inst, method, *args, **kwargs)
+    def counted(inst, method, *args, refused, **kwargs):
+        calls.append((method, len(inst.chains), refused.status, refused.accepted,
+                      refused.solution is not None))
+        return plain(inst, method, *args, refused=refused, **kwargs)
 
     monkeypatch.setattr(scenario, "max_accepted_chains", counted)
     cfg = ScenarioConfig(edge_sites="center", seed=11)
@@ -260,8 +262,35 @@ def test_sweep_point_calls_prefix_search_through_module_attribute(monkeypatch):
     assert [(r.method, r.accepted) for r in records] == [
         ("optimal", 3), ("b_first", 6), ("fixed_split", 2), ("fixed_service", 2),
         ("cran_only", 2)]
-    assert calls == [("optimal", 7), ("fixed_split", 7), ("fixed_service", 7),
-                     ("optimal", 7)]
+    assert calls == [("optimal", 8, "infeasible", 0, False),
+                     ("fixed_split", 8, "infeasible", 0, True),
+                     ("fixed_service", 8, "infeasible", 0, True),
+                     ("optimal", 8, "infeasible", 0, False)]
+
+
+def test_refused_fixed_point_evaluates_at_most_one_prefix(monkeypatch):
+    """A fixed baseline refused at a sweep point evaluates the full request
+    and then at most its longest fitting prefix, never one prefix after
+    another."""
+    calls = []
+    plain = heuristics.evaluate
+
+    def counted(inst, *args, **kwargs):
+        calls.append(len(inst.chains))
+        return plain(inst, *args, **kwargs)
+
+    monkeypatch.setattr(heuristics, "evaluate", counted)
+    budget = SearchBudget(max_nodes=2_000, time_limit=math.inf)
+    accepted = set()
+    for mix, ce in (("standard", 2240.0), ("standard", 300.0), ("URLLC2", 300.0)):
+        cfg = ScenarioConfig(edge_sites="all", seed=3, mix_profile=mix)
+        for method in ("fixed_split", "fixed_service"):
+            calls.clear()
+            [rec] = scenario._solve_point(cfg, [method], 12, 90_000.0, ce, 0, budget, False)
+            assert rec.accepted < 12
+            assert calls == ([12, rec.accepted] if rec.accepted else [12])
+            accepted.add(rec.accepted)
+    assert 0 in accepted and len(accepted) > 1
 
 
 def test_sweep_point_builds_each_instance_once(monkeypatch):
@@ -320,15 +349,18 @@ def test_run_sweep_stops_at_the_first_failing_point(monkeypatch):
 
 
 def test_build_instance_shares_each_service_vnfs():
+    """Every chain of a service holds one VNF tuple, the same in every
+    instance built, and equal to the one build_chain makes."""
     model = default_model()
+    first = {}
     for cfg in (ScenarioConfig(mix_size=13, seed=4),
-                ScenarioConfig(mix_size=5, mix_profile="URLLC1", edge_sites="center")):
+                ScenarioConfig(mix_size=5, mix_profile="URLLC1", edge_sites="center"),
+                ScenarioConfig(mix_size=9, seed=7, edge_sites="center")):
         inst = build_instance(cfg)
-        first = {}
         for chain in inst.chains:
             assert chain == build_chain(model, chain.service, chain.rrh, chain.id)
             assert first.setdefault(chain.service.name, chain.vnfs) is chain.vnfs
-        assert len(first) == (4 if cfg.mix_profile == "standard" else 1)
+    assert len(first) == 4
 
 
 def test_run_sweep_caps_worker_processes(monkeypatch):

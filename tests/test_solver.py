@@ -600,6 +600,79 @@ def test_sweep_prefix_proven_infeasible(ce, accepted, rep):
     assert res.nodes <= 1_000
 
 
+def test_refused_fixed_outcome_gives_the_prefix_loops_result():
+    """A fixed baseline's refused outcome gives the same (count, outcome)
+    as the plain prefix loop, on a grid with latency refusals (d0 90 km),
+    capacity refusals (small Ce), no fitting prefix (URLLC2 chains on a
+    small edge cloud) and every prefix fitting but the full request."""
+    seen = Counter()
+    for mix, sites, size, d0, ce, seed in itertools.product(
+            ("standard", "URLLC2"), ("center", "all"), range(1, 13), (30_000.0, 90_000.0),
+            (300.0, 700.0, 2240.0, 4480.0), range(3)):
+        cfg = ScenarioConfig(edge_sites=sites, seed=seed, mix_profile=mix)
+        inst = build_instance(cfg, d0_m=d0, size=size, edge_capacity=ce)
+        table = RateTable(inst)
+        for method in ("fixed_split", "fixed_service"):
+            refused = run_method(method, inst, table)
+            if refused.accepted == size:
+                continue
+            count, out = max_accepted_chains(inst, method, table, refused=refused)
+            assert (count, out) == max_accepted_chains(inst, method, table), \
+                (mix, sites, size, d0, ce, seed, method)
+            seen["none" if count == 0 else "all but the last" if count == size - 1
+                 else "some"] += 1
+            seen.update({"over capacity" if "over capacity" in line else "latency"
+                         for line in refused.reasons})
+    assert set(seen) == {"none", "all but the last", "some", "over capacity", "latency"}
+
+
+def test_refused_fixed_outcome_at_the_capacity_edge_and_without_capacity():
+    """The one pass keeps evaluate's verdicts: a prefix that loads each
+    cloud to its capacity, or less than CAP_TOL past it, fits, one 1e-6
+    past it does not, and a latency refusal stops the pass on clouds of
+    infinite capacity."""
+    inst = build_instance(ScenarioConfig(edge_sites="all", seed=1), d0_m=30_000, size=10)
+    ids = [c.id for c in inst.chains]
+    for method in ("fixed_split", "fixed_service"):
+        for m in range(1, 10):
+            loads = run_method(method, inst.subset(ids[:m])).solution.loads
+            for over in (0.0, CAP_TOL / 2, 1e-6):
+                clouds = tuple(CloudNode(c.id, loads[c.id] - over if loads[c.id] else 1e-3)
+                               for c in inst.infra.clouds)
+                tight = dataclasses.replace(
+                    inst, infra=dataclasses.replace(inst.infra, clouds=clouds))
+                refused = run_method(method, tight)
+                count, out = max_accepted_chains(tight, method, refused=refused)
+                assert (count == m) == (over < CAP_TOL), (method, m, over)
+                assert (count, out) == max_accepted_chains(tight, method), (method, m, over)
+        cfg = ScenarioConfig(edge_sites="all", central_capacity=math.inf,
+                             edge_capacity=math.inf)
+        far = build_instance(cfg, d0_m=90_000, size=12)
+        refused = run_method(method, far)
+        assert refused.accepted == 0 and refused.solution.loads[0] == math.inf
+        assert max_accepted_chains(far, method, refused=refused) \
+            == max_accepted_chains(far, method) != (0, None)
+
+
+def test_refused_outcome_skips_only_the_full_request():
+    """Outcomes without a deployment of every chain (the exact methods'
+    and the greedy's) give the plain loop's result too, and an outcome
+    that accepts every chain is no refusal."""
+    inst = build_instance(ScenarioConfig(edge_sites="center", seed=11), d0_m=90_000,
+                          size=8, edge_capacity=2240.0)
+    table = RateTable(inst)
+    budget = SearchBudget(max_nodes=20_000, time_limit=math.inf)
+    for method in ("optimal", "b_first"):
+        refused = run_method(method, inst, table, budget)
+        assert refused.accepted < 8 and (refused.solution is None
+                                         or refused.status == "partial")
+        assert max_accepted_chains(inst, method, table, budget, refused=refused) \
+            == max_accepted_chains(inst, method, table, budget)
+    short = inst.subset([c.id for c in inst.chains[:2]])
+    with pytest.raises(ValueError, match="accepts every chain"):
+        max_accepted_chains(short, "fixed_split", refused=run_method("fixed_split", short))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_chain_order_does_not_change_proven_result(seed):
